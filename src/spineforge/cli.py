@@ -33,6 +33,17 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a run that checks nothing cannot pass."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_source(p):
     p.add_argument("input", nargs="?", help="path to a .tri file")
     p.add_argument("--census", choices=census_names(), help="built-in complex")
@@ -223,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--strategy", choices=STRATEGIES, default="random")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--runs", type=_positive_int, default=100)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=cmd_verify)
 
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", help="path to a .fld field file", required=False)
     p.add_argument("--eps-frac", type=float, default=0.25,
                    help="hole radius as a fraction of the admissible maximum")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--out", help="write CSV deformation samples here")
     p.set_defaults(fn=cmd_deform)
 

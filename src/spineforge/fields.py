@@ -453,16 +453,22 @@ def parse_fld(text: str) -> FieldSpec:
     head = lines[0].split()
     if len(head) != 3:
         raise FieldDomainError("field file must start with 'type r s'")
-    rank = (int(head[1]), int(head[2]))
+    try:
+        rank = (int(head[1]), int(head[2]))
+    except ValueError:
+        raise FieldDomainError(f"bad tensor type line {lines[0]!r}")
     if rank[0] < 0 or rank[1] < 0:
         raise FieldDomainError(f"negative tensor type {rank}")
     if len(lines) < 2 or lines[1] not in ("constant", "linear"):
         raise FieldDomainError("second line must be 'constant' or 'linear'")
     kind = lines[1]
-    if kind == "constant":
-        values = tuple(float(t) for line in lines[2:] for t in line.split())
-    else:
-        values = tuple(tuple(float(t) for t in line.split()) for line in lines[2:])
+    rows = []
+    for line in lines[2:]:
+        try:
+            rows.append(tuple(float(t) for t in line.split()))
+        except ValueError:
+            raise FieldDomainError(f"bad component line {line!r}")
+    values = tuple(x for row in rows for x in row) if kind == "constant" else tuple(rows)
     return FieldSpec(rank, kind, values)
 
 

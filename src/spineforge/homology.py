@@ -1,18 +1,23 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer simplicial homology by sparse unit-pivot elimination.
 
-Everything here runs on Python integers, so ranks and torsion are exact at
-any size; the matrices involved stay at desk scale (at most a few thousand
-columns) and cubic elimination with smallest-pivot selection is adequate.
-Mod-2 ranks exist only as a cross-check, never as the primary answer.
+Each boundary map is built as sparse integer columns straight from the face
+index.  Pivots on +-1 entries are eliminated first, shortest row first
+(Markowitz order keeps fill low); each one contributes an invariant factor 1.
+The small remainder, which carries all torsion, goes to the dense
+``smith_normal_form``, which also serves the tests as the oracle.  Every
+step runs on Python integers, so ranks and torsion are exact at any size.
+Unit-pivot elimination follows Dumas-Heckenbach-Saunders-Welker (2003) and
+Kaczynski-Mrozek-Slusarek (1998).
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from math import gcd
 
-from .simplicial import InvalidComplexError, SimplicialComplex, euler_characteristic
+from .simplicial import InvalidComplexError, SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -28,39 +33,24 @@ class BoundaryMatrix:
         return (rows, len(self.entries[0]) if rows else 0)
 
 
-def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
+def _boundary_columns(c: SimplicialComplex, k: int) -> list:
     """Alternating-sign boundary on sorted tuples: column of (v0<...<vk) has
-    (-1)^i in the row of (v0..v̂i..vk)."""
+    (-1)^i in the row of (v0..v̂i..vk).  One {row: +-1} dict per k-face."""
     if k < 1 or k > c.dimension:
         raise InvalidComplexError(f"degree {k} out of range 1..{c.dimension}")
-    rows = len(c.faces[k - 1])
-    cols = len(c.faces[k])
-    mat = [[0] * cols for _ in range(rows)]
     idx = c.face_index[k - 1]
-    for j, face in enumerate(c.faces[k]):
-        for i in range(k + 1):
-            sub = face[:i] + face[i + 1:]
-            mat[idx[sub]][j] = -1 if i % 2 else 1
+    return [{idx[face[:i] + face[i + 1:]]: -1 if i % 2 else 1 for i in range(k + 1)}
+            for face in c.faces[k]]
+
+
+def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
+    """Dense form of the degree-k boundary map (see _boundary_columns)."""
+    columns = _boundary_columns(c, k)
+    mat = [[0] * len(columns) for _ in c.faces[k - 1]]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            mat[i][j] = v
     return BoundaryMatrix(k, tuple(tuple(r) for r in mat))
-
-
-def compose(a: BoundaryMatrix, b: BoundaryMatrix):
-    """Integer product a*b (for the d∘d = 0 check)."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if ca != rb:
-        raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-    out = [[0] * cb for _ in range(ra)]
-    for i in range(ra):
-        arow = a.entries[i]
-        for t in range(ca):
-            x = arow[t]
-            if x:
-                brow = b.entries[t]
-                row = out[i]
-                for j in range(cb):
-                    row[j] += x * brow[j]
-    return out
 
 
 def smith_normal_form(mat) -> tuple:
@@ -135,24 +125,71 @@ def smith_normal_form(mat) -> tuple:
     return tuple(diag)
 
 
-def rank_gf2(mat) -> int:
-    """Row rank over GF(2); rows packed into ints (cross-check only)."""
-    rows = []
-    for row in mat:
-        bits = 0
-        for j, v in enumerate(row):
-            if v % 2:
-                bits |= 1 << j
-        if bits:
-            rows.append(bits)
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        rank += 1
-        low = pivot & -pivot
-        rows = [r ^ pivot if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-    return rank
+def invariant_factors(columns) -> tuple:
+    """Invariant factors of a sparse integer matrix, equal to
+    smith_normal_form of its dense form.
+
+    ``columns`` holds one {row: value} dict per column.  Every +-1 pivot is
+    eliminated by column operations, taking the shortest row first and the
+    shortest column within it; whatever is left goes to smith_normal_form.
+    """
+    cols = {}
+    for j, col in enumerate(columns):
+        col = {i: v for i, v in col.items() if v}
+        if col:
+            cols[j] = col
+    rows = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    # (length, row) entries; an entry whose length is out of date is stale
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, i = heapq.heappop(heap)
+        row = rows.get(i)
+        if row is None or len(row) != length:
+            continue
+        pivots = [(len(cols[j]), j) for j in row if cols[j][i] in (1, -1)]
+        if not pivots:
+            continue   # re-pushed if a later pivot changes this row
+        _, p = min(pivots)
+        del rows[i]
+        pcol = cols.pop(p)
+        sign = pcol.pop(i)
+        # clear row i: col_j -= col_j[i] * sign * col_p (sign is its own inverse)
+        for j in row:
+            if j == p:
+                continue
+            col = cols[j]
+            f = col.pop(i) * sign
+            for r, v in pcol.items():
+                x = col.get(r, 0) - f * v
+                if x:
+                    if r not in col:
+                        rows[r].add(j)
+                    col[r] = x
+                else:
+                    del col[r]
+                    rows[r].discard(j)
+            if not col:
+                del cols[j]
+        # row i now holds only the pivot, so column p drops out as well
+        for r in pcol:
+            touched = rows[r]
+            touched.discard(p)
+            if touched:
+                heapq.heappush(heap, (len(touched), r))
+            else:
+                del rows[r]
+        units += 1
+    position = {r: t for t, r in enumerate(sorted(rows))}
+    rest = [[0] * len(cols) for _ in position]
+    for t, col in enumerate(cols.values()):
+        for r, v in col.items():
+            rest[position[r]][t] = v
+    return (1,) * units + smith_normal_form(rest)
 
 
 @dataclass(frozen=True)
@@ -185,7 +222,7 @@ class HomologyProfile:
 
 def homology_groups(c: SimplicialComplex) -> HomologyProfile:
     n = c.dimension
-    invariants = {k: smith_normal_form(boundary_matrix(c, k).entries)
+    invariants = {k: invariant_factors(_boundary_columns(c, k))
                   for k in range(1, n + 1)}
     ranks = {k: len(invariants[k]) for k in invariants}
     ranks[0] = 0
@@ -250,9 +287,3 @@ def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
     degrees = range(c.dimension + 1)
     equal = tuple(spine_profile.group(k) == punct_profile.group(k) for k in degrees)
     return Theorem2Report(spine_profile, punct_profile, equal)
-
-
-def betti_consistency(c: SimplicialComplex) -> bool:
-    """Alternating Betti sum equals the Euler characteristic."""
-    profile = homology_groups(c)
-    return sum((-1) ** k * b for k, b in enumerate(profile.betti)) == euler_characteristic(c)

@@ -331,8 +331,9 @@ def parse_tri(text: str) -> SimplicialComplex:
     body = lines[1:]
     coords = None
     if body and body[0][0] == "coords":
-        if len(body[0]) != 2:
-            raise InvalidComplexError("coords line must be 'coords d'")
+        if len(body[0]) != 2 or not _is_int_token(body[0][1]):
+            raise InvalidComplexError(
+                f"coords line must be 'coords d', got {' '.join(body[0])!r}")
         d = int(body[0][1])
         coords = []
         body = body[1:]
@@ -341,7 +342,10 @@ def parse_tri(text: str) -> SimplicialComplex:
             looks_coord = len(toks) == d and (d != n + 1 or not all(_is_int_token(t) for t in toks))
             if not looks_coord:
                 break
-            coords.append(tuple(float(t) for t in toks))
+            try:
+                coords.append(tuple(float(t) for t in toks))
+            except ValueError:
+                raise InvalidComplexError(f"bad coordinate line {' '.join(toks)!r}")
             body = body[1:]
     tops = []
     for toks in body:

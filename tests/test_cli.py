@@ -103,6 +103,17 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_no_runs_rejected(self, capsys, runs):
+        # a verification over no seeds checks nothing and must not report ok
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--census", "torus7", "--runs", runs])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--runs: must be at least 1" in captured.err
+
+
 class TestDeform:
     def test_constant_field_zero_jumps(self, capsys, tmp_path):
         fld = tmp_path / "c.fld"
@@ -154,6 +165,52 @@ class TestDeform:
         code, _, _ = run(capsys, "deform", "--census", "rp2_6",
                          "--field", str(fld))
         assert code == 2
+
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, capsys, tmp_path, samples):
+        # with no probes every seam would read 0.0 and pass
+        fld = tmp_path / "c.fld"
+        fld.write_text(CONSTANT_FLD)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["deform", "--census", "sphere_tet", "--field", str(fld),
+                      "--samples", samples])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "--samples: must be at least 1" in captured.err
+
+
+class TestMalformedInput:
+    """Malformed files exit 2 with an 'error:' line naming the bad line."""
+
+    @staticmethod
+    def assert_rejected(code, out, err, culprit):
+        assert code == 2
+        assert out == ""
+        lines = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(lines) == 1 and culprit in lines[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,culprit", [
+        ("dim 2\ncoords x\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "coords x"),
+        ("dim 2\ncoords 3\n0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 abc 0.0\n"
+         "0.0 0.0 1.0\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "0.0 abc 0.0"),
+    ], ids=["coords-dimension", "coordinate"])
+    def test_tri(self, capsys, tmp_path, text, culprit):
+        path = tmp_path / "bad.tri"
+        path.write_text(text)
+        self.assert_rejected(*run(capsys, "decompose", str(path)), culprit)
+
+    @pytest.mark.parametrize("text,culprit", [
+        ("type a 0\nconstant\n1.0 0.0\n", "type a 0"),
+        ("type 1 0\nconstant\n1.0 zz\n", "1.0 zz"),
+    ], ids=["tensor-type", "component"])
+    def test_fld(self, capsys, tmp_path, text, culprit):
+        path = tmp_path / "bad.fld"
+        path.write_text(text)
+        self.assert_rejected(*run(capsys, "deform", "--census", "sphere_tet",
+                                  "--field", str(path)), culprit)
 
 
 class TestExportOff:

@@ -6,11 +6,52 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spineforge as sf
-from spineforge.homology import (boundary_matrix, compose, homology_groups,
-                                 punctured_complex, rank_gf2,
-                                 smith_normal_form, verify_theorem2)
-from spineforge.simplicial import InvalidComplexError, SimplicialComplex
+from spineforge.homology import (BoundaryMatrix, boundary_matrix,
+                                 homology_groups, invariant_factors,
+                                 punctured_complex, smith_normal_form,
+                                 verify_theorem2)
+from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
+                                   validate_closed_manifold)
 from spineforge.spine import Decomposition
+
+
+def compose(a: BoundaryMatrix, b: BoundaryMatrix):
+    """Integer product a*b (for the d∘d = 0 check)."""
+    ra, ca = a.shape
+    rb, cb = b.shape
+    if ca != rb:
+        raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
+    out = [[0] * cb for _ in range(ra)]
+    for i in range(ra):
+        arow = a.entries[i]
+        for t in range(ca):
+            x = arow[t]
+            if x:
+                brow = b.entries[t]
+                row = out[i]
+                for j in range(cb):
+                    row[j] += x * brow[j]
+    return out
+
+
+def rank_gf2(mat) -> int:
+    """Row rank over GF(2); rows packed into ints (cross-check only)."""
+    rows = []
+    for row in mat:
+        bits = 0
+        for j, v in enumerate(row):
+            if v % 2:
+                bits |= 1 << j
+        if bits:
+            rows.append(bits)
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        rank += 1
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+    return rank
 
 
 def rank_over_q(mat):
@@ -196,3 +237,107 @@ class TestTheorem2:
         bad = Decomposition(d.root, d.gates, cycle, d.strategy, d.seed)
         report = verify_theorem2(c, bad)
         assert not report.ok
+
+
+def dense_homology(c):
+    """Oracle: homology from dense boundary matrices and smith_normal_form."""
+    n = c.dimension
+    invariants = {k: smith_normal_form(boundary_matrix(c, k).entries)
+                  for k in range(1, n + 1)}
+    ranks = {0: 0, n + 1: 0, **{k: len(inv) for k, inv in invariants.items()}}
+    return tuple((len(c.faces[k]) - ranks[k] - ranks[k + 1],
+                  tuple(d for d in invariants.get(k + 1, ()) if d > 1))
+                 for k in range(n + 1))
+
+
+def columns_of(mat):
+    """Sparse {row: value} columns of a dense matrix."""
+    width = len(mat[0]) if mat else 0
+    return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(width)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 8 x 8, entries in -3..3 (mostly 0), some rows and columns zeroed."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    mat = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows and cols:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            mat[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in mat:
+                row[j] = 0
+    return mat
+
+
+class TestSparseElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_matches_dense_snf(self, mat):
+        assert invariant_factors(columns_of(mat)) == smith_normal_form(mat)
+
+    def test_torsion_reaches_the_remainder(self):
+        # no unit pivot anywhere: everything is left to the dense solver
+        assert invariant_factors(columns_of([[2, 0], [0, 3]])) == (1, 6)
+        # one unit pivot, remainder [[4]] after clearing its row and column
+        assert invariant_factors(columns_of([[1, 2], [3, 10]])) == (1, 4)
+
+    @pytest.mark.parametrize("name", sf.census_names())
+    def test_homology_matches_dense_path(self, census, name):
+        c = census[name]
+        assert homology_groups(c).groups == dense_homology(c)
+        for t in range(len(c.top_simplices)):
+            p = punctured_complex(c, t)
+            assert homology_groups(p).groups == dense_homology(p)
+
+
+def grid_surface(k, klein=False):
+    """k x k square grid, two triangles per square, opposite sides glued.
+    The torus glues both pairs straight; the Klein bottle glues the pair at
+    j = 0 and j = k with the reflection i -> -i."""
+    def vertex(i, j):
+        if klein and j == k:
+            i, j = -i, 0
+        return (i % k) * k + j % k
+    facets = []
+    for i in range(k):
+        for j in range(k):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            facets += [tuple(sorted((a, b, c))), tuple(sorted((a, c, d)))]
+    return SimplicialComplex(2, facets)
+
+
+GRID_K = 16   # 512 facets: far past the census sizes
+TORUS = ((1, ()), (2, ()), (1, ()))
+KLEIN = ((1, ()), (1, (2,)), (0, ()))
+WEDGE_OF_TWO_CIRCLES = ((1, ()), (2, ()), (0, ()))
+
+
+class TestGroundTruthAtScale:
+    """Surfaces whose homology is known by construction."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["torus", "klein"])
+    def surface(self, request):
+        c = grid_surface(GRID_K, klein=request.param)
+        assert validate_closed_manifold(c).ok
+        assert c.f_vector == (GRID_K ** 2, 3 * GRID_K ** 2, 2 * GRID_K ** 2)
+        return c, (KLEIN if request.param else TORUS)
+
+    def test_known_homology(self, surface):
+        c, expected = surface
+        assert homology_groups(c).groups == expected
+
+    def test_punctured(self, surface):
+        c, _ = surface
+        for t in (0, 137, len(c.top_simplices) - 1):
+            assert homology_groups(punctured_complex(c, t)).groups == WEDGE_OF_TWO_CIRCLES
+
+    def test_theorem2_random_seeds(self, surface):
+        c, _ = surface
+        for seed in range(3):
+            d = sf.decompose(c, root=seed * 97, strategy="random", seed=seed)
+            report = verify_theorem2(c, d)
+            assert report.ok, report.to_json_obj()
+            assert report.punctured.groups == WEDGE_OF_TWO_CIRCLES
