@@ -203,8 +203,9 @@ def cmd_export_off(args) -> int:
         _emit(points_off(pts), args.out)
         return EXIT_OK
     # forward-mapped interior grid of the root facet; grid points sitting on
-    # degenerate ray strata (corner-exact exits) are skipped
-    level = max(2, args.samples)
+    # degenerate ray strata (corner-exact exits) are skipped.  A level below
+    # n+1 has no interior point.
+    level = max(c.dimension + 1, args.samples)
     pts = []
     for bary in _grid_points(c.dimension, level):
         try:
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subject", choices=("complex", "spine", "retraction", "grid"))
     _add_source(p)
     _add_decomposition_flags(p)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--out", help="write the OFF file here instead of stdout")
     p.set_defaults(fn=cmd_export_off)
 

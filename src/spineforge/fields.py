@@ -164,23 +164,38 @@ def gate_frame_agreement(chart: CellChart, frame: FrameField, gate: int) -> floa
 
 @dataclass
 class TensorField:
-    """Type-(r,s) field: component function over point refs, in the frame basis."""
+    """Type-(r,s) field: component function over point refs, in the frame basis.
+
+    A field defined one broken line at a time also carries ``line_rule``,
+    which evaluates it at an arc of a line the caller already holds, without
+    locating the point again."""
 
     rank: tuple
     frame: FrameField
     components: object          # PointRef -> array with r+s axes of length n
     label: str = ""
     source: object = None       # original field, when this one was derived
+    line_rule: object = None    # (BrokenLine, arc) -> array, or None
 
     def evaluate(self, pt: PointRef) -> np.ndarray:
-        arr = np.asarray(self.components(pt), dtype=float)
+        return self._checked(self.components(pt), pt)
+
+    def evaluate_on_line(self, line: BrokenLine, arc: float) -> np.ndarray:
+        """The field at arc s(y) = ``arc`` of ``line``; equal to
+        ``evaluate(line.point_at_arc(arc))`` up to the rounding of locate."""
+        if self.line_rule is None:
+            return self.evaluate(line.point_at_arc(arc))
+        return self._checked(self.line_rule(line, arc), f"arc {arc} of its line")
+
+    def _checked(self, block, where) -> np.ndarray:
+        arr = np.asarray(block, dtype=float)
         n = self.frame.dimension
         order = self.rank[0] + self.rank[1]
         if arr.shape != (n,) * order:
             raise FieldDomainError(
                 f"component block has shape {arr.shape}, expected {(n,) * order}")
         if not np.all(np.isfinite(arr)):
-            raise FieldDomainError(f"non-finite components at {pt}")
+            raise FieldDomainError(f"non-finite components at {where}")
         return arr
 
 
@@ -266,6 +281,9 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
     hole, and inside each line's tail the pullback of K along the affine
     reparametrization s(x) = (s(y) - s0)/s1 * (s0 + s1).
 
+    Evaluating a point locates its line first; ``evaluate_on_line`` applies
+    the same rule to a line the caller already holds.
+
     ``spine_values`` overrides the spine rule for input fields whose component
     function cannot be evaluated on the spine closure; by default the input
     field itself supplies K(z), which is also the continuity extension of the
@@ -273,24 +291,37 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
     base = np.array(K.evaluate(chart.c0), copy=True)
     spine_eval = spine_values if spine_values is not None else (lambda pt: K.evaluate(pt))
 
-    def comp(pt: PointRef):
+    def pinned(pt: PointRef):
+        """The value at a point no single line owns (spine closure, c0)."""
         if chart.spine_face_of(pt) is not None:
             return np.asarray(spine_eval(pt), dtype=float)
         if pt.top == chart.root and \
                 max(abs(v - chart.c0.bary[0]) for v in pt.bary) < MEMBERSHIP_TOL:
             return base
+        return None
+
+    def along(line: BrokenLine, arc: float):
+        s0, s1 = hole.split(line)
+        if arc < s0:
+            return base
+        return K.evaluate(line.point_at_arc((arc - s0) / s1 * line.length))
+
+    def comp(pt: PointRef):
+        value = pinned(pt)
+        if value is not None:
+            return value
         try:
             line, arc = chart.locate(pt)
         except ChartDomainError as exc:
             raise FieldDomainError(f"point lies on no broken line: {exc}")
-        s0, s1 = hole.split(line)
-        if arc < s0:
-            return base
-        x = line.point_at_arc((arc - s0) / s1 * line.length)
-        return K.evaluate(x)
+        return along(line, arc)
 
-    return TensorField(K.rank, K.frame, comp,
-                       label=f"deformed({K.label})", source=K)
+    def on_line(line: BrokenLine, arc: float):
+        value = pinned(line.point_at_arc(arc))
+        return value if value is not None else along(line, arc)
+
+    return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
+                       source=K, line_rule=on_line)
 
 
 @dataclass(frozen=True)
@@ -360,20 +391,22 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         s0, s1 = hole.split(line)
         nonsmooth.append((lines - 1, s0))
 
+        # the seam itself goes through the point path (locate), so it checks
+        # that the point function agrees with the line rule the probes use
         at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
         boundary_seam = max(boundary_seam, at_seam)
         probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, 0.0, at_seam, 0.0))
         delta0 = min(s1 / 4.0, 1e-5 * line.length)
         for k in range(levels):
             delta = delta0 / 2 ** k
-            inner = kbar.evaluate(line.point_at_arc(s0 + delta))
-            outer = kbar.evaluate(line.point_at_arc(s0 - delta))
+            inner = kbar.evaluate_on_line(line, s0 + delta)
+            outer = kbar.evaluate_on_line(line, s0 - delta)
             probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, delta,
                                           _jump(inner, outer), 0.0))
 
         delta = min(1e-8, s1 / 4.0)
         z_val = kbar.evaluate(line.endpoint)
-        near = kbar.evaluate(line.point_at_arc(line.length - delta))
+        near = kbar.evaluate_on_line(line, line.length - delta)
         sj = _jump(near, z_val)
         spine_limit = max(spine_limit, sj)
         probes.append(ContinuityProbe(lines - 1, "spine-limit", line.length, delta, sj, 0.0))
@@ -384,8 +417,8 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
             delta = min(1e-9 * line.length, acc / 2, (line.length - acc) / 2)
             if delta <= 0.0:
                 continue
-            before = kbar.evaluate(line.point_at_arc(acc - delta))
-            after = kbar.evaluate(line.point_at_arc(acc + delta))
+            before = kbar.evaluate_on_line(line, acc - delta)
+            after = kbar.evaluate_on_line(line, acc + delta)
             gj = _jump(after, before)
             gate_jump = max(gate_jump, gj)
             ij = 0.0
@@ -419,7 +452,7 @@ def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
             continue
         for k in range(per_line + 1):
             arc = line.length * k / per_line
-            val = kbar.evaluate(line.point_at_arc(arc))
+            val = kbar.evaluate_on_line(line, arc)
             rows.append([made, arc] + [float(x) for x in val.reshape(-1)])
         made += 1
     return rows
@@ -443,31 +476,36 @@ class FieldSpec:
 
 
 def parse_fld(text: str) -> FieldSpec:
-    lines = []
-    for raw in text.splitlines():
+    lines = []      # (1-based source line number, text)
+    for number, raw in enumerate(text.splitlines(), 1):
         s = raw.split("#", 1)[0].strip()
         if s:
-            lines.append(s)
-    if not lines or not lines[0].startswith("type"):
+            lines.append((number, s))
+    if not lines:
         raise FieldDomainError("field file must start with 'type r s'")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FieldDomainError("field file must start with 'type r s'")
+    number, head = lines[0]
+    toks = head.split()
+    if not head.startswith("type") or len(toks) != 3:
+        raise FieldDomainError(
+            f"line {number}: field file must start with 'type r s', got {head!r}")
     try:
-        rank = (int(head[1]), int(head[2]))
+        rank = (int(toks[1]), int(toks[2]))
     except ValueError:
-        raise FieldDomainError(f"bad tensor type line {lines[0]!r}")
+        raise FieldDomainError(f"line {number}: bad tensor type line {head!r}")
     if rank[0] < 0 or rank[1] < 0:
-        raise FieldDomainError(f"negative tensor type {rank}")
-    if len(lines) < 2 or lines[1] not in ("constant", "linear"):
+        raise FieldDomainError(f"line {number}: negative tensor type in {head!r}")
+    if len(lines) < 2:
         raise FieldDomainError("second line must be 'constant' or 'linear'")
-    kind = lines[1]
+    number, kind = lines[1]
+    if kind not in ("constant", "linear"):
+        raise FieldDomainError(
+            f"line {number}: second line must be 'constant' or 'linear', got {kind!r}")
     rows = []
-    for line in lines[2:]:
+    for number, line in lines[2:]:
         try:
             rows.append(tuple(float(t) for t in line.split()))
         except ValueError:
-            raise FieldDomainError(f"bad component line {line!r}")
+            raise FieldDomainError(f"line {number}: bad component line {line!r}")
     values = tuple(x for row in rows for x in row) if kind == "constant" else tuple(rows)
     return FieldSpec(rank, kind, values)
 

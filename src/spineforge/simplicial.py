@@ -306,10 +306,11 @@ class Metric:
 # always emits repr() floats so its output round-trips bit-exactly.
 
 def _tokens(text):
-    for raw in text.splitlines():
+    """(1-based source line number, tokens) of every non-blank line."""
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line.split()
+            yield number, line.split()
 
 
 def _is_int_token(tok):
@@ -320,37 +321,44 @@ def _is_int_token(tok):
         return False
 
 
+def _bad_line(number, what, toks):
+    return InvalidComplexError(f"line {number}: {what} {' '.join(toks)!r}")
+
+
 def parse_tri(text: str) -> SimplicialComplex:
     lines = list(_tokens(text))
-    if not lines or lines[0][0] != "dim" or len(lines[0]) != 2:
+    if not lines:
         raise InvalidComplexError("first line must be 'dim n'")
+    number, head = lines[0]
+    if head[0] != "dim" or len(head) != 2:
+        raise _bad_line(number, "first line must be 'dim n', got", head)
     try:
-        n = int(lines[0][1])
+        n = int(head[1])
     except ValueError:
-        raise InvalidComplexError(f"bad dimension {lines[0][1]!r}")
+        raise _bad_line(number, "bad dimension in", head)
     body = lines[1:]
     coords = None
-    if body and body[0][0] == "coords":
-        if len(body[0]) != 2 or not _is_int_token(body[0][1]):
-            raise InvalidComplexError(
-                f"coords line must be 'coords d', got {' '.join(body[0])!r}")
-        d = int(body[0][1])
+    if body and body[0][1][0] == "coords":
+        number, toks = body[0]
+        if len(toks) != 2 or not _is_int_token(toks[1]):
+            raise _bad_line(number, "coords line must be 'coords d', got", toks)
+        d = int(toks[1])
         coords = []
         body = body[1:]
         while body:
-            toks = body[0]
+            number, toks = body[0]
             looks_coord = len(toks) == d and (d != n + 1 or not all(_is_int_token(t) for t in toks))
             if not looks_coord:
                 break
             try:
                 coords.append(tuple(float(t) for t in toks))
             except ValueError:
-                raise InvalidComplexError(f"bad coordinate line {' '.join(toks)!r}")
+                raise _bad_line(number, "bad coordinate line", toks)
             body = body[1:]
     tops = []
-    for toks in body:
+    for number, toks in body:
         if len(toks) != n + 1 or not all(_is_int_token(t) for t in toks):
-            raise InvalidComplexError(f"bad facet line {' '.join(toks)!r}")
+            raise _bad_line(number, "bad facet line", toks)
         tops.append(tuple(int(t) for t in toks))
     return SimplicialComplex(n, tops, vertex_coords=coords)
 

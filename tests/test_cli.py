@@ -185,32 +185,33 @@ class TestMalformedInput:
     """Malformed files exit 2 with an 'error:' line naming the bad line."""
 
     @staticmethod
-    def assert_rejected(code, out, err, culprit):
+    def assert_rejected(code, out, err, culprit, number):
         assert code == 2
         assert out == ""
         lines = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(lines) == 1 and culprit in lines[0], err
+        assert f"line {number}:" in lines[0], err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text,culprit", [
-        ("dim 2\ncoords x\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "coords x"),
+    @pytest.mark.parametrize("text,culprit,number", [
+        ("dim 2\ncoords x\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "coords x", 2),
         ("dim 2\ncoords 3\n0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 abc 0.0\n"
-         "0.0 0.0 1.0\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "0.0 abc 0.0"),
+         "0.0 0.0 1.0\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "0.0 abc 0.0", 5),
     ], ids=["coords-dimension", "coordinate"])
-    def test_tri(self, capsys, tmp_path, text, culprit):
+    def test_tri(self, capsys, tmp_path, text, culprit, number):
         path = tmp_path / "bad.tri"
         path.write_text(text)
-        self.assert_rejected(*run(capsys, "decompose", str(path)), culprit)
+        self.assert_rejected(*run(capsys, "decompose", str(path)), culprit, number)
 
-    @pytest.mark.parametrize("text,culprit", [
-        ("type a 0\nconstant\n1.0 0.0\n", "type a 0"),
-        ("type 1 0\nconstant\n1.0 zz\n", "1.0 zz"),
+    @pytest.mark.parametrize("text,culprit,number", [
+        ("type a 0\nconstant\n1.0 0.0\n", "type a 0", 1),
+        ("type 1 0\nconstant\n1.0 zz\n", "1.0 zz", 3),
     ], ids=["tensor-type", "component"])
-    def test_fld(self, capsys, tmp_path, text, culprit):
+    def test_fld(self, capsys, tmp_path, text, culprit, number):
         path = tmp_path / "bad.fld"
         path.write_text(text)
         self.assert_rejected(*run(capsys, "deform", "--census", "sphere_tet",
-                                  "--field", str(path)), culprit)
+                                  "--field", str(path)), culprit, number)
 
 
 class TestExportOff:
@@ -263,6 +264,24 @@ class TestExportOff:
         code2, out2, _ = run(capsys, "export-off", "grid", "--census",
                              "sphere_tet", "--samples", "6")
         assert out2 == out
+
+    @pytest.mark.parametrize("subject", ["retraction", "grid"])
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_no_samples_rejected(self, capsys, subject, samples):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["export-off", subject, "--census", "sphere_tet",
+                      "--samples", samples])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples: must be at least 1" in captured.err
+
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_small_grid_not_empty(self, capsys, samples):
+        code, out, _ = run(capsys, "export-off", "grid", "--census",
+                           "sphere_tet", "--samples", samples)
+        assert code == 0
+        assert int(out.splitlines()[1].split()[0]) >= 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "spine.off"

@@ -204,15 +204,15 @@ class TestHoleRegion:
         assert "arc length" in rep["distance_model"]
 
 
-def _linear_field(chart, scale=0.25):
+def _linear_field(chart, scale=0.25, rank=(1, 0)):
     frame = extend_frame(chart)
     n = chart.complex.dimension
     d = len(chart.complex.vertex_coords[0])
     rng = random.Random(93)
     rows = []
-    for _ in range(n):
+    for _ in range(n ** (rank[0] + rank[1])):
         rows.append(" ".join(repr(scale * (rng.random() - 0.5)) for _ in range(d + 1)))
-    spec = parse_fld("type 1 0\nlinear\n" + "\n".join(rows) + "\n")
+    spec = parse_fld(f"type {rank[0]} {rank[1]}\nlinear\n" + "\n".join(rows) + "\n")
     return field_from_spec(spec, chart, frame), frame
 
 
@@ -346,6 +346,143 @@ class TestContinuityReport:
                                 samples=25, seed=6)
         assert rep.input_gate_jump >= 0.9
         assert rep.gate_jump <= 1e-9
+
+
+def _chart(census, name, strategy):
+    c = census[name]
+    d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+    return build_chart(c, d, Metric.from_complex(c))
+
+
+def _sampled_lines(chart, count, seed):
+    rng = random.Random(seed)
+    tops = len(chart.complex.top_simplices)
+    return [chart.locate(sample_interior(chart.complex, rng, rng.randrange(tops)))[0]
+            for _ in range(count)]
+
+
+class TestLineHandle:
+    """``evaluate_on_line`` against the point path it replaces in the probes."""
+
+    @pytest.mark.parametrize("eps_frac", [0.25, 0.75])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ["circle3", "sphere_tet", "torus7"])
+    def test_agrees_with_point_path(self, census, name, strategy, eps_frac):
+        chart = _chart(census, name, strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, eps_frac * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        base = K.evaluate(chart.c0)
+        for line in _sampled_lines(chart, 6, seed=11):
+            s0, s1 = hole.split(line)
+            arcs = [line.length * k / 16 for k in range(17)] + \
+                   [s0 + s1 * k / 8 for k in range(9)]
+            for arc in arcs:
+                on_line = Kbar.evaluate_on_line(line, arc)
+                by_point = Kbar.evaluate(line.point_at_arc(arc))
+                assert np.abs(on_line - by_point).max() <= 1e-9, (arc, s0)
+                if arc < s0:
+                    assert np.array_equal(on_line, base)
+                    assert np.array_equal(by_point, base)
+                if arc == line.length:
+                    assert np.array_equal(on_line, by_point)
+            end_value = Kbar.evaluate_on_line(line, line.length)
+            assert np.abs(end_value - K.evaluate(line.endpoint)).max() <= 1e-9
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_constant_field_is_fixed_point(self, charts, name):
+        chart = charts[name]
+        frame = extend_frame(chart)
+        n = chart.complex.dimension
+        block = np.arange(1.0, n * n + 1.0).reshape(n, n)
+        K = constant_tensor(block, frame, (1, 1))
+        hole = black_hole_region(chart, 0.5 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        for line in _sampled_lines(chart, 5, seed=13):
+            s0, s1 = hole.split(line)
+            for arc in [line.length * k / 16 for k in range(17)] + \
+                       [s0 + s1 * k / 8 for k in range(9)]:
+                assert np.array_equal(Kbar.evaluate_on_line(line, arc), block)
+
+    def test_plain_field_is_point_evaluation(self, charts):
+        chart = charts["torus7"]
+        K, _ = _linear_field(chart, rank=(1, 1))
+        for line in _sampled_lines(chart, 3, seed=17):
+            for k in range(9):
+                arc = line.length * k / 8
+                assert np.array_equal(K.evaluate_on_line(line, arc),
+                                      K.evaluate(line.point_at_arc(arc)))
+
+    @pytest.mark.parametrize("block", [np.array([np.nan, 0.0]), np.zeros(3)],
+                             ids=["non-finite", "shape"])
+    def test_bad_block_raises(self, charts, block):
+        chart = charts["sphere_tet"]
+        frame = extend_frame(chart)
+        line = _sampled_lines(chart, 1, seed=19)[0]
+        from spineforge.fields import TensorField
+        plain = TensorField((1, 0), frame, lambda pt: block, label="bad")
+        with pytest.raises(FieldDomainError):
+            plain.evaluate_on_line(line, 0.5 * line.length)
+        K = constant_tensor([1.0, 2.0], frame, (1, 0))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: block)
+        with pytest.raises(FieldDomainError):
+            Kbar.evaluate_on_line(line, line.length)
+
+
+class TestLocateCalls:
+    """Probes and sample rows walk the line they already hold: locate runs
+    once per sampling attempt, plus the one point-path seam probe per line."""
+
+    @staticmethod
+    def _instrument(monkeypatch, chart):
+        attempts = []
+        sampled = []     # lines located from a sampled point
+        calls = []
+        draw, locate = sf.chart.sample_interior, chart.locate
+
+        def sample(*args):
+            attempts.append(draw(*args))
+            return attempts[-1]
+
+        def counted(pt):
+            calls.append(pt)
+            result = locate(pt)
+            if attempts and pt is attempts[-1]:
+                sampled.append(result[0])
+            return result
+
+        monkeypatch.setattr(sf.chart, "sample_interior", sample)
+        monkeypatch.setattr(chart, "locate", counted)
+        return attempts, sampled, calls
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_continuity_report(self, census, monkeypatch, strategy):
+        chart = _chart(census, "torus7", strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        attempts, sampled, calls = self._instrument(monkeypatch, chart)
+        levels = 4
+        rep = continuity_report(Kbar, chart, hole, samples=12, seed=3, levels=levels)
+        assert len(sampled) == 12
+        assert len(calls) <= 2 * len(attempts)
+        assert len(calls) == len(attempts) + len(sampled)
+        want = sum(1 + levels + 1 + len(line.segments) - 1 for line in sampled)
+        assert len(rep.probes) == want
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_deformation_samples(self, census, monkeypatch, strategy):
+        from spineforge.fields import deformation_samples
+        chart = _chart(census, "torus7", strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        attempts, sampled, calls = self._instrument(monkeypatch, chart)
+        rows = deformation_samples(Kbar, chart, hole, lines=9, per_line=16, seed=3)
+        assert len(calls) == len(attempts)
+        assert len(sampled) == 9
+        assert len(rows) == 9 * 17
 
 
 class TestFieldFiles:
