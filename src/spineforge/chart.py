@@ -90,15 +90,16 @@ class BrokenLine:
     def point_at_arc(self, s: float) -> PointRef:
         if s <= 0.0:
             return self.segments[0].start
+        if s >= self.length:
+            return self.endpoint
         acc = 0.0
         for seg in self.segments:
             if s <= acc + seg.length or seg is self.segments[-1]:
                 w = (s - acc) / seg.length if seg.length > 0 else 1.0
                 if w >= 1.0:
-                    w = 1.0
+                    return seg.end
                 return PointRef(seg.top, _lerp(seg.start.bary, seg.end.bary, w))
             acc += seg.length
-        return self.endpoint
 
 
 def stretch(s: float, s1: float, s2: float) -> float:

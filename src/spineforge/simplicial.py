@@ -17,7 +17,17 @@ MEMBERSHIP_TOL = 1e-12
 
 
 class InvalidComplexError(ValueError):
-    """Input data cannot form (or has stopped being) a valid complex."""
+    """Input data cannot form (or has stopped being) a valid complex.
+
+    ``facet`` is the position in the input facet list of the facet at fault,
+    and ``coords`` is true when the coordinate rows are at fault, so that a
+    parser can name the source line.
+    """
+
+    def __init__(self, message, facet=None, coords=False):
+        super().__init__(message)
+        self.facet = facet
+        self.coords = coords
 
 
 class SimplicialComplex:
@@ -35,15 +45,16 @@ class SimplicialComplex:
 
         tops = []
         seen = set()
-        for s in top_simplices:
+        for i, s in enumerate(top_simplices):
             t = tuple(sorted(int(v) for v in s))
             if len(t) != self.dimension + 1:
                 raise InvalidComplexError(
-                    f"facet {t} has {len(t)} vertices, expected {self.dimension + 1}")
+                    f"facet {t} has {len(t)} vertices, expected {self.dimension + 1}",
+                    facet=i)
             if len(set(t)) != len(t):
-                raise InvalidComplexError(f"facet {t} repeats a vertex")
+                raise InvalidComplexError(f"facet {t} repeats a vertex", facet=i)
             if t in seen:
-                raise InvalidComplexError(f"duplicate facet {t}")
+                raise InvalidComplexError(f"duplicate facet {t}", facet=i)
             seen.add(t)
             tops.append(t)
         if not tops:
@@ -77,14 +88,16 @@ class SimplicialComplex:
             coords = [tuple(float(x) for x in p) for p in vertex_coords]
             if len(coords) != self.vertex_count:
                 raise InvalidComplexError(
-                    f"{len(coords)} coordinate rows for {self.vertex_count} vertices")
+                    f"{len(coords)} coordinate rows for {self.vertex_count} vertices",
+                    coords=True)
             dims = {len(p) for p in coords}
             if len(dims) != 1:
-                raise InvalidComplexError("coordinate rows have mixed lengths")
+                raise InvalidComplexError("coordinate rows have mixed lengths", coords=True)
             d = dims.pop()
             if d < max(1, self.dimension):
                 raise InvalidComplexError(
-                    f"ambient dimension {d} below complex dimension {self.dimension}")
+                    f"ambient dimension {d} below complex dimension {self.dimension}",
+                    coords=True)
             self.vertex_coords = tuple(coords)
         else:
             self.vertex_coords = None
@@ -147,27 +160,25 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
                 stack.append(v)
     dual_connected = len(seen) == len(c.top_simplices)
 
+    # One pass gives each vertex its star, the facets containing it, in
+    # facet order; the constructor guarantees every star is non-empty.
+    stars = [[] for _ in range(c.vertex_count)]
+    for t in c.top_simplices:
+        for v in t:
+            stars[v].append(t)
     link_violations = []
     links_checked = c.dimension <= 2
     if c.dimension == 1:
-        degree = [0] * c.vertex_count
-        for t in c.top_simplices:
-            for v in t:
-                degree[v] += 1
-        for v, deg in enumerate(degree):
-            if deg != 2:
-                link_violations.append((v, f"vertex in {deg} edges, expected 2"))
+        for v, star in enumerate(stars):
+            if len(star) != 2:
+                link_violations.append((v, f"vertex in {len(star)} edges, expected 2"))
     elif c.dimension == 2:
-        for v in range(c.vertex_count):
-            link_edges = [tuple(w for w in t if w != v)
-                          for t in c.top_simplices if v in t]
+        for v, star in enumerate(stars):
+            link_edges = [tuple(w for w in t if w != v) for t in star]
             deg = {}
             for a, b in link_edges:
                 deg[a] = deg.get(a, 0) + 1
                 deg[b] = deg.get(b, 0) + 1
-            if not link_edges:
-                link_violations.append((v, "empty link"))
-                continue
             if any(d != 2 for d in deg.values()):
                 link_violations.append((v, "link is not 2-regular"))
                 continue
@@ -336,17 +347,17 @@ def parse_tri(text: str) -> SimplicialComplex:
         n = int(head[1])
     except ValueError:
         raise _bad_line(number, "bad dimension in", head)
-    body = lines[1:]
-    coords = None
-    if body and body[0][1][0] == "coords":
-        number, toks = body[0]
+    i = 1
+    coords = coords_number = None
+    if i < len(lines) and lines[i][1][0] == "coords":
+        coords_number, toks = lines[i]
         if len(toks) != 2 or not _is_int_token(toks[1]):
-            raise _bad_line(number, "coords line must be 'coords d', got", toks)
+            raise _bad_line(coords_number, "coords line must be 'coords d', got", toks)
         d = int(toks[1])
         coords = []
-        body = body[1:]
-        while body:
-            number, toks = body[0]
+        i += 1
+        while i < len(lines):
+            number, toks = lines[i]
             looks_coord = len(toks) == d and (d != n + 1 or not all(_is_int_token(t) for t in toks))
             if not looks_coord:
                 break
@@ -354,13 +365,24 @@ def parse_tri(text: str) -> SimplicialComplex:
                 coords.append(tuple(float(t) for t in toks))
             except ValueError:
                 raise _bad_line(number, "bad coordinate line", toks)
-            body = body[1:]
+            i += 1
     tops = []
-    for number, toks in body:
+    facet_numbers = []
+    for number, toks in lines[i:]:
         if len(toks) != n + 1 or not all(_is_int_token(t) for t in toks):
             raise _bad_line(number, "bad facet line", toks)
         tops.append(tuple(int(t) for t in toks))
-    return SimplicialComplex(n, tops, vertex_coords=coords)
+        facet_numbers.append(number)
+    try:
+        return SimplicialComplex(n, tops, vertex_coords=coords)
+    except InvalidComplexError as exc:
+        if exc.facet is not None:
+            number = facet_numbers[exc.facet]
+        elif exc.coords:
+            number = coords_number
+        else:
+            raise
+        raise InvalidComplexError(f"line {number}: {exc}") from None
 
 
 def format_tri(c: SimplicialComplex) -> str:

@@ -268,6 +268,18 @@ class TestBrokenLines:
                 worst = max(worst, point_gap(chart, line.segments[-1].end, z))
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL)
+    def test_full_arc_is_the_endpoint(self, census, name, strategy):
+        c = census[name]
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        rng = random.Random(5)
+        for _ in range(40):
+            line, _ = chart.locate(sample_interior(c, rng, rng.randrange(len(c.top_simplices))))
+            assert line.point_at_arc(line.length) == line.endpoint
+            assert line.point_at_arc(2.0 * line.length) == line.endpoint
+
     def test_endpoint_must_be_black(self, charts):
         chart = charts["torus7"]
         with pytest.raises(ChartDomainError):

@@ -197,7 +197,14 @@ class TestMalformedInput:
         ("dim 2\ncoords x\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "coords x", 2),
         ("dim 2\ncoords 3\n0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 abc 0.0\n"
          "0.0 0.0 1.0\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "0.0 abc 0.0", 5),
-    ], ids=["coords-dimension", "coordinate"])
+        ("dim 2\n0 1 2\n0 0 3\n0 2 3\n1 2 3\n",
+         "facet (0, 0, 3) repeats a vertex", 3),
+        ("dim 2\n0 1 2\n0 1 3\n# again\n0 2 3\n1 2 3\n2 0 1\n",
+         "duplicate facet (0, 1, 2)", 7),
+        ("dim 2\ncoords 3\n0.0 0.0 0.0\n1.0 0.0 0.0\n0.0 1.0 0.0\n"
+         "0 1 2\n0 1 3\n0 2 3\n1 2 3\n", "3 coordinate rows for 4 vertices", 2),
+    ], ids=["coords-dimension", "coordinate", "repeated-vertex", "duplicate-facet",
+            "coordinate-rows"])
     def test_tri(self, capsys, tmp_path, text, culprit, number):
         path = tmp_path / "bad.tri"
         path.write_text(text)

@@ -14,6 +14,8 @@ from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
                                    validate_closed_manifold)
 from spineforge.spine import Decomposition
 
+from grids import grid_surface
+
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix):
     """Integer product a*b (for the d∘d = 0 check)."""
@@ -290,23 +292,6 @@ class TestSparseElimination:
         for t in range(len(c.top_simplices)):
             p = punctured_complex(c, t)
             assert homology_groups(p).groups == dense_homology(p)
-
-
-def grid_surface(k, klein=False):
-    """k x k square grid, two triangles per square, opposite sides glued.
-    The torus glues both pairs straight; the Klein bottle glues the pair at
-    j = 0 and j = k with the reflection i -> -i."""
-    def vertex(i, j):
-        if klein and j == k:
-            i, j = -i, 0
-        return (i % k) * k + j % k
-    facets = []
-    for i in range(k):
-        for j in range(k):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            facets += [tuple(sorted((a, b, c))), tuple(sorted((a, c, d)))]
-    return SimplicialComplex(2, facets)
 
 
 GRID_K = 16   # 512 facets: far past the census sizes
