@@ -263,7 +263,7 @@ def root_facet_clearance(chart: CellChart) -> float:
 
 
 def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
-    if eps <= 0.0:
+    if not eps > 0.0:   # also rejects nan
         raise HoleDomainError(f"hole radius must be positive, got {eps}")
     eps_max = root_facet_clearance(chart)
     if eps >= eps_max:
@@ -503,9 +503,12 @@ def parse_fld(text: str) -> FieldSpec:
     rows = []
     for number, line in lines[2:]:
         try:
-            rows.append(tuple(float(t) for t in line.split()))
+            row = tuple(float(t) for t in line.split())
         except ValueError:
             raise FieldDomainError(f"line {number}: bad component line {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise FieldDomainError(f"line {number}: non-finite component in {line!r}")
+        rows.append(row)
     values = tuple(x for row in rows for x in row) if kind == "constant" else tuple(rows)
     return FieldSpec(rank, kind, values)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .simplicial import InvalidComplexError, SimplicialComplex
@@ -246,7 +247,6 @@ def punctured_complex(c: SimplicialComplex, t: int) -> SimplicialComplex:
     removed = c.top_simplices[t]
     rest = [s for i, s in enumerate(c.top_simplices) if i != t]
     pc = SimplicialComplex(c.dimension, rest, vertex_coords=c.vertex_coords)
-    from itertools import combinations
     for k in range(c.dimension):
         for f in combinations(removed, k + 1):
             if f not in pc.face_index[k]:
@@ -279,11 +279,17 @@ class Theorem2Report:
 
 
 def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
+    """Compare the spine's homology with that of ``c`` minus the open root
+    facet.  The latter depends on (c, root) only, so it is computed once per
+    root and kept on the complex; only the spine is recomputed per call."""
     from .spine import spine_subcomplex  # local import: avoids module cycle
 
     sub = spine_subcomplex(c, d)
     spine_profile = homology_groups(sub.complex)
-    punct_profile = homology_groups(punctured_complex(c, d.root))
+    punct_profile = c._punctured_homology.get(d.root)
+    if punct_profile is None:
+        punct_profile = homology_groups(punctured_complex(c, d.root))
+        c._punctured_homology[d.root] = punct_profile
     degrees = range(c.dimension + 1)
     equal = tuple(spine_profile.group(k) == punct_profile.group(k) for k in degrees)
     return Theorem2Report(spine_profile, punct_profile, equal)

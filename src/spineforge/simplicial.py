@@ -104,6 +104,7 @@ class SimplicialComplex:
 
         self._dual_cache = None
         self._validation_cache = None
+        self._punctured_homology = {}   # root facet id -> HomologyProfile
 
     @property
     def f_vector(self):
@@ -253,8 +254,9 @@ class Metric:
         lengths = {}
         for e, l in edge_lengths.items():
             u, v = e
-            if l <= 0:
-                raise InvalidComplexError(f"edge {e} has non-positive length {l}")
+            if not (l > 0 and math.isfinite(l)):
+                raise InvalidComplexError(
+                    f"edge {e} has length {l}, expected a finite positive number")
             lengths[(min(u, v), max(u, v))] = float(l)
         self.edge_lengths = lengths
 
@@ -362,9 +364,12 @@ def parse_tri(text: str) -> SimplicialComplex:
             if not looks_coord:
                 break
             try:
-                coords.append(tuple(float(t) for t in toks))
+                row = tuple(float(t) for t in toks)
             except ValueError:
                 raise _bad_line(number, "bad coordinate line", toks)
+            if not all(map(math.isfinite, row)):
+                raise _bad_line(number, "non-finite coordinate in", toks)
+            coords.append(row)
             i += 1
     tops = []
     facet_numbers = []

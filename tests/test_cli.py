@@ -143,6 +143,15 @@ class TestDeform:
         assert code == 2
         assert "admissible" in err
 
+    def test_eps_fraction_nan_rejected(self, capsys, tmp_path):
+        fld = tmp_path / "c.fld"
+        fld.write_text(CONSTANT_FLD)
+        code, out, err = run(capsys, "deform", "--census", "sphere_tet",
+                             "--field", str(fld), "--eps-frac", "nan")
+        assert code == 2
+        assert out == ""
+        assert "hole radius must be positive, got nan" in err
+
     def test_csv_samples_written(self, capsys, tmp_path):
         fld = tmp_path / "c.fld"
         fld.write_text(CONSTANT_FLD)
@@ -210,10 +219,30 @@ class TestMalformedInput:
         path.write_text(text)
         self.assert_rejected(*run(capsys, "decompose", str(path)), culprit, number)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ("decompose",), ("export-off", "grid"), ("export-off", "retraction"),
+        ("deform", "--field"),
+    ], ids=["decompose", "grid", "retraction", "deform"])
+    def test_non_finite_coordinate(self, capsys, tmp_path, token, command):
+        # a circle of three vertices; the field file is valid
+        path = tmp_path / "bad.tri"
+        path.write_text(f"dim 1\ncoords 2\n0.0 0.0\n{token} 1.0\n1.0 0.0\n"
+                        "0 1\n1 2\n0 2\n")
+        fld = tmp_path / "ok.fld"
+        fld.write_text("type 0 0\nconstant\n1.0\n")
+        argv = command + (str(fld),) if command[0] == "deform" else command
+        self.assert_rejected(*run(capsys, *argv, str(path)), f"{token} 1.0", 4)
+
     @pytest.mark.parametrize("text,culprit,number", [
         ("type a 0\nconstant\n1.0 0.0\n", "type a 0", 1),
         ("type 1 0\nconstant\n1.0 zz\n", "1.0 zz", 3),
-    ], ids=["tensor-type", "component"])
+        ("type 1 0\nconstant\n1.0 nan\n", "1.0 nan", 3),
+        ("type 1 0\nconstant\ninf 0.0\n", "inf 0.0", 3),
+        ("type 1 0\nlinear\n0.1 0.2 -0.1 0.05\n0.3 -inf 0.1 0.2\n",
+         "0.3 -inf 0.1 0.2", 4),
+    ], ids=["tensor-type", "component", "nan-component", "inf-component",
+            "minus-inf-component"])
     def test_fld(self, capsys, tmp_path, text, culprit, number):
         path = tmp_path / "bad.fld"
         path.write_text(text)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import gcd
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spineforge as sf
+from spineforge import cli
 from spineforge.homology import (BoundaryMatrix, boundary_matrix,
                                  homology_groups, invariant_factors,
                                  punctured_complex, smith_normal_form,
@@ -326,3 +328,71 @@ class TestGroundTruthAtScale:
             report = verify_theorem2(c, d)
             assert report.ok, report.to_json_obj()
             assert report.punctured.groups == WEDGE_OF_TWO_CIRCLES
+
+
+@pytest.fixture
+def puncture_calls(monkeypatch):
+    """Count the punctured complexes verify_theorem2 builds."""
+    calls = []
+    original = sf.homology.punctured_complex
+
+    def counting(c, t):
+        calls.append(t)
+        return original(c, t)
+
+    monkeypatch.setattr(sf.homology, "punctured_complex", counting)
+    return calls
+
+
+class TestPuncturedHomologyCache:
+    """The punctured homology depends on (complex, root) only: verify builds
+    it once per root and recomputes only the spine per seed."""
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_built_once_per_root(self, puncture_calls, klein):
+        c = grid_surface(8, klein=klein)
+        reports = [verify_theorem2(c, sf.decompose(c, strategy="random", seed=seed))
+                   for seed in range(20)]
+        assert puncture_calls == [0]
+        assert all(r.ok and r.punctured.groups == WEDGE_OF_TWO_CIRCLES for r in reports)
+        assert all(r.punctured is reports[0].punctured for r in reports)
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_built_once_per_cli_run(self, puncture_calls, klein):
+        c = grid_surface(8, klein=klein)
+        assert cli.run_verification(c, 3, "random", range(20)) == []
+        assert puncture_calls == [3]
+
+    def test_two_roots_two_entries(self, puncture_calls):
+        c = grid_surface(8)
+        for root in (0, 5, 0, 5):
+            assert verify_theorem2(c, sf.decompose(c, root=root)).ok
+        assert puncture_calls == [0, 5]
+        assert sorted(c._punctured_homology) == [0, 5]
+
+    @pytest.mark.parametrize("name", sf.census_names())
+    def test_cached_equals_fresh(self, name):
+        c = sf.build_census(name)
+        for t in range(len(c.top_simplices)):
+            d = sf.decompose(c, root=t, strategy="random", seed=t)
+            fresh = homology_groups(punctured_complex(c, t))
+            for _ in range(2):   # a miss, then a hit
+                report = verify_theorem2(c, d)
+                assert report.punctured == fresh
+                assert report.ok, report.to_json_obj()
+
+    @pytest.mark.parametrize("case", ["root-out-of-range", "single-facet",
+                                      "non-manifold-puncture"])
+    def test_errors_are_not_cached(self, puncture_calls, case):
+        if case == "root-out-of-range":
+            c = grid_surface(4)
+            d = dataclasses.replace(sf.decompose(c), root=len(c.top_simplices))
+        else:
+            tops = [(0, 1, 2)] if case == "single-facet" else [(0, 1, 2), (2, 3, 4)]
+            c = SimplicialComplex(2, tops)
+            d = Decomposition(0, (), tuple(range(len(c.faces[1]))), "bfs", 0)
+        for _ in range(3):
+            with pytest.raises(InvalidComplexError):
+                verify_theorem2(c, d)
+        assert puncture_calls == [d.root] * 3
+        assert c._punctured_homology == {}

@@ -307,6 +307,11 @@ class TestMetric:
         with pytest.raises(InvalidComplexError):
             Metric({(0, 1): 0.0})
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(InvalidComplexError):
+            Metric({(0, 1): 1.0, (1, 2): length})
+
     def test_rejects_triangle_violation(self, census):
         c = census["rp2_6"]
         lengths = {e: 1.0 for e in c.faces[1]}
