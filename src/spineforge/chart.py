@@ -9,6 +9,17 @@ interval so that it covers the parent interval plus the child chord — the
 composite map is therefore piecewise linear along every broken line, one
 linear piece per traversed facet.
 
+Every white point lies on exactly one broken line, and one walk computes it.
+``_ascend`` starts at the point's own ray or chord and follows entry gates up
+to the root: a chord's junction lies on the parent's exit face, so each level
+yields the parent's chord, ending at the root ray from c0.  ``_descend``
+continues from the point's chord exit through the gates it leaves by, down to
+the spine.  ``locate``, ``broken_line_to`` and ``retract`` use both halves;
+``inverse_map`` folds its arc rescaling over the ascent, and ``forward_map``
+stretches its arc down the descent.  The segments above a point are the ones
+its ascent computed, so the point is on its line at any depth; no root
+coordinate is recomputed.
+
 All point evaluations are lazy walks over the extension records; nothing is
 meshed globally.  Charts are immutable after construction and evaluations are
 pure, so they can run concurrently.
@@ -56,17 +67,11 @@ class PointRef:
 
 @dataclass(frozen=True)
 class ExtensionRecord:
-    """One coordinate extension across a gate, in growth order.
-
-    The parent's interval family emanates from ``apex`` (the root barycenter)
-    on the root step and from the parent's own entry gate afterwards, in which
-    case ``apex`` is None.
-    """
+    """One coordinate extension across a gate, in growth order."""
 
     gate: int
     parent: int
     child: int
-    apex: object          # PointRef | None
     gate_center: PointRef
     opposite_vertex: int
 
@@ -239,62 +244,68 @@ class CellChart:
 
     # -- broken lines --------------------------------------------------------
 
-    def _descend(self, segments, top, start):
-        """Chords from a gate junction down to the spine; returns z."""
+    def _ascend(self, top, y):
+        """The broken line through y from c0 down to y's own segment.
+
+        Returns (segments, arc, exit_local): plain (facet, start, end, length)
+        tuples, root first and y's own ray or chord last; y's arc on that
+        segment; the local index of the face the segment exits through.
+        """
+        if top == self.root:
+            b, arc, length, exit_local = self._ray(y)
+            return [(top, self.c0.bary, b, length)], arc, exit_local
+        n = self.complex.dimension
+        j, q, arc, length, exit_local = self._chord(top, y)
+        segments = [(top, j, q, length)]
         while True:
-            p, q, _, length, exit_local = self._chord(top, start)
-            segments.append(Segment(top, PointRef(top, p), PointRef(top, q), length))
+            parent = self.entry[top].parent
+            j = self._transfer(j, top, parent)
+            if parent == self.root:
+                segments.append((parent, self.c0.bary, j,
+                                 self._dist(parent, self.c0.bary, j)))
+                segments.reverse()
+                return segments, arc, exit_local
+            # j lies on the parent's exit face; its chord starts at the junction
+            ov = self.opposite_local[parent]
+            t_j = j[ov]
+            start = [x + t_j / n for x in j]
+            start[ov] = 0.0
+            start = tuple(start)
+            segments.append((parent, start, j, self._dist(parent, start, j)))
+            top, j = parent, start
+
+    def _descend(self, top, q, exit_local):
+        """Chords below the exit q of a segment in facet top, down to the
+        spine, as plain (facet, start, end, length) tuples."""
+        while True:
             rid = self._facet_ridge(top, exit_local)
             rec = self.gate_record.get(rid)
-            if rec is not None:
-                if rec.parent != top:
-                    raise ChartDomainError(
-                        f"line re-enters facet {top} through its entry gate")
-                start = self._transfer(q, top, rec.child)
-                top = rec.child
-            elif rid in self.spine_set:
-                return PointRef(top, q)
-            else:
+            if rec is None:
+                if rid in self.spine_set:
+                    return
                 raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
+            # a chord never exits through its entry gate, so rec.parent == top
+            p, q, _, length, exit_local = self._chord(
+                rec.child, self._transfer(q, top, rec.child))
+            top = rec.child
+            yield top, p, q, length
 
-    def _line_from_exit(self, b, exit_local) -> BrokenLine:
-        segments = []
-        s_ray = self._dist(self.root, self.c0.bary, b)
-        bref = PointRef(self.root, b)
-        segments.append(Segment(self.root, self.c0, bref, s_ray))
-        rid = self._facet_ridge(self.root, exit_local)
-        rec = self.gate_record.get(rid)
-        if rec is not None:
-            start = self._transfer(b, self.root, rec.child)
-            z = self._descend(segments, rec.child, start)
-        elif rid in self.spine_set:
-            z = bref
-        else:
-            raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
+    def _line_through(self, pt: PointRef):
+        """Broken line through pt (white, or black for broken_line_to) and
+        pt's arc from c0."""
+        segments, arc, exit_local = self._ascend(pt.top, pt.bary)
+        arc += math.fsum(seg[3] for seg in segments[:-1])
+        top, _, q, _ = segments[-1]
+        segments.extend(self._descend(top, q, exit_local))
+        segments = tuple(Segment(f, PointRef(f, a), PointRef(f, b), length)
+                         for f, a, b, length in segments)
         total = math.fsum(seg.length for seg in segments)
-        return BrokenLine(tuple(segments), z, total)
+        return BrokenLine(segments, segments[-1].end, total), arc
 
-    def _root_exit_of(self, top, junction):
-        """Walk entry gates upward from a junction until the root boundary."""
-        cur = top
-        j = junction
-        while True:
-            rec = self.entry[cur]
-            parent = rec.parent
-            j = self._transfer(j, cur, parent)
-            if parent == self.root:
-                # j lies on the root facet shared with `cur`
-                off = self._verts(self.root).index(
-                    next(v for v in self._verts(self.root)
-                         if v not in self.complex.faces[self.complex.dimension - 1][rec.gate]))
-                return j, off
-            ov = self.opposite_local[parent]
-            n = self.complex.dimension
-            t_j = max(j[ov], 0.0)
-            start = [ji + t_j / n for ji in j]
-            start[ov] = 0.0
-            j = tuple(max(v, 0.0) for v in start)
-            cur = parent
+    def is_c0(self, pt: PointRef) -> bool:
+        """Whether pt is the root barycenter c0, up to MEMBERSHIP_TOL."""
+        return pt.top == self.root and \
+            max(abs(x - self.c0.bary[0]) for x in pt.bary) < MEMBERSHIP_TOL
 
     def spine_face_of(self, pt: PointRef):
         """Spine ridge whose closure carries pt, or None when pt is white."""
@@ -310,25 +321,13 @@ class CellChart:
         if rid is not None:
             face = self.complex.faces[self.complex.dimension - 1][rid]
             raise BlackPointError(f"point lies on spine face {face}")
-        if pt.top == self.root:
-            b, s_point, _, exit_local = self._ray(pt.bary)
-            return self._line_from_exit(b, exit_local), s_point
-        p, _, arc, _, _ = self._chord(pt.top, pt.bary)
-        b, exit_local = self._root_exit_of(pt.top, p)
-        line = self._line_from_exit(b, exit_local)
-        prefix = 0.0
-        for seg in line.segments:
-            if seg.top == pt.top:
-                return line, prefix + arc
-            prefix += seg.length
-        raise ChartDomainError(f"facet {pt.top} missing from its own broken line")
+        return self._line_through(pt)
 
 
 def build_chart(c: SimplicialComplex, d: Decomposition, m: Metric) -> CellChart:
     """One extension record per gate, in growth order."""
     n = c.dimension
     records = []
-    root_c0 = PointRef(d.root, (1.0 / (n + 1),) * (n + 1))
     for step in d.gates:
         gate_face = c.faces[n - 1][step.gate]
         child_verts = c.top_simplices[step.child]
@@ -341,7 +340,6 @@ def build_chart(c: SimplicialComplex, d: Decomposition, m: Metric) -> CellChart:
             gate=step.gate,
             parent=step.parent,
             child=step.child,
-            apex=root_c0 if step.parent == d.root else None,
             gate_center=PointRef(step.parent, tuple(center)),
             opposite_vertex=opposite,
         ))
@@ -354,26 +352,17 @@ def forward_map(chart: CellChart, p: PointRef) -> PointRef:
         raise ChartDomainError("forward_map takes points of the root facet")
     if any(x <= MEMBERSHIP_TOL for x in p.bary):
         raise ChartDomainError("forward_map is defined on the open root only")
-    if max(abs(x - chart.c0.bary[0]) for x in p.bary) < MEMBERSHIP_TOL:
+    if chart.is_c0(p):
         return chart.c0
-    b, s, s1, exit_local = chart._ray(p.bary)
-    top = chart.root
-    seg_start, seg_end = chart.c0.bary, b
-    while True:
-        rid = chart._facet_ridge(top, exit_local)
-        rec = chart.gate_record.get(rid)
-        if rec is None or rec.parent != top:
-            return PointRef(top, _lerp(seg_start, seg_end, s / s1))
-        junction = chart._transfer(seg_end, top, rec.child)
-        _, q, _, s2, child_exit = chart._chord(rec.child, junction)
-        sigma = stretch(s, s1, s2)
-        if sigma <= s1:
-            return PointRef(top, _lerp(seg_start, seg_end, sigma / s1))
-        s = sigma - s1
-        top = rec.child
-        seg_start, seg_end = junction, q
-        s1 = s2
-        exit_local = child_exit
+    b, s, length, exit_local = chart._ray(p.bary)
+    top, start, end = chart.root, chart.c0.bary, b
+    for child in chart._descend(top, end, exit_local):
+        s = stretch(s, length, child[3])
+        if s <= length:
+            break
+        s -= length
+        top, start, end, length = child
+    return PointRef(top, _lerp(start, end, s / length))
 
 
 def inverse_map(chart: CellChart, q: PointRef) -> PointRef:
@@ -382,47 +371,19 @@ def inverse_map(chart: CellChart, q: PointRef) -> PointRef:
     if rid is not None:
         face = chart.complex.faces[chart.complex.dimension - 1][rid]
         raise BlackPointError(f"point lies on spine face {face}; outside the cell")
-    if q.top == chart.root:
-        if max(abs(x - chart.c0.bary[0]) for x in q.bary) < MEMBERSHIP_TOL:
-            return chart.c0
-        b, s, s1, exit_local = chart._ray(q.bary)
-        rec = chart.gate_record.get(chart._facet_ridge(chart.root, exit_local))
-        if rec is None:
-            return q
-        junction = chart._transfer(b, chart.root, rec.child)
-        _, _, _, s2, _ = chart._chord(rec.child, junction)
-        pre = s * s1 / (s1 + s2)
-        return PointRef(chart.root, _lerp(chart.c0.bary, b, pre / s1))
-
-    p, q_exit, arc, length, exit_local = chart._chord(q.top, q.bary)
-    rec_out = chart.gate_record.get(chart._facet_ridge(q.top, exit_local))
-    if rec_out is not None and rec_out.parent == q.top:
-        junction = chart._transfer(q_exit, q.top, rec_out.child)
-        _, _, _, s2, _ = chart._chord(rec_out.child, junction)
-        arc = arc * length / (length + s2)
-
-    cur = q.top
-    j = p
-    seg_len = length
-    n = chart.complex.dimension
-    while True:
-        rec = chart.entry[cur]
-        parent = rec.parent
-        j = chart._transfer(j, cur, parent)
-        if parent == chart.root:
-            s1 = chart._dist(chart.root, chart.c0.bary, j)
-            pre = s1 * (s1 + arc) / (s1 + seg_len)
-            return PointRef(chart.root, _lerp(chart.c0.bary, j, pre / s1))
-        ov = chart.opposite_local[parent]
-        t_j = max(j[ov], 0.0)
-        start = [ji + t_j / n for ji in j]
-        start[ov] = 0.0
-        start = tuple(max(v, 0.0) for v in start)
-        s1 = chart._dist(parent, start, j)
-        arc = s1 * (s1 + arc) / (s1 + seg_len)
-        seg_len = s1
-        j = start
-        cur = parent
+    if chart.is_c0(q):
+        return chart.c0
+    # undo the stretches from q's own segment up to the root ray
+    segments, arc, exit_local = chart._ascend(q.top, q.bary)
+    top, _, end, length = segments[-1]
+    child = next(chart._descend(top, end, exit_local), None)
+    if child is not None:
+        arc = arc * length / (length + child[3])
+    for _, _, _, s1 in reversed(segments[:-1]):
+        arc = s1 * (s1 + arc) / (s1 + length)
+        length = s1
+    _, c0, b, s_ray = segments[0]
+    return PointRef(chart.root, _lerp(c0, b, arc / s_ray))
 
 
 def broken_line_to(chart: CellChart, z: PointRef, side: int | None = None) -> BrokenLine:
@@ -432,13 +393,7 @@ def broken_line_to(chart: CellChart, z: PointRef, side: int | None = None) -> Br
         z = PointRef(side, chart._transfer(z.bary, z.top, side))
     if chart.spine_face_of(z) is None:
         raise ChartDomainError("endpoint is not on the spine closure")
-    if z.top == chart.root:
-        b, _, _, exit_local = chart._ray(z.bary)
-        line = chart._line_from_exit(b, exit_local)
-    else:
-        p, _, _, _, _ = chart._chord(z.top, z.bary)
-        b, exit_local = chart._root_exit_of(z.top, p)
-        line = chart._line_from_exit(b, exit_local)
+    line, _ = chart._line_through(z)
     gap = chart._dist(z.top, line.endpoint.bary, z.bary) \
         if line.endpoint.top == z.top else float("inf")
     if gap > max(geometric_tol(), 1e-9) * 1e3:
@@ -456,16 +411,10 @@ def retract(chart: CellChart, x: PointRef, t: float) -> PointRef:
         return x
     if t == 0.0:
         return x
-    if x.top == chart.root and \
-            max(abs(v - chart.c0.bary[0]) for v in x.bary) < MEMBERSHIP_TOL:
+    if chart.is_c0(x):
         # s(c0) depends on the line chosen; fixed convention: the line through
         # the first gate's center.
-        first = chart.records[0]
-        b = first.gate_center.bary
-        exit_local = chart._verts(chart.root).index(
-            next(v for v in chart._verts(chart.root)
-                 if v not in chart.complex.faces[chart.complex.dimension - 1][first.gate]))
-        line = chart._line_from_exit(b, exit_local)
+        line, _ = chart.locate(chart.records[0].gate_center)
         arc = 0.0
     else:
         line, arc = chart.locate(x)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef,
                     ambient_position)
-from .simplicial import MEMBERSHIP_TOL, InvalidComplexError, Metric
+from .simplicial import InvalidComplexError, Metric
 
 
 class InvalidGeometryError(ValueError):
@@ -295,8 +295,7 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
         """The value at a point no single line owns (spine closure, c0)."""
         if chart.spine_face_of(pt) is not None:
             return np.asarray(spine_eval(pt), dtype=float)
-        if pt.top == chart.root and \
-                max(abs(v - chart.c0.bary[0]) for v in pt.bary) < MEMBERSHIP_TOL:
+        if chart.is_c0(pt):
             return base
         return None
 

@@ -98,6 +98,8 @@ class SimplicialComplex:
                 raise InvalidComplexError(
                     f"ambient dimension {d} below complex dimension {self.dimension}",
                     coords=True)
+            if not all(math.isfinite(x) for p in coords for x in p):
+                raise InvalidComplexError("non-finite vertex coordinate", coords=True)
             self.vertex_coords = tuple(coords)
         else:
             self.vertex_coords = None

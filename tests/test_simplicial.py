@@ -146,6 +146,13 @@ class TestConstruction:
         with pytest.raises(InvalidComplexError):
             SimplicialComplex(2, [(0, 1)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_coords(self, value):
+        with pytest.raises(InvalidComplexError) as info:
+            SimplicialComplex(1, [(0, 1), (1, 2), (0, 2)],
+                              vertex_coords=[(0.0, 0.0), (value, 1.0), (1.0, 0.0)])
+        assert info.value.coords
+
     def test_face_ids_are_lexicographic(self, census):
         c = census["sphere_tet"]
         for k, faces in enumerate(c.faces):
