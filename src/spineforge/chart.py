@@ -30,7 +30,10 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .simplicial import MEMBERSHIP_TOL, InvalidComplexError, Metric, SimplicialComplex
 from .spine import Decomposition
@@ -92,19 +95,24 @@ class BrokenLine:
     endpoint: PointRef
     length: float
 
+    @cached_property
+    def segment_ends(self) -> tuple:
+        """Arc at which each segment ends: running sums of segment lengths.
+        The last one may differ from ``length``, which is an exact sum."""
+        return tuple(accumulate(seg.length for seg in self.segments))
+
     def point_at_arc(self, s: float) -> PointRef:
         if s <= 0.0:
             return self.segments[0].start
         if s >= self.length:
             return self.endpoint
-        acc = 0.0
-        for seg in self.segments:
-            if s <= acc + seg.length or seg is self.segments[-1]:
-                w = (s - acc) / seg.length if seg.length > 0 else 1.0
-                if w >= 1.0:
-                    return seg.end
-                return PointRef(seg.top, _lerp(seg.start.bary, seg.end.bary, w))
-            acc += seg.length
+        ends = self.segment_ends
+        i = min(bisect_left(ends, s), len(ends) - 1)
+        seg = self.segments[i]
+        w = (s - (ends[i - 1] if i else 0.0)) / seg.length if seg.length > 0 else 1.0
+        if w >= 1.0:
+            return seg.end
+        return PointRef(seg.top, _lerp(seg.start.bary, seg.end.bary, w))
 
 
 def stretch(s: float, s1: float, s2: float) -> float:

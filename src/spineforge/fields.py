@@ -3,10 +3,13 @@ of a tensor field toward the thickened spine.
 
 Frames are expressed per facet in that facet's own affine basis (the columns
 vertex_j - vertex_0 of its flat embedding).  Crossing a gate re-expresses the
-parent frame in the child basis through a rigid unfolding of the two facets
+parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
-child's interval family.
+child's interval family.  ``extend_frame`` computes every transition from
+edge lengths in one stacked pass, without embedding any facet;
+``embed_simplex`` and ``unfold_across`` build the explicit unfolding that
+``gate_frame_agreement`` checks against.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -120,27 +123,73 @@ class FrameField:
 
 def extend_frame(chart: CellChart) -> FrameField:
     """Identity on the root; across each gate the parent frame re-expressed in
-    the child's affine basis, constant along the child's interval family."""
+    the child's affine basis, constant along the child's interval family.
+
+    Every transition comes from edge lengths, all gates in one stacked pass.
+    The gate's Gram matrix gives the feet and heights of the parent's far
+    vertex w and the child's apex a over the gate; as the two lie on opposite
+    sides, w in the child's barycentrics is foot_w + (h_w/h_a)·foot_a on the
+    gate vertices and -h_w/h_a on a, and the parent's basis vectors follow.
+    The first gate in growth order with a flat parent, a child flat onto its
+    gate or a singular frame raises InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
-    matrices = {chart.root: np.eye(n)}
-    transitions = {}
-    for rec in chart.records:
+    records = chart.records
+    length = chart.metric.length
+    dists, parent_ring, child_ring = [], [], []
+    for rec in records:
+        gate = c.faces[n - 1][rec.gate]
         pv = c.top_simplices[rec.parent]
-        qv = c.top_simplices[rec.child]
-        gate_face = c.faces[n - 1][rec.gate]
-        pcoords = embed_simplex(chart.metric, pv)
-        qcoords = unfold_across(chart.metric, pv, pcoords, gate_face, qv)
-        basis_p = _affine_basis(pcoords)
-        basis_q = _affine_basis(qcoords)
-        trans = np.linalg.solve(basis_q, basis_p)
-        mat = trans @ matrices[rec.parent]
-        if abs(np.linalg.det(mat)) <= 1e-12:
+        far = next(v for v in pv if v not in gate)
+        dists.append([length(u, v) if u != v else 0.0
+                      for u in gate + (far, rec.opposite_vertex) for v in gate])
+        parent_ring.append([(gate + (far,)).index(v) for v in pv])
+        child_ring.append([(gate + (rec.opposite_vertex,)).index(v)
+                           for v in c.top_simplices[rec.child]])
+    m = len(records)
+    sq = np.array(dists).reshape(m, n + 2, n) ** 2   # rows: gate..., w, a
+    to0 = sq[:, :n, 0]
+    gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
+    off = sq[:, n:]
+    rhs = (off[:, :, :1] + to0[:, None, 1:] - off[:, :, 1:]) / 2.0   # (m, 2, n-1)
+    flat_gate = ~(np.linalg.det(gram) > 0.0)
+    gram[flat_gate] = np.eye(n - 1)
+    alpha = np.linalg.solve(gram, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    h_sq = off[:, :, 0] - (alpha * rhs).sum(axis=2)
+    foot = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
+    h_a = np.sqrt(np.maximum(h_sq[:, 1], 0.0))
+    flat_parent = flat_gate | ~(h_sq[:, 0] > 0.0)
+    flat_child = h_a <= 1e-12
+    usable = ~(flat_parent | flat_child)
+    ratio = np.sqrt(np.maximum(h_sq[:, 0], 0.0)) / np.where(usable, h_a, 1.0)
+
+    # barycentrics in the child's ring (gate..., a) of the parent's ring (gate..., w)
+    ring = np.zeros((m, n + 1, n + 1))
+    ring[:, :n, :n] = np.eye(n)
+    ring[:, n, :n] = foot[:, 0] + ratio[:, None] * foot[:, 1]
+    ring[:, n, n] = -ratio
+    bary = ring[np.arange(m)[:, None, None], np.array(parent_ring)[:, :, None],
+                np.array(child_ring)[:, None, :]]
+    trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1).copy()
+    trans[~usable] = np.eye(n)
+
+    matrices = {chart.root: np.eye(n)}
+    for k, rec in enumerate(records):
+        matrices[rec.child] = trans[k] @ matrices[rec.parent]
+    singular = np.abs(np.linalg.det(
+        np.array([matrices[rec.child] for rec in records]))) <= 1e-12
+    bad = np.flatnonzero(~usable | singular)
+    if bad.size:
+        rec = records[bad[0]]
+        if flat_parent[bad[0]]:
             raise InvalidGeometryError(
-                f"frame transition into facet {rec.child} is singular")
-        matrices[rec.child] = mat
-        transitions[rec.gate] = trans
-    return FrameField(matrices, transitions)
+                f"simplex {tuple(c.top_simplices[rec.parent])} is metrically degenerate")
+        if flat_child[bad[0]]:
+            raise InvalidGeometryError(
+                f"child {tuple(c.top_simplices[rec.child])} degenerates onto gate "
+                f"{tuple(c.faces[n - 1][rec.gate])}")
+        raise InvalidGeometryError(f"frame transition into facet {rec.child} is singular")
+    return FrameField(matrices, {rec.gate: trans[k] for k, rec in enumerate(records)})
 
 
 def gate_frame_agreement(chart: CellChart, frame: FrameField, gate: int) -> float:
@@ -177,6 +226,9 @@ class TensorField:
     source: object = None       # original field, when this one was derived
     line_rule: object = None    # (BrokenLine, arc) -> array, or None
 
+    def __post_init__(self):
+        self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
+
     def evaluate(self, pt: PointRef) -> np.ndarray:
         return self._checked(self.components(pt), pt)
 
@@ -189,12 +241,10 @@ class TensorField:
 
     def _checked(self, block, where) -> np.ndarray:
         arr = np.asarray(block, dtype=float)
-        n = self.frame.dimension
-        order = self.rank[0] + self.rank[1]
-        if arr.shape != (n,) * order:
+        if arr.shape != self._shape:
             raise FieldDomainError(
-                f"component block has shape {arr.shape}, expected {(n,) * order}")
-        if not np.all(np.isfinite(arr)):
+                f"component block has shape {arr.shape}, expected {self._shape}")
+        if not np.isfinite(arr).all():
             raise FieldDomainError(f"non-finite components at {where}")
         return arr
 
@@ -410,9 +460,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         spine_limit = max(spine_limit, sj)
         probes.append(ContinuityProbe(lines - 1, "spine-limit", line.length, delta, sj, 0.0))
 
-        acc = 0.0
-        for seg in line.segments[:-1]:
-            acc += seg.length
+        for acc in line.segment_ends[:-1]:
             delta = min(1e-9 * line.length, acc / 2, (line.length - acc) / 2)
             if delta <= 0.0:
                 continue

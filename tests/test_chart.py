@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -280,6 +281,40 @@ class TestBrokenLines:
             line, _ = chart.locate(sample_interior(c, rng, rng.randrange(len(c.top_simplices))))
             assert line.point_at_arc(line.length) == line.endpoint
             assert line.point_at_arc(2.0 * line.length) == line.endpoint
+
+    @staticmethod
+    def _scan_point_at_arc(line, s):
+        """Oracle: walk the segments from the first, summing their lengths."""
+        if s <= 0.0:
+            return line.segments[0].start
+        if s >= line.length:
+            return line.endpoint
+        acc = 0.0
+        for seg in line.segments:
+            if s <= acc + seg.length or seg is line.segments[-1]:
+                w = (s - acc) / seg.length if seg.length > 0 else 1.0
+                if w >= 1.0:
+                    return seg.end
+                return PointRef(seg.top, tuple(x + w * (y - x) for x, y in
+                                               zip(seg.start.bary, seg.end.bary)))
+            acc += seg.length
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["grid12"])
+    def test_point_at_arc_matches_scan(self, census, name, strategy):
+        c = grid_surface(12) if name == "grid12" else census[name]
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        rng = random.Random(9)
+        for _ in range(20):
+            line, _ = chart.locate(sample_interior(c, rng, rng.randrange(len(c.top_simplices))))
+            arcs = [rng.uniform(-0.1, 1.1) * line.length for _ in range(30)]
+            acc = 0.0
+            for seg in line.segments:
+                acc += seg.length
+                arcs += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, math.inf)]
+            for s in arcs:
+                assert line.point_at_arc(s) == self._scan_point_at_arc(line, s), s
 
     @pytest.mark.parametrize("strategy", ["dfs", "random"])
     def test_deep_lines_pass_through_their_point(self, strategy):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spineforge as sf
 from spineforge import cli
@@ -331,3 +337,65 @@ class TestExitCodes:
     def test_disjoint_and_stable(self):
         assert (cli.EXIT_OK, cli.EXIT_FALSIFIED, cli.EXIT_INVALID, cli.EXIT_IO) \
             == (0, 1, 2, 3)
+
+
+# -- mutation fuzz over the command line ------------------------------------------
+
+FUZZ_TRI = [format_tri(sf.build_census(name)) for name in ("circle3", "sphere_tet", "rp2_6")]
+FUZZ_FLD = [CONSTANT_FLD, LINEAR_FLD, "type 1 1\nconstant\n1 0\n0 1\n"]
+FUZZ_TOKENS = ["", "0", "1", "2", "-1", "3", "7", "99", "0.5", "-0.0", "1e-320", "1e308",
+               "nan", "inf", "-inf", "x", "dim", "coords", "type", "constant", "linear",
+               "#", "1 2", "0 1 2 3"]
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid text with a few line and token edits: delete, duplicate, swap,
+    replace or insert."""
+    lines = draw(st.sampled_from(texts)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "replace", "insert"]))
+        if not lines:
+            lines.append(draw(st.sampled_from(FUZZ_TOKENS)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            toks = lines[i].split()
+            replace = int(op == "replace" and bool(toks))
+            k = draw(st.integers(0, len(toks) - replace))
+            toks[k:k + replace] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Mutated input files never escape ``main`` and always exit with one of
+    the four documented codes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tri=mutated(FUZZ_TRI), fld=mutated(FUZZ_FLD), valid_tri=st.booleans())
+    def test_mutated_files_exit_cleanly(self, tri, fld, valid_tri):
+        with tempfile.TemporaryDirectory() as tmp:
+            tri_path = os.path.join(tmp, "in.tri")
+            fld_path = os.path.join(tmp, "in.fld")
+            with open(tri_path, "w") as fh:
+                # an intact sphere_tet lets deform reach the mutated field file
+                fh.write(FUZZ_TRI[1] if valid_tri else tri)
+            with open(fld_path, "w") as fh:
+                fh.write(fld)
+            for argv in (["decompose", tri_path],
+                         ["verify", tri_path, "--runs", "1"],
+                         ["export-off", "complex", tri_path],
+                         ["export-off", "grid", tri_path],
+                         ["deform", tri_path, "--field", fld_path, "--samples", "2"]):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                assert code in (0, 1, 2, 3), argv

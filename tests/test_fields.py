@@ -15,7 +15,33 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                parse_fld, root_facet_clearance, unfold_across)
 from spineforge.simplicial import InvalidComplexError, Metric
 
+from grids import grid_surface
+
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
+
+
+def reference_extend_frame(chart):
+    """Oracle: one flat embedding per gate, the parent by Cholesky and the
+    child unfolded across the gate, then a solve per transition."""
+    c = chart.complex
+    n = c.dimension
+    matrices = {chart.root: np.eye(n)}
+    transitions = {}
+    for rec in chart.records:
+        pv = c.top_simplices[rec.parent]
+        qv = c.top_simplices[rec.child]
+        gate_face = c.faces[n - 1][rec.gate]
+        pcoords = embed_simplex(chart.metric, pv)
+        qcoords = unfold_across(chart.metric, pv, pcoords, gate_face, qv)
+        trans = np.linalg.solve((qcoords[1:] - qcoords[0]).T,
+                                (pcoords[1:] - pcoords[0]).T)
+        mat = trans @ matrices[rec.parent]
+        if abs(np.linalg.det(mat)) <= 1e-12:
+            raise InvalidGeometryError(
+                f"frame transition into facet {rec.child} is singular")
+        matrices[rec.child] = mat
+        transitions[rec.gate] = trans
+    return matrices, transitions
 
 
 class TestEmbedding:
@@ -116,6 +142,72 @@ class TestFrameField:
         chart = charts["torus7"]
         frame = extend_frame(chart)
         assert set(frame.transitions) == set(r.gate for r in chart.records)
+
+    @staticmethod
+    def _assert_matches_reference(chart):
+        frame = extend_frame(chart)
+        matrices, transitions = reference_extend_frame(chart)
+        for got, want in ((frame.matrices, matrices), (frame.transitions, transitions)):
+            assert got.keys() == want.keys()
+            for key, mat in want.items():
+                assert np.abs(got[key] - mat).max() <= 1e-12, key
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL)
+    def test_matches_reference(self, census, name, strategy, seed):
+        c = census[name]
+        d = sf.decompose(c, root=0, strategy=strategy, seed=seed)
+        self._assert_matches_reference(build_chart(c, d, Metric.from_complex(c)))
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_matches_reference_on_grid(self, klein, strategy):
+        c = grid_surface(12, klein=klein)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        self._assert_matches_reference(build_chart(c, d, Metric.from_complex(c)))
+
+    # facet (0, 1, 2) is flat: |01| = |02| + |12|
+    FLAT_TET = {(0, 1): 2.0, (0, 2): 1.0, (0, 3): 1.5,
+                (1, 2): 1.0, (1, 3): 1.5, (2, 3): 1.2}
+
+    @pytest.mark.parametrize("root, strategy, message", [
+        (0, "bfs", "simplex (0, 1, 2) is metrically degenerate"),
+        (0, "dfs", "simplex (0, 1, 2) is metrically degenerate"),
+        (1, "bfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
+        (1, "dfs", "child (0, 1, 2) degenerates onto gate (0, 2)"),
+        (2, "bfs", "child (0, 1, 2) degenerates onto gate (0, 2)"),
+        (2, "dfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
+        (3, "bfs", "child (0, 1, 2) degenerates onto gate (1, 2)"),
+        (3, "dfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
+    ])
+    def test_flat_facet_names_first_gate(self, census, root, strategy, message):
+        c = census["sphere_tet"]
+        m = Metric(self.FLAT_TET)
+        m.validate(c)
+        chart = build_chart(c, sf.decompose(c, root=root, strategy=strategy), m)
+        with pytest.raises(InvalidGeometryError) as err:
+            extend_frame(chart)
+        assert str(err.value) == message
+
+    def test_linalg_calls_independent_of_gate_count(self, census, monkeypatch):
+        calls = []
+        for name in ("cholesky", "det", "inv", "lstsq", "norm", "solve", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = []
+        for c in (census["torus7"], grid_surface(12)):
+            chart = build_chart(c, sf.decompose(c), Metric.from_complex(c))
+            calls.clear()
+            extend_frame(chart)
+            counts.append(len(calls))
+        assert len(chart.records) == 287
+        assert counts[0] == counts[1]
 
 
 class TestConstantTensor:
