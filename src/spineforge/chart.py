@@ -28,14 +28,14 @@ pure, so they can run concurrently.
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-from .simplicial import MEMBERSHIP_TOL, InvalidComplexError, Metric, SimplicialComplex
+from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
+                         Metric, SimplicialComplex)
 from .spine import Decomposition
 
 
@@ -48,9 +48,8 @@ class BlackPointError(ChartDomainError):
 
 
 def geometric_tol() -> float:
-    """Geometric identity tolerance; SPINEFORGE_TOL overrides the 1e-9 default."""
-    raw = os.environ.get("SPINEFORGE_TOL")
-    return float(raw) if raw else 1e-9
+    """``GEOMETRIC_TOL``, kept for callers that ask for it by function."""
+    return GEOMETRIC_TOL
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def stretch(s: float, s1: float, s2: float) -> float:
         raise ChartDomainError(f"parent interval length {s1} must be positive")
     if s2 < 0.0:
         raise ChartDomainError(f"child interval length {s2} must be non-negative")
-    if s < 0.0 or s > s1 * (1.0 + 1e-12):
+    if s < 0.0 or s > s1 * (1.0 + MEMBERSHIP_TOL):
         raise ChartDomainError(f"arc {s} outside parent interval [0, {s1}]")
     return s * (s1 + s2) / s1
 
@@ -178,20 +177,14 @@ class CellChart:
 
     def _transfer(self, bary, from_top, to_top):
         """Re-express a shared-face point in another facet's coordinates."""
-        fv = self._verts(from_top)
-        tv = self._verts(to_top)
-        weights = dict(zip(fv, bary))
-        out = []
-        stray = 0.0
-        for v in tv:
-            out.append(weights.pop(v, 0.0))
-        for v, w in weights.items():
-            stray += abs(w)
-        if stray > 1e3 * MEMBERSHIP_TOL:
+        weights = dict(zip(self._verts(from_top), bary))
+        out = tuple(weights.pop(v, 0.0) for v in self._verts(to_top))
+        stray = sum(abs(w) for w in weights.values())
+        if stray > GEOMETRIC_TOL:
             raise ChartDomainError(
                 f"point carries weight {stray} outside the face shared by "
                 f"facets {from_top} and {to_top}")
-        return tuple(max(x, 0.0) for x in out)
+        return out
 
     def _ray(self, x):
         """Radial ray of the root through x != c0.
@@ -201,19 +194,14 @@ class CellChart:
         n1 = self.complex.dimension + 1
         c = 1.0 / n1
         direction = [xi - c for xi in x]
-        t_max = None
-        exit_local = None
-        for i, d in enumerate(direction):
-            if d < 0.0:
-                t = c / (-d)
-                if t_max is None or t < t_max - 1e-15 * t_max:
-                    t_max = t
-                    exit_local = i
+        # the nearest exit; ties go to the lowest local index
+        t_max, exit_local = min(((c / -d, i) for i, d in enumerate(direction) if d < 0.0),
+                                default=(None, None))
         if t_max is None:
             raise ChartDomainError("point coincides with the root barycenter")
         b = [c + t_max * d for d in direction]
         b[exit_local] = 0.0
-        b = tuple(max(v, 0.0) for v in b)
+        b = tuple(b)
         s_point = self._dist(self.root, (c,) * n1, x)
         s_ray = self._dist(self.root, (c,) * n1, b)
         return b, s_point, s_ray, exit_local
@@ -225,17 +213,10 @@ class CellChart:
         """
         n = self.complex.dimension
         ov = self.opposite_local[top]
-        t_y = max(y[ov], 0.0)
+        t_y = y[ov]
         p = [yi + t_y / n for yi in y]
         p[ov] = 0.0
-        m = None
-        exit_local = None
-        for i, pi in enumerate(p):
-            if i == ov:
-                continue
-            if m is None or pi < m - 1e-15:
-                m = pi
-                exit_local = i
+        m, exit_local = min((pi, i) for i, pi in enumerate(p) if i != ov)
         if m <= MEMBERSHIP_TOL:
             raise ChartDomainError(
                 f"interval family of facet {top} degenerates at {tuple(y)}; "
@@ -244,8 +225,7 @@ class CellChart:
         q = [pi - m for pi in p]
         q[ov] = t_max
         q[exit_local] = 0.0
-        p = tuple(p)
-        q = tuple(max(v, 0.0) for v in q)
+        p, q = tuple(p), tuple(q)
         length = self._dist(top, p, q)
         arc = length * (t_y / t_max)
         return p, q, arc, length, exit_local
@@ -404,7 +384,7 @@ def broken_line_to(chart: CellChart, z: PointRef, side: int | None = None) -> Br
     line, _ = chart._line_through(z)
     gap = chart._dist(z.top, line.endpoint.bary, z.bary) \
         if line.endpoint.top == z.top else float("inf")
-    if gap > max(geometric_tol(), 1e-9) * 1e3:
+    if gap > JUMP_TOL:
         raise ChartDomainError(
             f"reconstructed line ends {gap} away from the requested endpoint")
     return line

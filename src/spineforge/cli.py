@@ -16,15 +16,15 @@ from itertools import combinations_with_replacement
 
 from .census import build_census, census_names
 from .chart import (ChartDomainError, PointRef, ambient_position, build_chart,
-                    forward_map, geometric_tol, retraction_samples)
+                    forward_map, retraction_samples)
 from .fields import (FieldDomainError, HoleDomainError, InvalidGeometryError,
                      black_hole_region, continuity_report, deform_tensor,
                      deformation_samples, extend_frame, field_from_spec,
                      read_fld, root_facet_clearance)
 from .homology import verify_theorem2
 from .offio import complex_off, points_off, spine_off
-from .simplicial import (InvalidComplexError, Metric, SimplicialComplex,
-                         read_tri, validate_closed_manifold)
+from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, InvalidComplexError, Metric,
+                         SimplicialComplex, read_tri, validate_closed_manifold)
 from .spine import STRATEGIES, decompose, spine_connected
 
 EXIT_OK = 0
@@ -167,10 +167,9 @@ def cmd_deform(args) -> int:
         writer.writerows(rows)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
-    tol = geometric_tol()
-    ok = (report.boundary_seam <= tol
-          and report.spine_limit <= 1e-6
-          and report.gate_jump <= 1e-6)
+    ok = (report.boundary_seam <= GEOMETRIC_TOL
+          and report.spine_limit <= JUMP_TOL
+          and report.gate_jump <= JUMP_TOL)
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 

@@ -8,8 +8,7 @@ across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
 child's interval family.  ``extend_frame`` computes every transition from
 edge lengths in one stacked pass, without embedding any facet;
-``embed_simplex`` and ``unfold_across`` build the explicit unfolding that
-``gate_frame_agreement`` checks against.
+``embed_simplex`` embeds a single facet, for ``root_facet_clearance``.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -26,7 +25,7 @@ import numpy as np
 
 from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef,
                     ambient_position)
-from .simplicial import InvalidComplexError, Metric
+from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, Metric
 
 
 class InvalidGeometryError(ValueError):
@@ -64,46 +63,6 @@ def embed_simplex(metric: Metric, verts) -> np.ndarray:
         raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
     coords[1:] = low
     return coords
-
-
-def unfold_across(metric: Metric, parent_verts, parent_coords, gate_verts,
-                  child_verts) -> np.ndarray:
-    """Embed the child on the far side of the shared gate of an embedded parent."""
-    n = len(parent_verts) - 1
-    pos = {v: np.asarray(parent_coords[list(parent_verts).index(v)], float)
-           for v in gate_verts}
-    new_vertex = next(v for v in child_verts if v not in gate_verts)
-    gate = np.array([pos[v] for v in gate_verts])
-    dists = np.array([metric.length(new_vertex, v) for v in gate_verts])
-    g0 = gate[0]
-    span = gate[1:] - g0
-    if n >= 2:
-        rhs = np.array([(span[i] @ span[i] + dists[0] ** 2 - dists[i + 1] ** 2) / 2.0
-                        for i in range(n - 1)])
-        alpha = np.linalg.solve(span @ span.T, rhs)
-        in_plane = span.T @ alpha
-        _, sing, vt = np.linalg.svd(span)
-        normal = vt[-1]
-    else:
-        in_plane = np.zeros(n)
-        normal = np.array([1.0])
-    height_sq = dists[0] ** 2 - in_plane @ in_plane
-    height = math.sqrt(max(height_sq, 0.0))
-    if height <= 1e-12:
-        raise InvalidGeometryError(
-            f"child {tuple(child_verts)} degenerates onto gate {tuple(gate_verts)}")
-    off_parent = next(np.asarray(parent_coords[i], float)
-                      for i, v in enumerate(parent_verts) if v not in gate_verts)
-    if (off_parent - g0) @ normal > 0:
-        normal = -normal
-    apex = g0 + in_plane + height * normal
-    rows = [pos[v] if v in pos else apex for v in child_verts]
-    return np.array(rows)
-
-
-def _affine_basis(coords: np.ndarray) -> np.ndarray:
-    """Columns vertex_j - vertex_0 of an embedded simplex."""
-    return (coords[1:] - coords[0]).T
 
 
 # -- frame field ---------------------------------------------------------------
@@ -159,7 +118,7 @@ def extend_frame(chart: CellChart) -> FrameField:
     foot = np.concatenate([1.0 - alpha.sum(axis=2, keepdims=True), alpha], axis=2)
     h_a = np.sqrt(np.maximum(h_sq[:, 1], 0.0))
     flat_parent = flat_gate | ~(h_sq[:, 0] > 0.0)
-    flat_child = h_a <= 1e-12
+    flat_child = h_a <= DEGENERACY_TOL
     usable = ~(flat_parent | flat_child)
     ratio = np.sqrt(np.maximum(h_sq[:, 0], 0.0)) / np.where(usable, h_a, 1.0)
 
@@ -177,7 +136,7 @@ def extend_frame(chart: CellChart) -> FrameField:
     for k, rec in enumerate(records):
         matrices[rec.child] = trans[k] @ matrices[rec.parent]
     singular = np.abs(np.linalg.det(
-        np.array([matrices[rec.child] for rec in records]))) <= 1e-12
+        np.array([matrices[rec.child] for rec in records]))) <= DEGENERACY_TOL
     bad = np.flatnonzero(~usable | singular)
     if bad.size:
         rec = records[bad[0]]
@@ -190,23 +149,6 @@ def extend_frame(chart: CellChart) -> FrameField:
                 f"{tuple(c.faces[n - 1][rec.gate])}")
         raise InvalidGeometryError(f"frame transition into facet {rec.child} is singular")
     return FrameField(matrices, {rec.gate: trans[k] for k, rec in enumerate(records)})
-
-
-def gate_frame_agreement(chart: CellChart, frame: FrameField, gate: int) -> float:
-    """Max deviation between the two sides' frame vectors as ambient directions
-    in a joint unfolding of the gate's cofacets.  The vectors are constant over
-    the gate in this flat model, so one comparison covers every sample point."""
-    rec = chart.gate_record[gate]
-    c = chart.complex
-    n = c.dimension
-    pv = c.top_simplices[rec.parent]
-    qv = c.top_simplices[rec.child]
-    gate_face = c.faces[n - 1][gate]
-    pcoords = embed_simplex(chart.metric, pv)
-    qcoords = unfold_across(chart.metric, pv, pcoords, gate_face, qv)
-    ambient_p = _affine_basis(pcoords) @ frame.matrices[rec.parent]
-    ambient_q = _affine_basis(qcoords) @ frame.matrices[rec.child]
-    return float(np.abs(ambient_p - ambient_q).max())
 
 
 # -- tensor fields -------------------------------------------------------------
@@ -439,29 +381,32 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         lines += 1
         s0, s1 = hole.split(line)
         nonsmooth.append((lines - 1, s0))
+        # Probe offsets are set in the input field's arc: an offset delta in
+        # the tail reads K at delta * L / s1, so delta <= step keeps every
+        # probe within GEOMETRIC_TOL of the line length of its seam, whatever
+        # the tail's compression L / s1.
+        step = GEOMETRIC_TOL * s1
 
         # the seam itself goes through the point path (locate), so it checks
         # that the point function agrees with the line rule the probes use
         at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
         boundary_seam = max(boundary_seam, at_seam)
         probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, 0.0, at_seam, 0.0))
-        delta0 = min(s1 / 4.0, 1e-5 * line.length)
         for k in range(levels):
-            delta = delta0 / 2 ** k
+            delta = step / 2 ** k
             inner = kbar.evaluate_on_line(line, s0 + delta)
             outer = kbar.evaluate_on_line(line, s0 - delta)
             probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, delta,
                                           _jump(inner, outer), 0.0))
 
-        delta = min(1e-8, s1 / 4.0)
         z_val = kbar.evaluate(line.endpoint)
-        near = kbar.evaluate_on_line(line, line.length - delta)
+        near = kbar.evaluate_on_line(line, line.length - step)
         sj = _jump(near, z_val)
         spine_limit = max(spine_limit, sj)
-        probes.append(ContinuityProbe(lines - 1, "spine-limit", line.length, delta, sj, 0.0))
+        probes.append(ContinuityProbe(lines - 1, "spine-limit", line.length, step, sj, 0.0))
 
         for acc in line.segment_ends[:-1]:
-            delta = min(1e-9 * line.length, acc / 2, (line.length - acc) / 2)
+            delta = min(step, acc / 2, (line.length - acc) / 2)
             if delta <= 0.0:
                 continue
             before = kbar.evaluate_on_line(line, acc - delta)

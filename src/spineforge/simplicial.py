@@ -13,7 +13,18 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+# Every tolerance of the package lives here; each line states its scale.
+# Barycentric: how far a coordinate may fall below 0, a sum stray from 1, or
+# an arc overshoot its interval (as a fraction of the interval).
 MEMBERSHIP_TOL = 1e-12
+# Relative: stray weight off a shared face, triangle slack per longest edge,
+# probe offset per line length; also deform's absolute hole-boundary bound.
+GEOMETRIC_TOL = 1e-9
+# Absolute length or field component: largest accepted endpoint gap, and
+# deform's bound on spine-limit and gate jumps.
+JUMP_TOL = 1e-6
+# Absolute length or determinant: a height or frame at or below it is flat.
+DEGENERACY_TOL = 1e-12
 
 
 class InvalidComplexError(ValueError):
@@ -285,7 +296,7 @@ class Metric:
         if c.dimension >= 2:
             for a, b, d in c.faces[2]:
                 lab, lad, lbd = self.length(a, b), self.length(a, d), self.length(b, d)
-                slack = 1e-9 * max(lab, lad, lbd)
+                slack = GEOMETRIC_TOL * max(lab, lad, lbd)
                 if lab > lad + lbd + slack or lad > lab + lbd + slack or lbd > lab + lad + slack:
                     raise InvalidComplexError(
                         f"triangle inequality fails on 2-face {(a, b, d)}")

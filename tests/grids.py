@@ -1,6 +1,8 @@
 """Generated surfaces shared by the tests: their homology and their vertex
 links are known by construction, at any size."""
 
+import math
+
 from spineforge.simplicial import SimplicialComplex
 
 
@@ -19,3 +21,15 @@ def grid_surface(k, klein=False):
             c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
             facets += [tuple(sorted((a, b, c))), tuple(sorted((a, c, d)))]
     return SimplicialComplex(2, facets)
+
+
+def coordinate_torus(k, big=2.0, small=1.0):
+    """The k x k torus grid with its vertices on a torus of revolution in R^3
+    (radii big and small), so that linear fields can be deformed on it."""
+    coords = []
+    for i in range(k):
+        for j in range(k):
+            u, v = 2 * math.pi * i / k, 2 * math.pi * j / k
+            ring = big + small * math.cos(v)
+            coords.append((ring * math.cos(u), ring * math.sin(u), small * math.sin(v)))
+    return SimplicialComplex(2, grid_surface(k).top_simplices, vertex_coords=coords)

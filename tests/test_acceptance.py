@@ -14,11 +14,12 @@ from spineforge.chart import (PointRef, build_chart, forward_map, inverse_map,
                               point_gap, retract, sample_interior, stretch)
 from spineforge.fields import (black_hole_region, constant_tensor,
                                deform_tensor, extend_frame, field_from_spec,
-                               gate_frame_agreement, parse_fld,
-                               root_facet_clearance)
+                               parse_fld, root_facet_clearance)
 from spineforge.homology import homology_groups, punctured_complex
 from spineforge.simplicial import Metric
 from spineforge.spine import spine_subcomplex
+
+from test_fields import gate_frame_agreement
 
 ALL = ("circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent")
 SPINE_SIZES = {"circle3": 1, "sphere_tet": 3, "torus7": 8,

@@ -435,8 +435,14 @@ class TestSamplingAndTolerance:
         pt = PointRef(0, (1.0, 0.0, 0.0))
         assert ambient_position(c, pt) == c.vertex_coords[c.top_simplices[0][0]]
 
-    def test_tolerance_env_override(self, monkeypatch):
-        monkeypatch.setenv("SPINEFORGE_TOL", "1e-6")
-        assert geometric_tol() == 1e-6
-        monkeypatch.delenv("SPINEFORGE_TOL")
+    def test_tolerance_env_override(self, monkeypatch, capsys, tmp_path):
+        # the tolerances are constants: the environment cannot loosen a gate
+        from spineforge import cli
+        fld = tmp_path / "l.fld"
+        fld.write_text("type 1 0\nlinear\n0.1 0.2 -0.1 0.05\n0.3 -0.15 0.1 0.2\n")
+        argv = ["deform", "--census", "torus7", "--field", str(fld)]
+        monkeypatch.delenv("SPINEFORGE_TOL", raising=False)
+        plain = cli.main(argv), capsys.readouterr()
+        monkeypatch.setenv("SPINEFORGE_TOL", "1e3")
         assert geometric_tol() == 1e-9
+        assert (cli.main(argv), capsys.readouterr()) == plain

@@ -13,6 +13,8 @@ import spineforge as sf
 from spineforge import cli
 from spineforge.simplicial import SimplicialComplex, format_tri, write_tri
 
+from grids import coordinate_torus
+
 CONSTANT_FLD = "type 1 0\nconstant\n1.0 0.0\n"
 LINEAR_FLD = ("type 1 0\nlinear\n"
               "0.1 0.2 -0.1 0.05\n"
@@ -140,6 +142,19 @@ class TestDeform:
                            "--samples", "15")
         assert code == 0
         assert json.loads(out)["continuity"]["spine_limit"] <= 1e-6
+
+    def test_linear_field_on_deep_dfs_lines(self, capsys, tmp_path):
+        # dfs lines of the 288-facet torus run hundreds of facets deep, so the
+        # tail compresses them strongly; a linear field must still pass
+        path = tmp_path / "torus12.tri"
+        write_tri(coordinate_torus(12), path)
+        fld = tmp_path / "l.fld"
+        fld.write_text(LINEAR_FLD)
+        code, out, _ = run(capsys, "deform", str(path), "--field", str(fld),
+                           "--strategy", "dfs", "--seed", "0")
+        doc = json.loads(out)["continuity"]
+        assert code == 0, doc
+        assert doc["gate_jump"] <= 1e-6 and doc["spine_limit"] <= 1e-6
 
     def test_eps_fraction_one_rejected(self, capsys, tmp_path):
         fld = tmp_path / "c.fld"

@@ -11,13 +11,71 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                InvalidGeometryError, black_hole_region,
                                constant_tensor, continuity_report,
                                deform_tensor, embed_simplex, extend_frame,
-                               field_from_spec, gate_frame_agreement,
-                               parse_fld, root_facet_clearance, unfold_across)
+                               field_from_spec, parse_fld,
+                               root_facet_clearance)
 from spineforge.simplicial import InvalidComplexError, Metric
 
 from grids import grid_surface
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
+
+
+# -- frame oracles: the explicit unfolding extend_frame is checked against ------
+
+def unfold_across(metric, parent_verts, parent_coords, gate_verts, child_verts):
+    """Embed the child on the far side of the shared gate of an embedded parent."""
+    n = len(parent_verts) - 1
+    pos = {v: np.asarray(parent_coords[list(parent_verts).index(v)], float)
+           for v in gate_verts}
+    new_vertex = next(v for v in child_verts if v not in gate_verts)
+    gate = np.array([pos[v] for v in gate_verts])
+    dists = np.array([metric.length(new_vertex, v) for v in gate_verts])
+    g0 = gate[0]
+    span = gate[1:] - g0
+    if n >= 2:
+        rhs = np.array([(span[i] @ span[i] + dists[0] ** 2 - dists[i + 1] ** 2) / 2.0
+                        for i in range(n - 1)])
+        alpha = np.linalg.solve(span @ span.T, rhs)
+        in_plane = span.T @ alpha
+        _, sing, vt = np.linalg.svd(span)
+        normal = vt[-1]
+    else:
+        in_plane = np.zeros(n)
+        normal = np.array([1.0])
+    height_sq = dists[0] ** 2 - in_plane @ in_plane
+    height = math.sqrt(max(height_sq, 0.0))
+    if height <= 1e-12:
+        raise InvalidGeometryError(
+            f"child {tuple(child_verts)} degenerates onto gate {tuple(gate_verts)}")
+    off_parent = next(np.asarray(parent_coords[i], float)
+                      for i, v in enumerate(parent_verts) if v not in gate_verts)
+    if (off_parent - g0) @ normal > 0:
+        normal = -normal
+    apex = g0 + in_plane + height * normal
+    rows = [pos[v] if v in pos else apex for v in child_verts]
+    return np.array(rows)
+
+
+def _affine_basis(coords):
+    """Columns vertex_j - vertex_0 of an embedded simplex."""
+    return (coords[1:] - coords[0]).T
+
+
+def gate_frame_agreement(chart, frame, gate):
+    """Max deviation between the two sides' frame vectors as ambient directions
+    in a joint unfolding of the gate's cofacets.  The vectors are constant over
+    the gate in this flat model, so one comparison covers every sample point."""
+    rec = chart.gate_record[gate]
+    c = chart.complex
+    n = c.dimension
+    pv = c.top_simplices[rec.parent]
+    qv = c.top_simplices[rec.child]
+    gate_face = c.faces[n - 1][gate]
+    pcoords = embed_simplex(chart.metric, pv)
+    qcoords = unfold_across(chart.metric, pv, pcoords, gate_face, qv)
+    ambient_p = _affine_basis(pcoords) @ frame.matrices[rec.parent]
+    ambient_q = _affine_basis(qcoords) @ frame.matrices[rec.child]
+    return float(np.abs(ambient_p - ambient_q).max())
 
 
 def reference_extend_frame(chart):
@@ -438,6 +496,29 @@ class TestContinuityReport:
                                 samples=25, seed=6)
         assert rep.input_gate_jump >= 0.9
         assert rep.gate_jump <= 1e-9
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ["torus7", "grid12"])
+    def test_probes_see_real_jumps(self, census, name, strategy):
+        # the probe offsets shrink with the tail, but a field that really
+        # jumps at a gate or at the spine must still read as a jump there
+        c = census["torus7"] if name == "torus7" else grid_surface(12)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        frame = extend_frame(chart)
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+
+        from spineforge.fields import TensorField
+        parity = TensorField((1, 0), frame,
+                             lambda pt: np.full((2,), float(pt.top % 2)))
+        rep = continuity_report(parity, chart, hole, samples=20, seed=1)
+        assert rep.gate_jump >= 0.9
+
+        K = constant_tensor([1.0, 2.0], frame, (1, 0))
+        marker = np.array([9.0, 9.0])
+        Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: marker)
+        rep = continuity_report(Kbar, chart, hole, samples=20, seed=1)
+        assert rep.spine_limit >= 0.9
 
 
 def _chart(census, name, strategy):
