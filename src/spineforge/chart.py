@@ -20,19 +20,32 @@ stretches its arc down the descent.  The segments above a point are the ones
 its ascent computed, so the point is on its line at any depth; no root
 coordinate is recomputed.
 
+A walk step costs one gate index map and one multiply.  Every chord of a
+non-root facet is parallel to the segment from the gate centroid to the
+off-gate vertex, q - p = t * (e_ov - centroid), so its length is t times that
+segment's length h; h is taken from the metric once per facet, on first use.
+Crossing a gate copies coordinates by the child's precomputed parent<->child
+index maps.  ``Metric.dist`` therefore runs only in the root facet (one call
+for the root segment, two for a root ray) and once per facet for h.  Lengths
+agree with the metric's quadratic form of the chord's ends to rounding
+(1.5e-14 relative), so CLI float outputs differ in their low-order digits
+from that evaluation; repeated runs are byte-identical.
+
 All point evaluations are lazy walks over the extension records; nothing is
-meshed globally.  Charts are immutable after construction and evaluations are
-pure, so they can run concurrently.
+meshed globally.  Charts are immutable after construction, apart from the h
+cache, whose entries are written once with the same value by any writer, and
+evaluations are pure, so they can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
                          Metric, SimplicialComplex)
@@ -98,7 +111,9 @@ class BrokenLine:
     def segment_ends(self) -> tuple:
         """Arc at which each segment ends: running sums of segment lengths.
         The last one may differ from ``length``, which is an exact sum."""
-        return tuple(accumulate(seg.length for seg in self.segments))
+        # from a list: tuple() of an unsized iterator grows by resizing, which
+        # raised peak RSS with the number of lines built
+        return tuple([*accumulate(seg.length for seg in self.segments)])
 
     def point_at_arc(self, s: float) -> PointRef:
         if s <= 0.0:
@@ -129,6 +144,12 @@ def _lerp(a, b, w):
     return tuple(x + w * (y - x) for x, y in zip(a, b))
 
 
+def _stray_weight(stray, from_top, to_top):
+    return ChartDomainError(
+        f"point carries weight {stray} outside the face shared by "
+        f"facets {from_top} and {to_top}")
+
+
 class CellChart:
     """Ordered extension records realizing the cell coordinates."""
 
@@ -142,19 +163,38 @@ class CellChart:
         n = complex.dimension
         self.c0 = PointRef(self.root, (1.0 / (n + 1),) * (n + 1))
 
+        tops = complex.top_simplices
         self.entry = {}          # child facet -> its entry record
         self.gate_record = {}    # ridge id -> record
-        self.opposite_local = {}  # child facet -> local index of the off-gate vertex
+        # child facet -> (ov, off, up, down): the child's off-gate local index
+        # ov, the parent's off-gate local index off, and the local index each
+        # parent slot reads from the child (up) and each child slot from the
+        # parent (down).  The off-gate slots read each other's, which the
+        # crossing checks and then zeroes.  Facets are sorted vertex tuples,
+        # so (ov, off) fixes both maps and at most (n+1)^2 of them exist.
+        self._gate_maps = [None] * len(tops)
+        shared = {}
         for rec in self.records:
             self.entry[rec.child] = rec
             self.gate_record[rec.gate] = rec
-            child_verts = complex.top_simplices[rec.child]
-            self.opposite_local[rec.child] = child_verts.index(rec.opposite_vertex)
+            child_verts, parent_verts = tops[rec.child], tops[rec.parent]
+            ov = child_verts.index(rec.opposite_vertex)
+            for off, v in enumerate(parent_verts):
+                if v not in child_verts:
+                    break
+            maps = shared.get((ov, off))
+            if maps is None:
+                up = tuple(ov if k == off else child_verts.index(v)
+                           for k, v in enumerate(parent_verts))
+                down = tuple(off if k == ov else parent_verts.index(v)
+                             for k, v in enumerate(child_verts))
+                maps = shared[ov, off] = (ov, off, up, down)
+            self._gate_maps[rec.child] = maps
+        self._heights = array("d", [math.nan]) * len(tops)   # _height, NaN until used
 
         self.spine_set = frozenset(decomposition.spine)
         ridge_faces = complex.faces[n - 1]
         closure = {}
-        from itertools import combinations
         for rid in decomposition.spine:
             face = ridge_faces[rid]
             for k in range(n):
@@ -181,10 +221,33 @@ class CellChart:
         out = tuple(weights.pop(v, 0.0) for v in self._verts(to_top))
         stray = sum(abs(w) for w in weights.values())
         if stray > GEOMETRIC_TOL:
-            raise ChartDomainError(
-                f"point carries weight {stray} outside the face shared by "
-                f"facets {from_top} and {to_top}")
+            raise _stray_weight(stray, from_top, to_top)
         return out
+
+    def _cross(self, bary, child, upward):
+        """``_transfer`` across the entry gate of child, by its index maps:
+        up into the parent, or down from the parent into child."""
+        ov, off, up, down = self._gate_maps[child]
+        stray = abs(bary[ov if upward else off])
+        if stray > GEOMETRIC_TOL:
+            parent = self.entry[child].parent
+            raise _stray_weight(stray, *((child, parent) if upward else (parent, child)))
+        out = [bary[i] for i in (up if upward else down)]
+        out[off if upward else ov] = 0.0
+        return tuple(out)
+
+    def _height(self, top):
+        """|off-gate vertex - gate centroid| of a non-root facet, computed once."""
+        h = self._heights[top]
+        if h != h:
+            n = self.complex.dimension
+            ov = self._gate_maps[top][0]
+            centroid = [1.0 / n] * (n + 1)
+            centroid[ov] = 0.0
+            vertex = [0.0] * (n + 1)
+            vertex[ov] = 1.0
+            h = self._heights[top] = self._dist(top, vertex, centroid)
+        return h
 
     def _ray(self, x):
         """Radial ray of the root through x != c0.
@@ -210,9 +273,11 @@ class CellChart:
         """Interval-family chord of a non-root facet through y.
 
         Returns (junction p, exit q, arc of y from p, chord length, exit local).
+        q - p = t_max * (off-gate vertex - gate centroid), so the chord is
+        t_max heights long and y sits t_y heights from p.
         """
         n = self.complex.dimension
-        ov = self.opposite_local[top]
+        ov = self._gate_maps[top][0]
         t_y = y[ov]
         p = [yi + t_y / n for yi in y]
         p[ov] = 0.0
@@ -225,10 +290,8 @@ class CellChart:
         q = [pi - m for pi in p]
         q[ov] = t_max
         q[exit_local] = 0.0
-        p, q = tuple(p), tuple(q)
-        length = self._dist(top, p, q)
-        arc = length * (t_y / t_max)
-        return p, q, arc, length, exit_local
+        h = self._height(top)
+        return tuple(p), tuple(q), t_y * h, t_max * h, exit_local
 
     # -- broken lines --------------------------------------------------------
 
@@ -247,19 +310,20 @@ class CellChart:
         segments = [(top, j, q, length)]
         while True:
             parent = self.entry[top].parent
-            j = self._transfer(j, top, parent)
+            j = self._cross(j, top, upward=True)
             if parent == self.root:
                 segments.append((parent, self.c0.bary, j,
                                  self._dist(parent, self.c0.bary, j)))
                 segments.reverse()
                 return segments, arc, exit_local
-            # j lies on the parent's exit face; its chord starts at the junction
-            ov = self.opposite_local[parent]
+            # j lies on the parent's exit face; its chord starts at the
+            # junction, t_j heights before j
+            ov = self._gate_maps[parent][0]
             t_j = j[ov]
             start = [x + t_j / n for x in j]
             start[ov] = 0.0
             start = tuple(start)
-            segments.append((parent, start, j, self._dist(parent, start, j)))
+            segments.append((parent, start, j, t_j * self._height(parent)))
             top, j = parent, start
 
     def _descend(self, top, q, exit_local):
@@ -273,9 +337,8 @@ class CellChart:
                     return
                 raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
             # a chord never exits through its entry gate, so rec.parent == top
-            p, q, _, length, exit_local = self._chord(
-                rec.child, self._transfer(q, top, rec.child))
             top = rec.child
+            p, q, _, length, exit_local = self._chord(top, self._cross(q, top, upward=False))
             yield top, p, q, length
 
     def _line_through(self, pt: PointRef):
@@ -285,8 +348,8 @@ class CellChart:
         arc += math.fsum(seg[3] for seg in segments[:-1])
         top, _, q, _ = segments[-1]
         segments.extend(self._descend(top, q, exit_local))
-        segments = tuple(Segment(f, PointRef(f, a), PointRef(f, b), length)
-                         for f, a, b, length in segments)
+        segments = tuple([Segment(f, PointRef(f, a), PointRef(f, b), length)   # see segment_ends
+                          for f, a, b, length in segments])
         total = math.fsum(seg.length for seg in segments)
         return BrokenLine(segments, segments[-1].end, total), arc
 

@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 # Every tolerance of the package lives here; each line states its scale.
 # Barycentric: how far a coordinate may fall below 0, a sum stray from 1, or
 # an arc overshoot its interval (as a fraction of the interval).
 MEMBERSHIP_TOL = 1e-12
 # Relative: stray weight off a shared face, triangle slack per longest edge,
-# probe offset per line length; also deform's absolute hole-boundary bound.
+# Gram determinant slack per longest edge^(2k) of a k-face, probe offset per
+# line length; also deform's absolute hole-boundary bound.
 GEOMETRIC_TOL = 1e-9
 # Absolute length or field component: largest accepted endpoint gap, and
 # deform's bound on spine-limit and gate jumps.
@@ -300,6 +303,28 @@ class Metric:
                 if lab > lad + lbd + slack or lad > lab + lbd + slack or lbd > lab + lad + slack:
                     raise InvalidComplexError(
                         f"triangle inequality fails on 2-face {(a, b, d)}")
+        for k in range(3, c.dimension + 1):
+            for face in c.faces[k]:
+                det, scale = self._gram_det(face)
+                if det < -GEOMETRIC_TOL * scale:
+                    raise InvalidComplexError(
+                        f"Cayley-Menger determinant of {k}-face {face} has the wrong "
+                        "sign: no Euclidean simplex has its edge lengths")
+
+    def _gram_det(self, verts):
+        """Gram determinant of a simplex's edge vectors from its first vertex,
+        (k!)^2 times its squared volume, and the scale (longest edge)^(2k).
+
+        It is the Cayley-Menger determinant divided by (-1)^(k+1) 2^k.  When
+        every proper face is realizable, as ``validate`` has checked by then,
+        it is negative exactly when no Euclidean k-simplex has these lengths.
+        """
+        base, rest = verts[0], verts[1:]
+        gram = [[(self.length(base, u) ** 2 + self.length(base, v) ** 2
+                  - (self.length(u, v) ** 2 if u != v else 0.0)) / 2.0 for v in rest]
+                for u in rest]
+        longest = max(self.length(u, v) for u, v in combinations(verts, 2))
+        return float(np.linalg.det(gram)), longest ** (2 * len(rest))
 
     def length(self, u, v) -> float:
         return self.edge_lengths[(min(u, v), max(u, v))]

@@ -13,13 +13,34 @@ from spineforge.chart import (BlackPointError, ChartDomainError, PointRef,
                               sample_interior, stretch)
 from spineforge.simplicial import Metric
 
-from grids import grid_surface
+from grids import coordinate_torus, grid_surface
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
 
 def uniform(n):
     return (1.0 / (n + 1),) * (n + 1)
+
+
+def named_complex(census, name):
+    """A census entry, or the 12 x 12 coordinate torus or Klein grid."""
+    if name == "torus12":
+        return coordinate_torus(12)
+    if name == "klein12":
+        return grid_surface(12, klein=True)
+    return census[name]
+
+
+def tree_depth(d):
+    depth = {d.root: 0}
+    for g in d.gates:
+        depth[g.child] = depth[g.parent] + 1
+    return depth
+
+
+def bits(bary):
+    """Bit pattern of each coordinate; unlike ==, it tells -0.0 from 0.0."""
+    return tuple(float(x).hex() for x in bary)
 
 
 class TestStretch:
@@ -344,6 +365,122 @@ class TestBrokenLines:
         za = PointRef(a, tuple(0.5 if v in face else 0.0 for v in c.top_simplices[a]))
         line_b = broken_line_to(chart, za, side=b)
         assert line_b.segments[-1].top == b
+
+
+class TestTableWalk:
+    """The walk's closed-form chord lengths and gate index maps against the
+    metric and the ``_transfer`` they stand in for."""
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12", "klein12"])
+    def test_chord_lengths_match_the_metric(self, census, name, strategy):
+        c = named_complex(census, name)
+        m = Metric.from_complex(c)
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0), m)
+        rng = random.Random(12)
+        for top, verts in enumerate(c.top_simplices):
+            if top == chart.root:
+                continue
+            y = sample_interior(c, rng, top).bary
+            p, q, arc, length, _ = chart._chord(top, y)
+            assert abs(length - m.dist(verts, p, q)) <= 1e-12 * length
+            assert abs(arc - m.dist(verts, p, y)) <= 1e-12 * length
+            # the parent's chord, from the ascent's first step
+            parent, start, end, length = chart._ascend(top, y)[0][-2]
+            if parent != chart.root:
+                pverts = c.top_simplices[parent]
+                assert abs(length - m.dist(pverts, start, end)) <= 1e-12 * length
+
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_gate_maps_match_transfer(self, census, name):
+        c = named_complex(census, name)
+        n = c.dimension
+        chart = build_chart(c, sf.decompose(c, root=0, strategy="random", seed=3),
+                            Metric.from_complex(c))
+        rng = random.Random(21)
+        for rec in chart.records:
+            child, parent = rec.child, rec.parent
+            gate = c.faces[n - 1][rec.gate]
+            for _ in range(3):
+                raw = [rng.random() + 0.01 for _ in gate]
+                weights = dict(zip(gate, (x / sum(raw) for x in raw)))
+                y = tuple(weights.get(v, 0.0) for v in c.top_simplices[child])
+                x = tuple(weights.get(v, 0.0) for v in c.top_simplices[parent])
+                assert bits(chart._cross(y, child, upward=True)) == \
+                    bits(chart._transfer(y, child, parent))
+                assert bits(chart._cross(x, child, upward=False)) == \
+                    bits(chart._transfer(x, parent, child))
+            # a stray weight off the gate raises with _transfer's message
+            off_child = c.top_simplices[child].index(rec.opposite_vertex)
+            off_parent = next(k for k, v in enumerate(c.top_simplices[parent])
+                              if v not in gate)
+            for bary, slot, upward, ends in ((y, off_child, True, (child, parent)),
+                                             (x, off_parent, False, (parent, child))):
+                stray = tuple(1e-6 if k == slot else w for k, w in enumerate(bary))
+                with pytest.raises(ChartDomainError) as expected:
+                    chart._transfer(stray, *ends)
+                with pytest.raises(ChartDomainError) as got:
+                    chart._cross(stray, child, upward=upward)
+                assert str(got.value) == str(expected.value)
+
+
+class TestWalkCost:
+    """After a warm pass, the walk runs Metric.dist only in the root facet:
+    once for the root segment of a non-root point, twice for a root ray."""
+
+    @pytest.fixture(scope="class")
+    def dfs12(self):
+        # the dfs chart of the 12 x 12 grid torus has lines past depth 250
+        c = grid_surface(12)
+        d = sf.decompose(c, root=0, strategy="dfs", seed=1)
+        return build_chart(c, d, Metric.from_complex(c)), tree_depth(d)
+
+    @staticmethod
+    def dist_calls(monkeypatch):
+        calls = []
+        original = Metric.dist
+
+        def counted(self, verts, a, b):
+            calls.append(1)
+            return original(self, verts, a, b)
+
+        monkeypatch.setattr(Metric, "dist", counted)
+
+        def count(fn, *args):
+            fn(*args)          # warm pass
+            calls.clear()
+            fn(*args)
+            return len(calls)
+        return count
+
+    def test_locate_and_inverse_map_independent_of_depth(self, dfs12, monkeypatch):
+        chart, depth = dfs12
+        count = self.dist_calls(monkeypatch)
+        rng = random.Random(3)
+        shallow = sorted(top for top, k in depth.items() if k <= 5)
+        deep = sorted(top for top, k in depth.items() if k >= 60)
+        assert len(deep) > 100
+        for top in shallow + deep[::10]:
+            p = sample_interior(chart.complex, rng, top)
+            expected = 2 if top == chart.root else 1
+            assert count(chart.locate, p) == expected, depth[top]
+            assert count(inverse_map, chart, p) == expected, depth[top]
+
+    def test_forward_map_makes_two(self, dfs12, monkeypatch):
+        # float root points reach images only a few levels deep on this chart
+        # (root coordinates run out of bits), so the descent is bounded by
+        # the images it reaches, up to depth 8 here
+        chart, depth = dfs12
+        count = self.dist_calls(monkeypatch)
+        rng = random.Random(4)
+        reached = set()
+        for _ in range(200):
+            b = chart._ray(sample_interior(chart.complex, rng, chart.root).bary)[0]
+            w = 1.0 - 2.0 ** -rng.randrange(1, 30)
+            x = PointRef(chart.root, tuple(c + w * (e - c) for c, e in zip(chart.c0.bary, b)))
+            assert count(forward_map, chart, x) == 2
+            reached.add(depth[forward_map(chart, x).top])
+        assert max(reached) >= 5 and 0 in reached
 
 
 class TestRetract:

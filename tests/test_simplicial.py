@@ -326,6 +326,20 @@ class TestMetric:
         with pytest.raises(InvalidComplexError):
             Metric(lengths).validate(c)
 
+    def test_rejects_unrealizable_tetrahedron(self, census):
+        # every triangle here is unit or (1, 1, 1.9), so the triangle
+        # inequality holds; but five unit edges hold the sixth of a
+        # tetrahedron to at most sqrt(3)
+        c = census["sphere3_pent"]
+        lengths = {e: 1.0 for e in c.faces[1]}
+        lengths[(0, 1)] = 1.9
+        with pytest.raises(InvalidComplexError, match=r"3-face \(0, 1, 2, 3\)"):
+            Metric(lengths).validate(c)
+        lengths[(0, 1)] = 1.7
+        Metric(lengths).validate(c)
+        lengths[(0, 1)] = math.sqrt(3.0)      # flat, as flat triangles pass
+        Metric(lengths).validate(c)
+
 
 class TestTriFormat:
     def test_round_trip_bit_exact(self, census):
