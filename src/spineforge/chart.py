@@ -74,9 +74,13 @@ class PointRef:
 
     def __post_init__(self):
         s = sum(self.bary)
-        if abs(s - 1.0) > MEMBERSHIP_TOL:
+        if not abs(s - 1.0) <= MEMBERSHIP_TOL:   # a nan or inf weight fails here too
+            for i, x in enumerate(self.bary):
+                if not math.isfinite(x):
+                    raise ChartDomainError(
+                        f"barycentric coordinate {i} of {self.bary} is {x}")
             raise ChartDomainError(f"barycentric sum {s} too far from 1")
-        if any(x < -MEMBERSHIP_TOL for x in self.bary):
+        if min(self.bary) < -MEMBERSHIP_TOL:
             raise ChartDomainError(f"negative barycentric coordinate in {self.bary}")
 
 

@@ -12,7 +12,13 @@ edge lengths in one stacked pass, without embedding any facet;
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
-splits at s0 = s_total - eps and only the rule is kept.
+splits at s0 = s_total - eps and only the rule is kept.  The deformed field is
+evaluated by arc: on the white prefix (arc < s0) it is the constant block
+K(c0), returned without building the point, and only the eps-tail builds a
+point and reads K.  Each component block is checked (shape, finiteness) once,
+where it is made: K(c0) at build, tail values by K's own ``evaluate``, spine
+overrides as they are read.  A linear field stores its value at every vertex
+and combines a point's rows by its barycentrics.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef,
-                    ambient_position)
+from . import chart as chart_module   # sample_interior looked up per call, so
+                                      # a replaced one (tests count draws) is used
+from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
 from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, Metric
 
 
@@ -159,14 +166,16 @@ class TensorField:
 
     A field defined one broken line at a time also carries ``line_rule``,
     which evaluates it at an arc of a line the caller already holds, without
-    locating the point again."""
+    locating the point again.  The rule returns checked blocks (of this
+    field's shape, all finite); ``evaluate_on_line`` passes them on as they
+    are."""
 
     rank: tuple
     frame: FrameField
     components: object          # PointRef -> array with r+s axes of length n
     label: str = ""
     source: object = None       # original field, when this one was derived
-    line_rule: object = None    # (BrokenLine, arc) -> array, or None
+    line_rule: object = None    # (BrokenLine, arc) -> checked array, or None
 
     def __post_init__(self):
         self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
@@ -179,7 +188,7 @@ class TensorField:
         ``evaluate(line.point_at_arc(arc))`` up to the rounding of locate."""
         if self.line_rule is None:
             return self.evaluate(line.point_at_arc(arc))
-        return self._checked(self.line_rule(line, arc), f"arc {arc} of its line")
+        return self.line_rule(line, arc)
 
     def _checked(self, block, where) -> np.ndarray:
         arr = np.asarray(block, dtype=float)
@@ -274,27 +283,33 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
     reparametrization s(x) = (s(y) - s0)/s1 * (s0 + s1).
 
     Evaluating a point locates its line first; ``evaluate_on_line`` applies
-    the same rule to a line the caller already holds.
+    the same rule to a line the caller already holds.  An arc in the white
+    prefix (arc < s0) returns K(c0) without building its point: that point
+    lies in the open cell, off the spine closure, and c0 takes K(c0) either
+    way.  Every returned block was checked once, where it was
+    made: K(c0) here, tail values by ``K.evaluate``, spine overrides by
+    ``K._checked``.
 
     ``spine_values`` overrides the spine rule for input fields whose component
     function cannot be evaluated on the spine closure; by default the input
     field itself supplies K(z), which is also the continuity extension of the
     tail pullback."""
     base = np.array(K.evaluate(chart.c0), copy=True)
-    spine_eval = spine_values if spine_values is not None else (lambda pt: K.evaluate(pt))
+    if spine_values is None:
+        spine_eval = K.evaluate
+    else:
+        def spine_eval(pt: PointRef):
+            return K._checked(spine_values(pt), pt)
 
     def pinned(pt: PointRef):
         """The value at a point no single line owns (spine closure, c0)."""
         if chart.spine_face_of(pt) is not None:
-            return np.asarray(spine_eval(pt), dtype=float)
+            return spine_eval(pt)
         if chart.is_c0(pt):
             return base
         return None
 
-    def along(line: BrokenLine, arc: float):
-        s0, s1 = hole.split(line)
-        if arc < s0:
-            return base
+    def tail(line: BrokenLine, arc: float, s0: float, s1: float):
         return K.evaluate(line.point_at_arc((arc - s0) / s1 * line.length))
 
     def comp(pt: PointRef):
@@ -305,11 +320,15 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
             line, arc = chart.locate(pt)
         except ChartDomainError as exc:
             raise FieldDomainError(f"point lies on no broken line: {exc}")
-        return along(line, arc)
+        s0, s1 = hole.split(line)
+        return base if arc < s0 else tail(line, arc, s0, s1)
 
     def on_line(line: BrokenLine, arc: float):
+        s0, s1 = hole.split(line)
+        if arc < s0:
+            return base
         value = pinned(line.point_at_arc(arc))
-        return value if value is not None else along(line, arc)
+        return value if value is not None else tail(line, arc, s0, s1)
 
     return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
                        source=K, line_rule=on_line)
@@ -352,14 +371,14 @@ class ContinuityReport:
 
 
 def _jump(a: np.ndarray, b: np.ndarray) -> float:
+    if a is b:
+        return 0.0
     return float(np.abs(a - b).max()) if a.shape else float(abs(a - b))
 
 
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0, levels: int = 4) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field."""
-    from .chart import sample_interior
-
     rng = random.Random(seed)
     tops = len(chart.complex.top_simplices)
     base = kbar.evaluate(chart.c0)
@@ -373,7 +392,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     attempts = 0
     while lines < samples and attempts < samples * 20:
         attempts += 1
-        pt = sample_interior(chart.complex, rng, rng.randrange(tops))
+        pt = chart_module.sample_interior(chart.complex, rng, rng.randrange(tops))
         try:
             line, _ = chart.locate(pt)
         except ChartDomainError:
@@ -428,8 +447,6 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                         lines: int, per_line: int, seed: int = 0):
     """CSV-ready rows (line id, arc s(y), components...) along sampled lines."""
-    from .chart import sample_interior
-
     rng = random.Random(seed)
     tops = len(chart.complex.top_simplices)
     rows = []
@@ -437,7 +454,7 @@ def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     attempts = 0
     while made < lines and attempts < lines * 20:
         attempts += 1
-        pt = sample_interior(chart.complex, rng, rng.randrange(tops))
+        pt = chart_module.sample_interior(chart.complex, rng, rng.randrange(tops))
         try:
             line, _ = chart.locate(pt)
         except ChartDomainError:
@@ -533,9 +550,13 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
         rows.append(row)
     offsets = np.array([r[0] for r in rows])
     slopes = np.array([r[1:] for r in rows])
+    # the affine map at every vertex, gathered per facet: a point's value is
+    # the barycentric combination of its facet's rows
+    at_vertex = offsets + np.array(chart.complex.vertex_coords) @ slopes.T
+    per_top = at_vertex[np.array(chart.complex.top_simplices)]
+    shape = (n,) * order
 
     def comp(pt: PointRef):
-        amb = np.asarray(ambient_position(chart.complex, pt))
-        return (offsets + slopes @ amb).reshape((n,) * order)
+        return (np.array(pt.bary) @ per_top[pt.top]).reshape(shape)
 
     return TensorField(spec.rank, frame, comp, label="linear")

@@ -550,6 +550,27 @@ class TestRetract:
             retract(chart, chart.c0, 1.5)
 
 
+class TestPointRef:
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad, slot):
+        bary = [0.5, 0.5, 0.5]
+        bary[slot] = bad
+        with pytest.raises(ChartDomainError, match=f"coordinate {slot} of .* is {bad}"):
+            PointRef(3, tuple(bary))
+
+    def test_membership_rule(self):
+        tol = sf.simplicial.MEMBERSHIP_TOL
+        PointRef(0, (1.0 + tol / 2, 0.0, 0.0))
+        PointRef(0, (0.5 + tol / 2, 0.5, -tol / 2))
+        with pytest.raises(ChartDomainError, match="sum"):
+            PointRef(0, (1.0 + 2 * tol, 0.0, 0.0))
+        with pytest.raises(ChartDomainError, match="sum"):
+            PointRef(0, ())
+        with pytest.raises(ChartDomainError, match="negative"):
+            PointRef(0, (0.5 + 2 * tol, 0.5, -2 * tol))
+
+
 class TestSamplingAndTolerance:
     def test_retraction_samples_shape(self, charts):
         chart = charts["sphere_tet"]

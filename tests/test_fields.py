@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spineforge as sf
-from spineforge.chart import PointRef, build_chart, sample_interior
+from spineforge.chart import PointRef, ambient_position, build_chart, sample_interior
 from spineforge.fields import (FieldDomainError, HoleDomainError,
                                InvalidGeometryError, black_hole_region,
                                constant_tensor, continuity_report,
@@ -15,7 +15,7 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                root_facet_clearance)
 from spineforge.simplicial import InvalidComplexError, Metric
 
-from grids import grid_surface
+from grids import coordinate_torus, grid_surface
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
@@ -601,6 +601,70 @@ class TestLineHandle:
         Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: block)
         with pytest.raises(FieldDomainError):
             Kbar.evaluate_on_line(line, line.length)
+
+
+class TestArcEvaluation:
+    """The deformed field by arc: the white prefix builds no point, and a
+    linear field combines per-vertex values."""
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_white_prefix_builds_no_point(self, census, monkeypatch, strategy):
+        chart = _chart(census, "torus7", strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        base = K.evaluate(chart.c0)
+        lines = _sampled_lines(chart, 6, seed=23)
+        calls = []
+        point_at_arc = sf.chart.BrokenLine.point_at_arc
+        spine_face_of = sf.chart.CellChart.spine_face_of
+
+        def spy_point(line, s):
+            calls.append("point_at_arc")
+            return point_at_arc(line, s)
+
+        def spy_face(ch, pt):
+            calls.append("spine_face_of")
+            return spine_face_of(ch, pt)
+
+        monkeypatch.setattr(sf.chart.BrokenLine, "point_at_arc", spy_point)
+        monkeypatch.setattr(sf.chart.CellChart, "spine_face_of", spy_face)
+        for line in lines:
+            s0, _ = hole.split(line)
+            for arc in [0.0] + [s0 * k / 8 for k in range(1, 8)] + [math.nextafter(s0, 0.0)]:
+                assert np.array_equal(Kbar.evaluate_on_line(line, arc), base)
+        assert calls == []
+        # the spies see the tail, which still builds its point
+        line = lines[0]
+        Kbar.evaluate_on_line(line, hole.split(line)[0])
+        assert "point_at_arc" in calls and "spine_face_of" in calls
+
+    @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("name", ["circle3", "sphere_tet", "torus7", "torus12"])
+    def test_linear_field_matches_ambient_formula(self, census, name, rank):
+        c = coordinate_torus(12) if name == "torus12" else census[name]
+        d = sf.decompose(c, root=0, strategy="bfs", seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        frame = extend_frame(chart)
+        n = c.dimension
+        width = len(c.vertex_coords[0])
+        rng = random.Random(29)
+        rows = [[rng.uniform(-2.0, 2.0) for _ in range(width + 1)]
+                for _ in range(n ** (rank[0] + rank[1]))]
+        spec = parse_fld(f"type {rank[0]} {rank[1]}\nlinear\n" +
+                         "\n".join(" ".join(map(repr, r)) for r in rows) + "\n")
+        K = field_from_spec(spec, chart, frame)
+        offsets = np.array([r[0] for r in rows])
+        slopes = np.array([r[1:] for r in rows])
+        points = [sample_interior(c, rng, top) for top in range(len(c.top_simplices))]
+        points += [PointRef(top, tuple(1.0 if i == j else 0.0 for i in range(n + 1)))
+                   for top in range(len(c.top_simplices)) for j in range(n + 1)]
+        points += [chart.c0]
+        for pt in points:
+            want = offsets + slopes @ np.array(ambient_position(c, pt))
+            got = K.evaluate(pt)
+            assert got.shape == (n,) * (rank[0] + rank[1])
+            assert np.abs(got.reshape(-1) - want).max() <= 1e-12, pt
 
 
 class TestLocateCalls:
