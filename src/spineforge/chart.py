@@ -20,6 +20,14 @@ stretches its arc down the descent.  The segments above a point are the ones
 its ascent computed, so the point is on its line at any depth; no root
 coordinate is recomputed.
 
+A segment is one tuple from the walk to ``BrokenLine.segments``: the walk
+computes (top, start, end, length), with ``start`` and ``end`` barycentric
+tuples of facet ``top``, and a line keeps them as ``Segment`` named tuples.
+Points are built only where a caller asks for one: a line's ``endpoint`` and
+the one point ``point_at_arc`` returns.  The walk's tuples are points of their
+facets by construction, which the tests check, so they are not validated on
+every walk.
+
 A walk step costs one gate index map and one multiply.  Every chord of a
 non-root facet is parallel to the segment from the gate centroid to the
 off-gate vertex, q - p = t * (e_ov - centroid), so its length is t times that
@@ -46,6 +54,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
                          Metric, SimplicialComplex)
@@ -95,11 +104,13 @@ class ExtensionRecord:
     opposite_vertex: int
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
+    """One straight piece of a broken line, as the walk computed it: its
+    facet, the barycentric tuples of its ends in that facet, and its length."""
+
     top: int
-    start: PointRef
-    end: PointRef
+    start: tuple
+    end: tuple
     length: float
 
 
@@ -121,16 +132,15 @@ class BrokenLine:
 
     def point_at_arc(self, s: float) -> PointRef:
         if s <= 0.0:
-            return self.segments[0].start
+            seg = self.segments[0]
+            return PointRef(seg.top, seg.start)
         if s >= self.length:
             return self.endpoint
         ends = self.segment_ends
         i = min(bisect_left(ends, s), len(ends) - 1)
         seg = self.segments[i]
         w = (s - (ends[i - 1] if i else 0.0)) / seg.length if seg.length > 0 else 1.0
-        if w >= 1.0:
-            return seg.end
-        return PointRef(seg.top, _lerp(seg.start.bary, seg.end.bary, w))
+        return PointRef(seg.top, seg.end if w >= 1.0 else _lerp(seg.start, seg.end, w))
 
 
 def stretch(s: float, s1: float, s2: float) -> float:
@@ -303,8 +313,9 @@ class CellChart:
         """The broken line through y from c0 down to y's own segment.
 
         Returns (segments, arc, exit_local): plain (facet, start, end, length)
-        tuples, root first and y's own ray or chord last; y's arc on that
-        segment; the local index of the face the segment exits through.
+        tuples in ``Segment``'s field order, root first and y's own ray or
+        chord last; y's arc on that segment; the local index of the face the
+        segment exits through.
         """
         if top == self.root:
             b, arc, length, exit_local = self._ray(y)
@@ -352,10 +363,10 @@ class CellChart:
         arc += math.fsum(seg[3] for seg in segments[:-1])
         top, _, q, _ = segments[-1]
         segments.extend(self._descend(top, q, exit_local))
-        segments = tuple([Segment(f, PointRef(f, a), PointRef(f, b), length)   # see segment_ends
-                          for f, a, b, length in segments])
+        segments = tuple([Segment(*seg) for seg in segments])   # see segment_ends
+        top, _, z, _ = segments[-1]
         total = math.fsum(seg.length for seg in segments)
-        return BrokenLine(segments, segments[-1].end, total), arc
+        return BrokenLine(segments, PointRef(top, z), total), arc
 
     def is_c0(self, pt: PointRef) -> bool:
         """Whether pt is the root barycenter c0, up to MEMBERSHIP_TOL."""
@@ -524,14 +535,3 @@ def retraction_samples(chart: CellChart, count: int, t_steps: int, seed: int = 0
             y = retract(chart, x, t)
             rows.append((t, y.top) + tuple(y.bary))
     return rows
-
-
-def retraction_csv(chart: CellChart, count: int, t_steps: int, seed: int = 0) -> str:
-    """CSV text of the sampled flow, for animation tooling."""
-    n = chart.complex.dimension
-    header = ",".join(["t", "top"] + [f"b{i}" for i in range(n + 1)])
-    lines = [header]
-    for row in retraction_samples(chart, count, t_steps, seed):
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
-    return "\n".join(lines) + "\n"

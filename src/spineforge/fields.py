@@ -7,8 +7,8 @@ parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
 child's interval family.  ``extend_frame`` computes every transition from
-edge lengths in one stacked pass, without embedding any facet;
-``embed_simplex`` embeds a single facet, for ``root_facet_clearance``.
+edge lengths in one stacked pass, without embedding any facet, and
+``root_facet_clearance`` reads the root's heights off Gram determinants.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -32,7 +32,7 @@ import numpy as np
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
-from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, Metric
+from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError
 
 
 class InvalidGeometryError(ValueError):
@@ -45,31 +45,6 @@ class FieldDomainError(ValueError):
 
 class HoleDomainError(ValueError):
     """Requested hole radius does not leave a cell complement."""
-
-
-# -- flat embeddings ---------------------------------------------------------
-
-def embed_simplex(metric: Metric, verts) -> np.ndarray:
-    """Isometric embedding of one simplex in R^k, vertex 0 at the origin."""
-    k = len(verts) - 1
-    coords = np.zeros((k + 1, k))
-    if k == 0:
-        return coords
-    d0 = np.array([metric.length(verts[0], v) for v in verts[1:]])
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                gram[i, j] = d0[i] ** 2
-            else:
-                dij = metric.length(verts[i + 1], verts[j + 1])
-                gram[i, j] = (d0[i] ** 2 + d0[j] ** 2 - dij ** 2) / 2.0
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
-    coords[1:] = low
-    return coords
 
 
 # -- frame field ---------------------------------------------------------------
@@ -219,7 +194,6 @@ def constant_tensor(components, frame: FrameField, rank) -> TensorField:
 class HoleRegion:
     """Radius-eps tail of every broken line under the arc-length proxy."""
 
-    chart: CellChart
     eps: float
     eps_max: float
 
@@ -242,25 +216,20 @@ class HoleRegion:
 
 def root_facet_clearance(chart: CellChart) -> float:
     """Distance from the root barycenter to its nearest facet; a lower bound
-    for every broken line's total length."""
-    c = chart.complex
-    n = c.dimension
-    verts = c.top_simplices[chart.root]
-    coords = embed_simplex(chart.metric, verts)
-    center = coords.mean(axis=0)
-    best = math.inf
-    for o in range(n + 1):
-        others = np.delete(coords, o, axis=0)
-        g0 = others[0]
-        span = others[1:] - g0
-        y = center - g0
-        if span.size:
-            proj = span.T @ np.linalg.solve(span @ span.T, span @ y)
-            gap = float(np.linalg.norm(y - proj))
-        else:
-            gap = float(np.linalg.norm(y))
-        best = min(best, gap)
-    return best
+    for every broken line's total length.
+
+    The barycenter sits at 1/(n+1) of each vertex's height over its opposite
+    face, and that height is sqrt(G(root) / G(face)) for the Gram
+    determinants G of ``Metric._gram_det`` (a single vertex has G = 1)."""
+    gram_det = chart.metric._gram_det
+    n = chart.complex.dimension
+    verts = chart.complex.top_simplices[chart.root]
+    whole = gram_det(verts)[0]
+    faces = [gram_det(verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
+             for o in range(n + 1)]
+    if not min(whole, *faces) > 0.0:
+        raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
+    return math.sqrt(whole / max(faces)) / (n + 1)
 
 
 def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
@@ -271,7 +240,7 @@ def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
         raise HoleDomainError(
             f"hole radius {eps} >= admissible maximum {eps_max}; the complement "
             "would not contain a neighborhood of the root barycenter")
-    return HoleRegion(chart, eps, eps_max)
+    return HoleRegion(eps, eps_max)
 
 
 # -- deformation ---------------------------------------------------------------
@@ -376,11 +345,20 @@ def _jump(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max()) if a.shape else float(abs(a - b))
 
 
+def _sampled_lines(chart: CellChart, count: int, seed: int):
+    """Broken lines through ``count`` random interior points, with each
+    point's arc: a facet is drawn, then a point in it, then located.  A point
+    that cannot be located raises; none is skipped."""
+    rng = random.Random(seed)
+    tops = len(chart.complex.top_simplices)
+    for _ in range(count):
+        yield chart.locate(chart_module.sample_interior(chart.complex, rng,
+                                                        rng.randrange(tops)))
+
+
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0, levels: int = 4) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field."""
-    rng = random.Random(seed)
-    tops = len(chart.complex.top_simplices)
     base = kbar.evaluate(chart.c0)
     probes = []
     nonsmooth = []
@@ -388,18 +366,9 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     spine_limit = 0.0
     gate_jump = 0.0
     input_gate_jump = 0.0
-    lines = 0
-    attempts = 0
-    while lines < samples and attempts < samples * 20:
-        attempts += 1
-        pt = chart_module.sample_interior(chart.complex, rng, rng.randrange(tops))
-        try:
-            line, _ = chart.locate(pt)
-        except ChartDomainError:
-            continue
-        lines += 1
+    for index, (line, _) in enumerate(_sampled_lines(chart, samples, seed)):
         s0, s1 = hole.split(line)
-        nonsmooth.append((lines - 1, s0))
+        nonsmooth.append((index, s0))
         # Probe offsets are set in the input field's arc: an offset delta in
         # the tail reads K at delta * L / s1, so delta <= step keeps every
         # probe within GEOMETRIC_TOL of the line length of its seam, whatever
@@ -410,19 +379,19 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         # that the point function agrees with the line rule the probes use
         at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
         boundary_seam = max(boundary_seam, at_seam)
-        probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, 0.0, at_seam, 0.0))
+        probes.append(ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
         for k in range(levels):
             delta = step / 2 ** k
             inner = kbar.evaluate_on_line(line, s0 + delta)
             outer = kbar.evaluate_on_line(line, s0 - delta)
-            probes.append(ContinuityProbe(lines - 1, "hole-boundary", s0, delta,
+            probes.append(ContinuityProbe(index, "hole-boundary", s0, delta,
                                           _jump(inner, outer), 0.0))
 
         z_val = kbar.evaluate(line.endpoint)
         near = kbar.evaluate_on_line(line, line.length - step)
         sj = _jump(near, z_val)
         spine_limit = max(spine_limit, sj)
-        probes.append(ContinuityProbe(lines - 1, "spine-limit", line.length, step, sj, 0.0))
+        probes.append(ContinuityProbe(index, "spine-limit", line.length, step, sj, 0.0))
 
         for acc in line.segment_ends[:-1]:
             delta = min(step, acc / 2, (line.length - acc) / 2)
@@ -438,7 +407,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                 ia = kbar.source.evaluate(line.point_at_arc(acc + delta))
                 ij = _jump(ia, ib)
                 input_gate_jump = max(input_gate_jump, ij)
-            probes.append(ContinuityProbe(lines - 1, "gate", acc, delta, gj, ij))
+            probes.append(ContinuityProbe(index, "gate", acc, delta, gj, ij))
 
     return ContinuityReport(tuple(probes), boundary_seam, spine_limit,
                             gate_jump, input_gate_jump, tuple(nonsmooth))
@@ -447,23 +416,12 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                         lines: int, per_line: int, seed: int = 0):
     """CSV-ready rows (line id, arc s(y), components...) along sampled lines."""
-    rng = random.Random(seed)
-    tops = len(chart.complex.top_simplices)
     rows = []
-    made = 0
-    attempts = 0
-    while made < lines and attempts < lines * 20:
-        attempts += 1
-        pt = chart_module.sample_interior(chart.complex, rng, rng.randrange(tops))
-        try:
-            line, _ = chart.locate(pt)
-        except ChartDomainError:
-            continue
+    for index, (line, _) in enumerate(_sampled_lines(chart, lines, seed)):
         for k in range(per_line + 1):
             arc = line.length * k / per_line
             val = kbar.evaluate_on_line(line, arc)
-            rows.append([made, arc] + [float(x) for x in val.reshape(-1)])
-        made += 1
+            rows.append([index, arc] + [float(x) for x in val.reshape(-1)])
     return rows
 
 

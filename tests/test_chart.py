@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import spineforge as sf
 from spineforge.chart import (BlackPointError, ChartDomainError, PointRef,
-                              ambient_position, broken_line_to, build_chart,
+                              Segment, ambient_position, broken_line_to, build_chart,
                               forward_map, geometric_tol, inverse_map,
                               point_gap, retract, retraction_samples,
                               sample_interior, stretch)
@@ -269,7 +269,8 @@ class TestBrokenLines:
                 z = PointRef(side, tuple(0.5 if v in face else 0.0 for v in verts))
                 line = broken_line_to(chart, z)
                 assert len(line.segments) == depth[side] + 1
-                assert line.segments[0].start == chart.c0
+                first = line.segments[0]
+                assert PointRef(first.top, first.start) == chart.c0
 
     @pytest.mark.parametrize("name", ALL)
     def test_junction_consistency(self, census, charts, name):
@@ -287,8 +288,10 @@ class TestBrokenLines:
                 z = PointRef(side, tuple(weights.get(v, 0.0) for v in verts))
                 line = broken_line_to(chart, z)
                 for a, b in zip(line.segments, line.segments[1:]):
-                    worst = max(worst, point_gap(chart, a.end, b.start))
-                worst = max(worst, point_gap(chart, line.segments[-1].end, z))
+                    worst = max(worst, point_gap(chart, PointRef(a.top, a.end),
+                                                 PointRef(b.top, b.start)))
+                last = line.segments[-1]
+                worst = max(worst, point_gap(chart, PointRef(last.top, last.end), z))
         assert worst <= 1e-9
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
@@ -307,7 +310,7 @@ class TestBrokenLines:
     def _scan_point_at_arc(line, s):
         """Oracle: walk the segments from the first, summing their lengths."""
         if s <= 0.0:
-            return line.segments[0].start
+            return PointRef(line.segments[0].top, line.segments[0].start)
         if s >= line.length:
             return line.endpoint
         acc = 0.0
@@ -315,9 +318,9 @@ class TestBrokenLines:
             if s <= acc + seg.length or seg is line.segments[-1]:
                 w = (s - acc) / seg.length if seg.length > 0 else 1.0
                 if w >= 1.0:
-                    return seg.end
+                    return PointRef(seg.top, seg.end)
                 return PointRef(seg.top, tuple(x + w * (y - x) for x, y in
-                                               zip(seg.start.bary, seg.end.bary)))
+                                               zip(seg.start, seg.end)))
             acc += seg.length
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
@@ -336,6 +339,29 @@ class TestBrokenLines:
                 arcs += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, math.inf)]
             for s in arcs:
                 assert line.point_at_arc(s) == self._scan_point_at_arc(line, s), s
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12", "klein12"])
+    def test_segments_are_points_of_their_facets(self, census, name, strategy):
+        # segments carry the walk's barycentric tuples unvalidated; each end
+        # must still make a valid point of the segment's facet
+        c = named_complex(census, name)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        rng = random.Random(31)
+        lines = [chart.locate(sample_interior(c, rng, top))[0]
+                 for top in range(len(c.top_simplices))]
+        for rid in d.spine:
+            side = c.ridge_cofacets[rid][0]
+            face = c.faces[c.dimension - 1][rid]
+            z = tuple(1.0 / len(face) if v in face else 0.0 for v in c.top_simplices[side])
+            lines.append(broken_line_to(chart, PointRef(side, z)))
+        for line in lines:
+            for seg in line.segments:
+                assert type(seg) is Segment
+                assert type(seg.start) is tuple and type(seg.end) is tuple
+                PointRef(seg.top, seg.start)
+                PointRef(seg.top, seg.end)
 
     @pytest.mark.parametrize("strategy", ["dfs", "random"])
     def test_deep_lines_pass_through_their_point(self, strategy):
@@ -466,6 +492,26 @@ class TestWalkCost:
             assert count(chart.locate, p) == expected, depth[top]
             assert count(inverse_map, chart, p) == expected, depth[top]
 
+    def test_locate_builds_one_point(self, dfs12, monkeypatch):
+        # the line's endpoint; its segments hold plain barycentric tuples
+        chart, depth = dfs12
+        rng = random.Random(6)
+        shallow = sorted(top for top, k in depth.items() if k <= 5)
+        deep = sorted(top for top, k in depth.items() if k >= 60)
+        points = [sample_interior(chart.complex, rng, top) for top in shallow + deep[::10]]
+        built = []
+        check = PointRef.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(PointRef, "__post_init__", counted)
+        for p in points:
+            built.clear()
+            line, _ = chart.locate(p)
+            assert len(built) == 1 and built[0] is line.endpoint, depth[p.top]
+
     def test_forward_map_makes_two(self, dfs12, monkeypatch):
         # float root points reach images only a few levels deep on this chart
         # (root coordinates run out of bits), so the descent is bounded by
@@ -579,14 +625,6 @@ class TestSamplingAndTolerance:
         for row in rows:
             assert 0.0 <= row[0] <= 1.0
             assert len(row) == 2 + chart.complex.dimension + 1
-
-    def test_retraction_csv(self, charts):
-        from spineforge.chart import retraction_csv
-        text = retraction_csv(charts["torus7"], count=3, t_steps=2, seed=1)
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,top,b0,b1,b2"
-        assert len(lines) == 1 + 3 * 3
-        assert text == retraction_csv(charts["torus7"], count=3, t_steps=2, seed=1)
 
     def test_ambient_position(self, census):
         c = census["sphere_tet"]

@@ -1,18 +1,19 @@
 import math
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spineforge as sf
-from spineforge.chart import PointRef, ambient_position, build_chart, sample_interior
+from spineforge.chart import (ChartDomainError, PointRef, ambient_position, build_chart,
+                              sample_interior)
 from spineforge.fields import (FieldDomainError, HoleDomainError,
                                InvalidGeometryError, black_hole_region,
                                constant_tensor, continuity_report,
-                               deform_tensor, embed_simplex, extend_frame,
-                               field_from_spec, parse_fld,
-                               root_facet_clearance)
+                               deform_tensor, deformation_samples, extend_frame,
+                               field_from_spec, parse_fld, root_facet_clearance)
 from spineforge.simplicial import InvalidComplexError, Metric
 
 from grids import coordinate_torus, grid_surface
@@ -21,6 +22,29 @@ ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
 
 # -- frame oracles: the explicit unfolding extend_frame is checked against ------
+
+def embed_simplex(metric, verts) -> np.ndarray:
+    """Isometric embedding of one simplex in R^k, vertex 0 at the origin."""
+    k = len(verts) - 1
+    coords = np.zeros((k + 1, k))
+    if k == 0:
+        return coords
+    d0 = np.array([metric.length(verts[0], v) for v in verts[1:]])
+    gram = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                gram[i, j] = d0[i] ** 2
+            else:
+                dij = metric.length(verts[i + 1], verts[j + 1])
+                gram[i, j] = (d0[i] ** 2 + d0[j] ** 2 - dij ** 2) / 2.0
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
+    coords[1:] = low
+    return coords
+
 
 def unfold_across(metric, parent_verts, parent_coords, gate_verts, child_verts):
     """Embed the child on the far side of the shared gate of an embedded parent."""
@@ -345,6 +369,40 @@ class TestHoleRegion:
                                     rng.randrange(len(chart.complex.top_simplices)))
                 line, _ = chart.locate(p)
                 assert line.length >= bound - 1e-12
+
+    @staticmethod
+    def _embedded_clearance(metric, verts):
+        """Oracle: the root embedded in R^n, and the barycenter's distance to
+        each facet's affine hull by a least-squares projection."""
+        coords = embed_simplex(metric, verts)
+        center = coords.mean(axis=0)
+        best = math.inf
+        for o in range(len(verts)):
+            others = np.delete(coords, o, axis=0)
+            span = others[1:] - others[0]
+            y = center - others[0]
+            if span.size:
+                y = y - span.T @ np.linalg.solve(span @ span.T, span @ y)
+            best = min(best, float(np.linalg.norm(y)))
+        return best
+
+    @pytest.mark.parametrize("name", ALL + ["torus12", "torus48"])
+    def test_clearance_matches_embedding(self, census, name):
+        sizes = {"torus12": 12, "torus48": 48}
+        c = coordinate_torus(sizes[name]) if name in sizes else census[name]
+        m = Metric.from_complex(c)
+        for root, verts in enumerate(c.top_simplices):
+            # the clearance reads only the complex, the metric and the root
+            got = root_facet_clearance(SimpleNamespace(complex=c, metric=m, root=root))
+            want = self._embedded_clearance(m, verts)
+            assert abs(got - want) <= 1e-12 * want, root
+
+    def test_flat_root_rejected(self, census):
+        c = census["sphere_tet"]
+        chart = build_chart(c, sf.decompose(c, root=0), Metric(TestFrameField.FLAT_TET))
+        with pytest.raises(InvalidGeometryError) as err:
+            root_facet_clearance(chart)
+        assert str(err.value) == "simplex (0, 1, 2) is metrically degenerate"
 
     def test_report_names_the_proxy(self, charts):
         chart = charts["circle3"]
@@ -720,6 +778,30 @@ class TestLocateCalls:
         assert len(calls) == len(attempts)
         assert len(sampled) == 9
         assert len(rows) == 9 * 17
+
+    @pytest.mark.parametrize("sample", [
+        lambda kbar, chart, hole: continuity_report(kbar, chart, hole, samples=5, seed=3),
+        lambda kbar, chart, hole: deformation_samples(kbar, chart, hole, lines=5,
+                                                      per_line=4, seed=3),
+    ], ids=["continuity_report", "deformation_samples"])
+    def test_unlocated_point_raises(self, census, monkeypatch, sample):
+        # a sampled point off every broken line is an error, not a skipped draw
+        chart = _chart(census, "torus7", "random")
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        locate = chart.locate
+        raised = []
+
+        def fails_once(pt):
+            if not raised:
+                raised.append(pt)
+                raise ChartDomainError("no broken line here")
+            return locate(pt)
+
+        monkeypatch.setattr(chart, "locate", fails_once)
+        with pytest.raises(ChartDomainError, match="no broken line here"):
+            sample(Kbar, chart, hole)
 
 
 class TestFieldFiles:
