@@ -24,9 +24,11 @@ A segment is one tuple from the walk to ``BrokenLine.segments``: the walk
 computes (top, start, end, length), with ``start`` and ``end`` barycentric
 tuples of facet ``top``, and a line keeps them as ``Segment`` named tuples.
 Points are built only where a caller asks for one: a line's ``endpoint`` and
-the one point ``point_at_arc`` returns.  The walk's tuples are points of their
-facets by construction, which the tests check, so they are not validated on
-every walk.
+the one point ``point_at_arc`` returns.  ``BrokenLine.rows_at`` looks up many
+arcs at once and returns facet ids and barycentric tuples, no points;
+``point_at_arc`` is that lookup for one arc plus a ``PointRef``.  The walk's
+tuples are points of their facets by construction, which the tests check, so
+they are not validated on every walk.
 
 A walk step costs one gate index map and one multiply.  Every chord of a
 non-root facet is parallel to the segment from the gate centroid to the
@@ -130,17 +132,34 @@ class BrokenLine:
         # raised peak RSS with the number of lines built
         return tuple([*accumulate(seg.length for seg in self.segments)])
 
+    def rows_at(self, arcs):
+        """(facets, rows): the facet id and barycentric tuple of the point at
+        each arc, the start of the line for arcs <= 0 and its endpoint for
+        arcs >= ``length``.  Rows are not validated; ``point_at_arc`` is the
+        one-arc lookup that builds a checked ``PointRef``."""
+        segments, ends, length = self.segments, self.segment_ends, self.length
+        last = len(ends) - 1
+        tops, rows = [], []
+        for s in arcs:
+            if s <= 0.0:
+                seg = segments[0]
+                tops.append(seg.top)
+                rows.append(seg.start)
+                continue
+            if s >= length:
+                tops.append(self.endpoint.top)
+                rows.append(self.endpoint.bary)
+                continue
+            i = min(bisect_left(ends, s), last)
+            seg = segments[i]
+            w = (s - (ends[i - 1] if i else 0.0)) / seg.length if seg.length > 0 else 1.0
+            tops.append(seg.top)
+            rows.append(seg.end if w >= 1.0 else _lerp(seg.start, seg.end, w))
+        return tops, rows
+
     def point_at_arc(self, s: float) -> PointRef:
-        if s <= 0.0:
-            seg = self.segments[0]
-            return PointRef(seg.top, seg.start)
-        if s >= self.length:
-            return self.endpoint
-        ends = self.segment_ends
-        i = min(bisect_left(ends, s), len(ends) - 1)
-        seg = self.segments[i]
-        w = (s - (ends[i - 1] if i else 0.0)) / seg.length if seg.length > 0 else 1.0
-        return PointRef(seg.top, seg.end if w >= 1.0 else _lerp(seg.start, seg.end, w))
+        (top,), (bary,) = self.rows_at((s,))
+        return PointRef(top, bary)
 
 
 def stretch(s: float, s1: float, s2: float) -> float:

@@ -12,13 +12,17 @@ edge lengths in one stacked pass, without embedding any facet, and
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
-splits at s0 = s_total - eps and only the rule is kept.  The deformed field is
-evaluated by arc: on the white prefix (arc < s0) it is the constant block
-K(c0), returned without building the point, and only the eps-tail builds a
-point and reads K.  Each component block is checked (shape, finiteness) once,
-where it is made: K(c0) at build, tail values by K's own ``evaluate``, spine
-overrides as they are read.  A linear field stores its value at every vertex
-and combines a point's rows by its barycentrics.
+splits at s0 = s_total - eps and only the rule is kept.  Fields are read one
+broken line at a time: ``TensorField.evaluate_along`` takes many arcs of one
+line and returns the blocks stacked, and the line's ``rows_at`` gives the
+facets and barycentric rows of all of them in one lookup, building no point.
+The deformed field is the constant block K(c0) on the white prefix (arc <
+s0), with no lookup; its eps-tail reads K in one batch at the mapped arcs,
+and only tail rows that may lie on the spine closure or at c0 build a point.
+A stacked result is checked (shape, finiteness) once; K(c0) is checked at
+build and handed out read-only.  A linear field stores its value at every
+vertex and combines each row's vertex values by its barycentrics, with one
+formula for a point and for a batch, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +30,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
-from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError
+from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError
 
 
 class InvalidGeometryError(ValueError):
@@ -71,24 +76,33 @@ def extend_frame(chart: CellChart) -> FrameField:
     vertex w and the child's apex a over the gate; as the two lie on opposite
     sides, w in the child's barycentrics is foot_w + (h_w/h_a)·foot_a on the
     gate vertices and -h_w/h_a on a, and the parent's basis vectors follow.
-    The first gate in growth order with a flat parent, a child flat onto its
-    gate or a singular frame raises InvalidGeometryError."""
+    The gates' vertices, w, a, their squared edge lengths and the ring index
+    maps are gathered with index arrays, with no per-gate Python step before
+    the frames are chained in growth order.  The first gate in growth order
+    with a flat parent, a child flat onto its gate or a singular frame raises
+    InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
     records = chart.records
-    length = chart.metric.length
-    dists, parent_ring, child_ring = [], [], []
-    for rec in records:
-        gate = c.faces[n - 1][rec.gate]
-        pv = c.top_simplices[rec.parent]
-        far = next(v for v in pv if v not in gate)
-        dists.append([length(u, v) if u != v else 0.0
-                      for u in gate + (far, rec.opposite_vertex) for v in gate])
-        parent_ring.append([(gate + (far,)).index(v) for v in pv])
-        child_ring.append([(gate + (rec.opposite_vertex,)).index(v)
-                           for v in c.top_simplices[rec.child]])
     m = len(records)
-    sq = np.array(dists).reshape(m, n + 2, n) ** 2   # rows: gate..., w, a
+    tops = np.array(c.top_simplices)        # sorted vertex ids, one row per facet
+    pv = tops[np.fromiter((rec.parent for rec in records), np.intp, m)]
+    cv = tops[np.fromiter((rec.child for rec in records), np.intp, m)]
+    # local slot of the parent's far vertex w and of the child's apex a: the
+    # one vertex each does not share with the other
+    w_slot = (pv[:, :, None] != cv[:, None, :]).all(axis=2).argmax(axis=1)
+    a_slot = (cv[:, :, None] != pv[:, None, :]).all(axis=2).argmax(axis=1)
+    # per off-gate slot o: the gate's local slots, and each local slot's index
+    # in the ring (gate..., off-gate vertex)
+    slots = np.arange(n + 1)[:, None]
+    gate_slots = np.arange(n) + (np.arange(n) >= slots)
+    ring_index = np.arange(n + 1) - (np.arange(n + 1) > slots)
+    np.fill_diagonal(ring_index, n)
+    rows = np.arange(m)
+    gate = pv[rows[:, None], gate_slots[w_slot]]
+    ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
+    # squared lengths from each of (gate..., w, a) to each gate vertex
+    sq = _edge_lengths(chart.metric, ends[:, :, None], gate[:, None, :]) ** 2
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
     off = sq[:, n:]
@@ -109,8 +123,8 @@ def extend_frame(chart: CellChart) -> FrameField:
     ring[:, :n, :n] = np.eye(n)
     ring[:, n, :n] = foot[:, 0] + ratio[:, None] * foot[:, 1]
     ring[:, n, n] = -ratio
-    bary = ring[np.arange(m)[:, None, None], np.array(parent_ring)[:, :, None],
-                np.array(child_ring)[:, None, :]]
+    bary = ring[rows[:, None, None], ring_index[w_slot][:, :, None],
+                ring_index[a_slot][:, None, :]]
     trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1).copy()
     trans[~usable] = np.eye(n)
 
@@ -133,24 +147,48 @@ def extend_frame(chart: CellChart) -> FrameField:
     return FrameField(matrices, {rec.gate: trans[k] for k, rec in enumerate(records)})
 
 
+def _edge_lengths(metric, u, v) -> np.ndarray:
+    """Metric lengths of the edges (u, v), elementwise over broadcast arrays
+    of vertex ids, and 0 where u == v: one sorted search over the metric's
+    edge table instead of one ``Metric.length`` call per edge."""
+    table = metric.edge_lengths
+    pairs = np.fromiter(chain.from_iterable(table), np.int64, 2 * len(table)).reshape(-1, 2)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    base = int(max(pairs.max(initial=0), hi.max(initial=0))) + 1
+    codes = pairs[:, 0] * base + pairs[:, 1]
+    # a metric built from a complex lists its edges sorted; only sort otherwise
+    order = slice(None) if (codes[1:] > codes[:-1]).all() else np.argsort(codes)
+    codes = codes[order]
+    want = lo * base + hi
+    at = np.searchsorted(codes, want)
+    missing = (lo != hi) & (np.take(codes, at, mode="clip") != want)
+    if missing.any():
+        k = tuple(np.argwhere(missing)[0])
+        raise InvalidComplexError(f"metric misses edge {(int(lo[k]), int(hi[k]))}")
+    lengths = np.fromiter(table.values(), float, len(table))[order]
+    return np.where(lo == hi, 0.0, np.take(lengths, at, mode="clip"))
+
+
 # -- tensor fields -------------------------------------------------------------
 
 @dataclass
 class TensorField:
     """Type-(r,s) field: component function over point refs, in the frame basis.
 
-    A field defined one broken line at a time also carries ``line_rule``,
-    which evaluates it at an arc of a line the caller already holds, without
-    locating the point again.  The rule returns checked blocks (of this
-    field's shape, all finite); ``evaluate_on_line`` passes them on as they
-    are."""
+    ``evaluate_along`` reads the field at a sequence of arcs of one broken
+    line the caller already holds, without locating the points again, and
+    returns the blocks stacked on a leading axis.  A field with a
+    ``line_rule`` makes that stack in one batch, and the stack is checked
+    (shape, finiteness) once; any other field falls back to ``evaluate`` at
+    ``line.point_at_arc`` of each arc.  ``evaluate_on_line`` is the one-arc
+    case."""
 
     rank: tuple
     frame: FrameField
     components: object          # PointRef -> array with r+s axes of length n
     label: str = ""
     source: object = None       # original field, when this one was derived
-    line_rule: object = None    # (BrokenLine, arc) -> checked array, or None
+    line_rule: object = None    # (BrokenLine, arcs) -> array (len(arcs), n, ...), or None
 
     def __post_init__(self):
         self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
@@ -158,12 +196,26 @@ class TensorField:
     def evaluate(self, pt: PointRef) -> np.ndarray:
         return self._checked(self.components(pt), pt)
 
-    def evaluate_on_line(self, line: BrokenLine, arc: float) -> np.ndarray:
-        """The field at arc s(y) = ``arc`` of ``line``; equal to
-        ``evaluate(line.point_at_arc(arc))`` up to the rounding of locate."""
+    def evaluate_along(self, line: BrokenLine, arcs) -> np.ndarray:
+        """The field at each arc s(y) of ``line``, stacked: row k equals
+        ``evaluate(line.point_at_arc(arcs[k]))`` up to the rounding of locate."""
+        shape = (len(arcs),) + self._shape
+        if not shape[0]:
+            return np.empty(shape)
         if self.line_rule is None:
-            return self.evaluate(line.point_at_arc(arc))
-        return self.line_rule(line, arc)
+            return np.stack([self.evaluate(line.point_at_arc(s)) for s in arcs])
+        arr = np.asarray(self.line_rule(line, arcs), dtype=float)
+        if arr.shape != shape:
+            raise FieldDomainError(f"component stack has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            k = int(np.isfinite(arr.reshape(len(arcs), -1)).all(axis=1).argmin())
+            raise FieldDomainError(
+                f"non-finite components at arc {arcs[k]} of the line to {line.endpoint}")
+        return arr
+
+    def evaluate_on_line(self, line: BrokenLine, arc: float) -> np.ndarray:
+        """``evaluate_along`` at the single arc ``arc``."""
+        return self.evaluate_along(line, (arc,))[0]
 
     def _checked(self, block, where) -> np.ndarray:
         arr = np.asarray(block, dtype=float)
@@ -176,16 +228,20 @@ class TensorField:
 
 
 def constant_tensor(components, frame: FrameField, rank) -> TensorField:
-    """Field whose frame components equal the given block at every white point."""
+    """Field whose frame components equal the given block at every white point.
+
+    The block is a read-only copy: every read hands out the same array."""
     r, s = rank
     n = frame.dimension
-    arr = np.asarray(components, dtype=float)
+    arr = np.array(components, dtype=float)
     if arr.size != n ** (r + s):
         raise FieldDomainError(
             f"{arr.size} components for a type {(r, s)} field over dimension {n}; "
             f"expected {n ** (r + s)}")
     arr = arr.reshape((n,) * (r + s))
-    return TensorField((r, s), frame, lambda pt: arr, label="constant")
+    arr.setflags(write=False)
+    return TensorField((r, s), frame, lambda pt: arr, label="constant",
+                       line_rule=lambda line, arcs: np.broadcast_to(arr, (len(arcs),) + arr.shape))
 
 
 # -- hole region ---------------------------------------------------------------
@@ -251,19 +307,23 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
     hole, and inside each line's tail the pullback of K along the affine
     reparametrization s(x) = (s(y) - s0)/s1 * (s0 + s1).
 
-    Evaluating a point locates its line first; ``evaluate_on_line`` applies
-    the same rule to a line the caller already holds.  An arc in the white
-    prefix (arc < s0) returns K(c0) without building its point: that point
-    lies in the open cell, off the spine closure, and c0 takes K(c0) either
-    way.  Every returned block was checked once, where it was
-    made: K(c0) here, tail values by ``K.evaluate``, spine overrides by
-    ``K._checked``.
+    Evaluating a point locates its line first; ``evaluate_along`` applies the
+    same rule to many arcs of a line the caller already holds.  Arcs in the
+    white prefix (arc < s0) take K(c0) without a lookup: those points lie in
+    the open cell, off the spine closure, and c0 takes K(c0) either way.
+    Tail arcs are looked up in one batch; only a row with a weight at
+    ``MEMBERSHIP_TOL`` or in the root facet can sit on the spine closure or
+    at c0, so only those build a point for the spine rule, and the rest read
+    K in one batch at their mapped arcs.  K(c0) is read-only and handed out
+    by reference; spine overrides are checked by ``K._checked`` as they are
+    read.
 
     ``spine_values`` overrides the spine rule for input fields whose component
     function cannot be evaluated on the spine closure; by default the input
     field itself supplies K(z), which is also the continuity extension of the
     tail pullback."""
     base = np.array(K.evaluate(chart.c0), copy=True)
+    base.setflags(write=False)
     if spine_values is None:
         spine_eval = K.evaluate
     else:
@@ -278,9 +338,6 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
             return base
         return None
 
-    def tail(line: BrokenLine, arc: float, s0: float, s1: float):
-        return K.evaluate(line.point_at_arc((arc - s0) / s1 * line.length))
-
     def comp(pt: PointRef):
         value = pinned(pt)
         if value is not None:
@@ -290,14 +347,28 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
         except ChartDomainError as exc:
             raise FieldDomainError(f"point lies on no broken line: {exc}")
         s0, s1 = hole.split(line)
-        return base if arc < s0 else tail(line, arc, s0, s1)
+        return base if arc < s0 else K.evaluate_on_line(line, (arc - s0) / s1 * line.length)
 
-    def on_line(line: BrokenLine, arc: float):
+    def on_line(line: BrokenLine, arcs):
         s0, s1 = hole.split(line)
-        if arc < s0:
-            return base
-        value = pinned(line.point_at_arc(arc))
-        return value if value is not None else tail(line, arc, s0, s1)
+        out = np.empty((len(arcs),) + base.shape)
+        out[...] = base
+        tail = [k for k, arc in enumerate(arcs) if not arc < s0]
+        if not tail:
+            return out
+        read = []
+        for k, top, row in zip(tail, *line.rows_at([arcs[k] for k in tail])):
+            value = None
+            if top == chart.root or min(row) <= MEMBERSHIP_TOL:
+                value = pinned(PointRef(top, row))
+            if value is None:
+                read.append(k)
+            else:
+                out[k] = value
+        if read:
+            out[read] = K.evaluate_along(line, [(arcs[k] - s0) / s1 * line.length
+                                                for k in read])
+        return out
 
     return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
                        source=K, line_rule=on_line)
@@ -345,6 +416,11 @@ def _jump(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max()) if a.shape else float(abs(a - b))
 
 
+def _jumps(a: np.ndarray, b: np.ndarray) -> list:
+    """``_jump`` of each pair of rows of two stacks."""
+    return np.abs(a - b).max(axis=tuple(range(1, a.ndim))).tolist()
+
+
 def _sampled_lines(chart: CellChart, count: int, seed: int):
     """Broken lines through ``count`` random interior points, with each
     point's arc: a facet is drawn, then a point in it, then located.  A point
@@ -358,7 +434,12 @@ def _sampled_lines(chart: CellChart, count: int, seed: int):
 
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0, levels: int = 4) -> ContinuityReport:
-    """Dyadic approach sequences at the three seams of the deformed field."""
+    """Dyadic approach sequences at the three seams of the deformed field.
+
+    Each sampled line is read with one batch of the deformed field (the
+    hole-boundary, spine-limit and gate probes) and one batch of the input
+    field (the same gate probes); the hole-boundary seam itself and the spine
+    point z go through the point path."""
     base = kbar.evaluate(chart.c0)
     probes = []
     nonsmooth = []
@@ -374,39 +455,40 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         # probe within GEOMETRIC_TOL of the line length of its seam, whatever
         # the tail's compression L / s1.
         step = GEOMETRIC_TOL * s1
+        deltas = [step / 2 ** k for k in range(levels)]
+        gates = []
+        for acc in line.segment_ends[:-1]:
+            delta = min(step, acc / 2, (line.length - acc) / 2)
+            if delta > 0.0:
+                gates.append((acc, delta))
+        before = [acc - delta for acc, delta in gates]
+        after = [acc + delta for acc, delta in gates]
+        values = kbar.evaluate_along(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
+                                     [line.length - step] + before + after)
+        inner, outer, near = values[:levels], values[levels:2 * levels], values[2 * levels]
+        at = 2 * levels + 1
+        before_vals, after_vals = values[at:at + len(gates)], values[at + len(gates):]
 
         # the seam itself goes through the point path (locate), so it checks
         # that the point function agrees with the line rule the probes use
         at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
         boundary_seam = max(boundary_seam, at_seam)
         probes.append(ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
-        for k in range(levels):
-            delta = step / 2 ** k
-            inner = kbar.evaluate_on_line(line, s0 + delta)
-            outer = kbar.evaluate_on_line(line, s0 - delta)
-            probes.append(ContinuityProbe(index, "hole-boundary", s0, delta,
-                                          _jump(inner, outer), 0.0))
+        for delta, jump in zip(deltas, _jumps(inner, outer)):
+            probes.append(ContinuityProbe(index, "hole-boundary", s0, delta, jump, 0.0))
 
-        z_val = kbar.evaluate(line.endpoint)
-        near = kbar.evaluate_on_line(line, line.length - step)
-        sj = _jump(near, z_val)
+        sj = _jump(near, kbar.evaluate(line.endpoint))
         spine_limit = max(spine_limit, sj)
         probes.append(ContinuityProbe(index, "spine-limit", line.length, step, sj, 0.0))
 
-        for acc in line.segment_ends[:-1]:
-            delta = min(step, acc / 2, (line.length - acc) / 2)
-            if delta <= 0.0:
-                continue
-            before = kbar.evaluate_on_line(line, acc - delta)
-            after = kbar.evaluate_on_line(line, acc + delta)
-            gj = _jump(after, before)
+        gate_jumps = _jumps(after_vals, before_vals)
+        input_jumps = [0.0] * len(gates)
+        if kbar.source is not None:
+            read = kbar.source.evaluate_along(line, before + after)
+            input_jumps = _jumps(read[len(gates):], read[:len(gates)])
+        for (acc, delta), gj, ij in zip(gates, gate_jumps, input_jumps):
             gate_jump = max(gate_jump, gj)
-            ij = 0.0
-            if kbar.source is not None:
-                ib = kbar.source.evaluate(line.point_at_arc(acc - delta))
-                ia = kbar.source.evaluate(line.point_at_arc(acc + delta))
-                ij = _jump(ia, ib)
-                input_gate_jump = max(input_gate_jump, ij)
+            input_gate_jump = max(input_gate_jump, ij)
             probes.append(ContinuityProbe(index, "gate", acc, delta, gj, ij))
 
     return ContinuityReport(tuple(probes), boundary_seam, spine_limit,
@@ -415,13 +497,13 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
 
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                         lines: int, per_line: int, seed: int = 0):
-    """CSV-ready rows (line id, arc s(y), components...) along sampled lines."""
+    """CSV-ready rows (line id, arc s(y), components...) along sampled lines,
+    one batch read per line."""
     rows = []
     for index, (line, _) in enumerate(_sampled_lines(chart, lines, seed)):
-        for k in range(per_line + 1):
-            arc = line.length * k / per_line
-            val = kbar.evaluate_on_line(line, arc)
-            rows.append([index, arc] + [float(x) for x in val.reshape(-1)])
+        arcs = [line.length * k / per_line for k in range(per_line + 1)]
+        values = kbar.evaluate_along(line, arcs).reshape(len(arcs), -1).tolist()
+        rows.extend([index, arc] + row for arc, row in zip(arcs, values))
     return rows
 
 
@@ -514,7 +596,11 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
     per_top = at_vertex[np.array(chart.complex.top_simplices)]
     shape = (n,) * order
 
-    def comp(pt: PointRef):
-        return (np.array(pt.bary) @ per_top[pt.top]).reshape(shape)
+    def combine(tops, bary_rows):
+        """One formula for the point path and the line path, so the two agree
+        bit for bit: each row's combination, as a stack of row @ matrix."""
+        return np.matmul(np.array(bary_rows)[:, None, :],
+                         per_top[tops]).reshape((len(tops),) + shape)
 
-    return TensorField(spec.rank, frame, comp, label="linear")
+    return TensorField(spec.rank, frame, lambda pt: combine([pt.top], [pt.bary])[0],
+                       label="linear", line_rule=lambda line, arcs: combine(*line.rows_at(arcs)))

@@ -339,6 +339,12 @@ class TestBrokenLines:
                 arcs += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, math.inf)]
             for s in arcs:
                 assert line.point_at_arc(s) == self._scan_point_at_arc(line, s), s
+            # the many-arc lookup is the same arithmetic, without the points
+            tops, rows = line.rows_at(arcs)
+            assert len(tops) == len(rows) == len(arcs)
+            for s, top, row in zip(arcs, tops, rows):
+                assert PointRef(top, row) == self._scan_point_at_arc(line, s), s
+                assert type(row) is tuple
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
     @pytest.mark.parametrize("name", ALL + ["torus12", "klein12"])

@@ -14,7 +14,7 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                constant_tensor, continuity_report,
                                deform_tensor, deformation_samples, extend_frame,
                                field_from_spec, parse_fld, root_facet_clearance)
-from spineforge.simplicial import InvalidComplexError, Metric
+from spineforge.simplicial import MEMBERSHIP_TOL, InvalidComplexError, Metric
 
 from grids import coordinate_torus, grid_surface
 
@@ -290,6 +290,50 @@ class TestFrameField:
             counts.append(len(calls))
         assert len(chart.records) == 287
         assert counts[0] == counts[1]
+
+    def test_length_calls_independent_of_gate_count(self, census, monkeypatch):
+        # the edge lengths of every gate are gathered at once, not read one
+        # Metric.length call at a time (8 per gate on surfaces)
+        calls = []
+        length = Metric.length
+
+        def counted(metric, u, v):
+            calls.append((u, v))
+            return length(metric, u, v)
+
+        counts, gates = [], []
+        for c in (census["torus7"], grid_surface(12), coordinate_torus(12)):
+            chart = build_chart(c, sf.decompose(c, strategy="dfs"), Metric.from_complex(c))
+            monkeypatch.setattr(Metric, "length", counted)
+            calls.clear()
+            frame = extend_frame(chart)
+            monkeypatch.setattr(Metric, "length", length)
+            counts.append(len(calls))
+            gates.append(len(chart.records))
+            want = reference_extend_frame(chart)[0]
+            assert max(np.abs(frame.matrices[k] - want[k]).max() for k in want) <= 1e-12
+        assert gates == [13, 287, 287]
+        assert len(set(counts)) == 1
+
+    def test_metric_edge_table_in_any_order(self, census):
+        # an API metric may list its edges in any order, keyed either way
+        c = census["torus7"]
+        m = Metric.from_complex(c)
+        chart = build_chart(c, sf.decompose(c), m)
+        shuffled = list(m.edge_lengths.items())
+        random.Random(3).shuffle(shuffled)
+        other = Metric({(v, u): x for (u, v), x in shuffled})
+        want = extend_frame(chart).matrices
+        got = extend_frame(build_chart(c, sf.decompose(c), other)).matrices
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_metric_missing_an_edge_named(self, census):
+        c = census["torus7"]
+        lengths = dict(Metric.from_complex(c).edge_lengths)
+        del lengths[(0, 1)]
+        chart = build_chart(c, sf.decompose(c), Metric(lengths))
+        with pytest.raises(InvalidComplexError, match=r"metric misses edge \(0, 1\)"):
+            extend_frame(chart)
 
 
 class TestConstantTensor:
@@ -662,8 +706,9 @@ class TestLineHandle:
 
 
 class TestArcEvaluation:
-    """The deformed field by arc: the white prefix builds no point, and a
-    linear field combines per-vertex values."""
+    """The deformed field by arc: neither the white prefix nor the tail
+    builds a point off the spine, and a linear field combines per-vertex
+    values."""
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
     def test_white_prefix_builds_no_point(self, census, monkeypatch, strategy):
@@ -685,17 +730,40 @@ class TestArcEvaluation:
             calls.append("spine_face_of")
             return spine_face_of(ch, pt)
 
+        # tail arcs off the root facet whose rows carry no weight at the
+        # membership tolerance: they can be neither on the spine closure nor c0
+        tail = []
+        for line in lines:
+            s0, s1 = hole.split(line)
+            arcs = [s0 + s1 * k / 8 for k in range(8)]
+            tail += [(line, arc) for arc, top, row in zip(arcs, *line.rows_at(arcs))
+                     if top != chart.root and min(row) > MEMBERSHIP_TOL]
+        assert len(tail) >= 20
+        want = [K.evaluate(line.point_at_arc((arc - hole.split(line)[0]) /
+                                             hole.split(line)[1] * line.length))
+                for line, arc in tail]
+        post_init = sf.chart.PointRef.__post_init__
+
+        def spy_build(pt):
+            calls.append("PointRef")
+            post_init(pt)
+
         monkeypatch.setattr(sf.chart.BrokenLine, "point_at_arc", spy_point)
         monkeypatch.setattr(sf.chart.CellChart, "spine_face_of", spy_face)
+        monkeypatch.setattr(sf.chart.PointRef, "__post_init__", spy_build)
         for line in lines:
             s0, _ = hole.split(line)
             for arc in [0.0] + [s0 * k / 8 for k in range(1, 8)] + [math.nextafter(s0, 0.0)]:
                 assert np.array_equal(Kbar.evaluate_on_line(line, arc), base)
         assert calls == []
-        # the spies see the tail, which still builds its point
+        # tail reads build no point either: one row lookup, one batch read of K
+        for (line, arc), value in zip(tail, want):
+            assert np.array_equal(Kbar.evaluate_on_line(line, arc), value)
+        assert calls == []
+        # a row at the spine does build its point, for the spine rule
         line = lines[0]
-        Kbar.evaluate_on_line(line, hole.split(line)[0])
-        assert "point_at_arc" in calls and "spine_face_of" in calls
+        Kbar.evaluate_on_line(line, line.length)
+        assert "PointRef" in calls and "spine_face_of" in calls
 
     @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
     @pytest.mark.parametrize("name", ["circle3", "sphere_tet", "torus7", "torus12"])
@@ -723,6 +791,107 @@ class TestArcEvaluation:
             got = K.evaluate(pt)
             assert got.shape == (n,) * (rank[0] + rank[1])
             assert np.abs(got.reshape(-1) - want).max() <= 1e-12, pt
+
+
+def _plain_field(frame, rank):
+    """A field with no line rule: smooth inside each facet, jumping across."""
+    shape = (frame.dimension,) * (rank[0] + rank[1])
+    ramp = np.arange(1.0, 1.0 + np.prod(shape, dtype=int)).reshape(shape)
+
+    def comp(pt):
+        return ramp * sum(w * w for w in pt.bary) + pt.top
+    return sf.fields.TensorField(rank, frame, comp, label="plain")
+
+
+class TestBatchReads:
+    """``evaluate_along`` against one read per arc, bit for bit."""
+
+    @staticmethod
+    def _arcs(line, hole):
+        s0, _ = hole.split(line)
+        arcs = [0.0, line.length, s0, math.nextafter(s0, 0.0), math.nextafter(s0, math.inf)]
+        for acc in line.segment_ends:
+            arcs += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, math.inf)]
+        return arcs
+
+    @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_batch_equals_single(self, census, name, strategy, rank):
+        c = coordinate_torus(12) if name == "torus12" else census[name]
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        frame = extend_frame(chart)
+        n = c.dimension
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        plain = _plain_field(frame, rank)
+        constant = constant_tensor(np.arange(2.0, 2.0 + n ** sum(rank)), frame, rank)
+        source = _linear_field(chart, rank=rank)[0] if c.vertex_coords else plain
+        marker = np.full((n,) * sum(rank), 7.5)
+        fields = [plain, constant, source, deform_tensor(source, chart, hole),
+                  deform_tensor(plain, chart, hole),
+                  deform_tensor(source, chart, hole, spine_values=lambda pt: marker)]
+        for line in _sampled_lines(chart, 3, seed=37):
+            arcs = self._arcs(line, hole)
+            for field in fields:
+                batch = field.evaluate_along(line, arcs)
+                assert batch.shape == (len(arcs),) + (n,) * sum(rank)
+                for arc, row in zip(arcs, batch):
+                    assert np.array_equal(row, field.evaluate_on_line(line, arc)), \
+                        (field.label, arc)
+                    if field.source is None:
+                        # a field defined pointwise reads the point path exactly
+                        assert np.array_equal(row, field.evaluate(line.point_at_arc(arc))), \
+                            (field.label, arc)
+                assert field.evaluate_along(line, []).shape == (0,) + (n,) * sum(rank)
+
+    def test_stored_blocks_are_read_only(self, charts):
+        chart = charts["torus7"]
+        frame = extend_frame(chart)
+        given = np.array([1.0, 2.0])
+        K = constant_tensor(given, frame, (1, 0))
+        given += 1.0            # the caller's array stays its own and writable
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        line = _sampled_lines(chart, 1, seed=41)[0]
+        for field in (K, deform_tensor(K, chart, hole),
+                      deform_tensor(_linear_field(chart)[0], chart, hole)):
+            before = field.evaluate(chart.c0).copy()
+            value = field.evaluate(chart.c0)
+            with pytest.raises(ValueError):
+                value += 5.0
+            assert np.array_equal(field.evaluate(chart.c0), before)
+            assert np.array_equal(field.evaluate_on_line(line, 0.0), before)
+        row = K.evaluate_on_line(line, 0.5 * line.length)
+        with pytest.raises(ValueError):
+            row[0] = 5.0
+        assert np.array_equal(K.evaluate(chart.c0), [1.0, 2.0])
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_continuity_point_reads_independent_of_gate_count(self, monkeypatch, strategy):
+        # every probe but the hole-boundary seam and z reads the line in a
+        # batch, so point-path evaluations per line do not grow with its gates
+        c = coordinate_torus(12)
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        calls = []
+        evaluate = sf.fields.TensorField.evaluate
+
+        def counted(field, pt):
+            calls.append(field.label)
+            return evaluate(field, pt)
+
+        monkeypatch.setattr(sf.fields.TensorField, "evaluate", counted)
+        per_line = {}
+        for seed in range(12):
+            calls.clear()
+            rep = continuity_report(Kbar, chart, hole, samples=1, seed=seed)
+            gates = sum(p.seam == "gate" for p in rep.probes)
+            per_line.setdefault(len(calls), set()).add(gates)
+        assert len(per_line) == 1, per_line
+        assert len(next(iter(per_line.values()))) > 3
 
 
 class TestLocateCalls:
