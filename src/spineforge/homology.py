@@ -1,13 +1,23 @@
-"""Integer simplicial homology by sparse unit-pivot elimination.
+"""Integer simplicial homology from face lists.
 
-Each boundary map is built as sparse integer columns straight from the face
-index.  Pivots on +-1 entries are eliminated first, shortest row first
-(Markowitz order keeps fill low); each one contributes an invariant factor 1.
-The small remainder, which carries all torsion, goes to the dense
+Degree 1 needs no elimination.  Every column of the boundary map d1 has one
++1 and one -1, so d1 is the incidence matrix of the 1-skeleton, which is
+totally unimodular: its rank is V minus the number of components and every
+invariant factor is 1 (Kaczynski-Mischaikow-Mrozek, Computational Homology,
+2004).  Union-find counts the components.
+
+Each higher boundary map is built as sparse integer columns straight from
+the face index.  Pivots on +-1 entries are eliminated first, shortest row
+first (Markowitz order keeps fill low); each one contributes an invariant
+factor 1.  The small remainder, which carries all torsion, goes to the dense
 ``smith_normal_form``, which also serves the tests as the oracle.  Every
 step runs on Python integers, so ranks and torsion are exact at any size.
 Unit-pivot elimination follows Dumas-Heckenbach-Saunders-Welker (2003) and
 Kaczynski-Mrozek-Slusarek (1998).
+
+The spine's homology is read from the input complex's own faces and face
+ids: its closure faces are the faces of its ridges, and ``face_index`` keys
+their boundary rows, so no complex is built for it.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .simplicial import InvalidComplexError, SimplicialComplex
+from .simplicial import InvalidComplexError, SimplicialComplex, component_count
 
 
 @dataclass(frozen=True)
@@ -34,19 +44,19 @@ class BoundaryMatrix:
         return (rows, len(self.entries[0]) if rows else 0)
 
 
-def _boundary_columns(c: SimplicialComplex, k: int) -> list:
+def _columns(faces, index) -> list:
     """Alternating-sign boundary on sorted tuples: column of (v0<...<vk) has
-    (-1)^i in the row of (v0..v̂i..vk).  One {row: +-1} dict per k-face."""
-    if k < 1 or k > c.dimension:
-        raise InvalidComplexError(f"degree {k} out of range 1..{c.dimension}")
-    idx = c.face_index[k - 1]
-    return [{idx[face[:i] + face[i + 1:]]: -1 if i % 2 else 1 for i in range(k + 1)}
-            for face in c.faces[k]]
+    (-1)^i in the row ``index`` gives (v0..v̂i..vk).  One {row: +-1} dict per
+    face."""
+    return [{index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
+             for i in range(len(face))} for face in faces]
 
 
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
-    """Dense form of the degree-k boundary map (see _boundary_columns)."""
-    columns = _boundary_columns(c, k)
+    """Dense form of the degree-k boundary map (see _columns)."""
+    if k < 1 or k > c.dimension:
+        raise InvalidComplexError(f"degree {k} out of range 1..{c.dimension}")
+    columns = _columns(c.faces[k], c.face_index[k - 1])
     mat = [[0] * len(columns) for _ in c.faces[k - 1]]
     for j, col in enumerate(columns):
         for i, v in col.items():
@@ -221,20 +231,27 @@ class HomologyProfile:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
+def _profile(faces, index) -> HomologyProfile:
+    """Homology of the pure complex whose k-faces are ``faces[k]`` (sorted
+    vertex tuples, every face of a face present); ``index[k]`` maps each
+    k-face to its row key in the degree-(k+1) boundary.  Degree 1 by
+    union-find (see the module docstring), higher degrees by
+    invariant_factors."""
+    n = len(faces) - 1
+    ranks = [0] * (n + 2)
+    torsion = [()] * (n + 1)
+    if n >= 1:
+        ranks[1] = len(faces[0]) - component_count(faces[1])
+    for k in range(2, n + 1):
+        invariants = invariant_factors(_columns(faces[k], index[k - 1]))
+        ranks[k] = len(invariants)
+        torsion[k - 1] = tuple(d for d in invariants if d > 1)
+    return HomologyProfile(tuple((len(faces[k]) - ranks[k] - ranks[k + 1], torsion[k])
+                                 for k in range(n + 1)))
+
+
 def homology_groups(c: SimplicialComplex) -> HomologyProfile:
-    n = c.dimension
-    invariants = {k: invariant_factors(_boundary_columns(c, k))
-                  for k in range(1, n + 1)}
-    ranks = {k: len(invariants[k]) for k in invariants}
-    ranks[0] = 0
-    ranks[n + 1] = 0
-    groups = []
-    for k in range(n + 1):
-        betti = len(c.faces[k]) - ranks[k] - ranks[k + 1]
-        torsion = tuple(d for d in invariants.get(k + 1, ())) if k < n else ()
-        torsion = tuple(d for d in torsion if d > 1)
-        groups.append((betti, torsion))
-    return HomologyProfile(tuple(groups))
+    return _profile(c.faces, c.face_index)
 
 
 def punctured_complex(c: SimplicialComplex, t: int) -> SimplicialComplex:
@@ -278,14 +295,26 @@ class Theorem2Report:
         }
 
 
+def _spine_faces(c: SimplicialComplex, d) -> list:
+    """Closure faces of the spine by degree 0..n-1, in ``c``'s own vertex
+    labels, so that ``c.face_index`` keys their boundary rows."""
+    if not d.spine:
+        raise InvalidComplexError("decomposition has an empty spine")
+    m = c.dimension - 1
+    ridge_faces = c.faces[m]
+    ridges = {ridge_faces[rid] for rid in d.spine}
+    if len(ridges) != len(d.spine):
+        raise InvalidComplexError("decomposition repeats a spine ridge")
+    return [{f for r in ridges for f in combinations(r, k + 1)}
+            for k in range(m)] + [ridges]
+
+
 def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
     """Compare the spine's homology with that of ``c`` minus the open root
     facet.  The latter depends on (c, root) only, so it is computed once per
-    root and kept on the complex; only the spine is recomputed per call."""
-    from .spine import spine_subcomplex  # local import: avoids module cycle
-
-    sub = spine_subcomplex(c, d)
-    spine_profile = homology_groups(sub.complex)
+    root and kept on the complex; only the spine is recomputed per call,
+    straight from ``c``'s faces."""
+    spine_profile = _profile(_spine_faces(c, d), c.face_index)
     punct_profile = c._punctured_homology.get(d.root)
     if punct_profile is None:
         punct_profile = homology_groups(punctured_complex(c, d.root))

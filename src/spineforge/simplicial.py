@@ -254,6 +254,30 @@ def build_dual_graph(c: SimplicialComplex) -> DualGraph:
     return graph
 
 
+def component_count(simplices) -> int:
+    """Connected components of the union of ``simplices`` (vertex tuples in
+    any labels), each simplex joining its own vertices; by union-find with
+    path halving."""
+    parent = {}
+    count = 0
+    for s in simplices:
+        root = None
+        for v in s:
+            r = parent.get(v)
+            if r is None:
+                parent[v] = r = v
+                count += 1
+            else:
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+                count -= 1
+    return count
+
+
 def euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** k * len(fk) for k, fk in enumerate(c.faces))
 

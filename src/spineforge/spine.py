@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .simplicial import InvalidComplexError, SimplicialComplex, build_dual_graph
+from .simplicial import (InvalidComplexError, SimplicialComplex, build_dual_graph,
+                         component_count)
 
 STRATEGIES = ("bfs", "dfs", "random")
 
@@ -107,7 +108,9 @@ class Subcomplex:
 
 
 def spine_subcomplex(c: SimplicialComplex, d: Decomposition) -> Subcomplex:
-    """Closure of the spine ridges as a standalone complex of dimension n-1."""
+    """Closure of the spine ridges as a standalone complex of dimension n-1,
+    relabelled to dense vertices.  ``verify_theorem2`` does not need it: it
+    reads the spine's homology off ``c``'s own faces."""
     ridge_faces = c.faces[c.dimension - 1]
     verts = sorted({v for rid in d.spine for v in ridge_faces[rid]})
     back = tuple(verts)
@@ -121,23 +124,7 @@ def spine_connected(c: SimplicialComplex, d: Decomposition) -> bool:
     if not d.spine:
         raise InvalidComplexError("decomposition has an empty spine")
     ridge_faces = c.faces[c.dimension - 1]
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rid in d.spine:
-        vs = ridge_faces[rid]
-        for v in vs:
-            parent.setdefault(v, v)
-        anchor = find(vs[0])
-        for v in vs[1:]:
-            parent[find(v)] = anchor
-    roots = {find(v) for v in parent}
-    return len(roots) == 1
+    return component_count(ridge_faces[rid] for rid in d.spine) == 1
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -14,7 +15,7 @@ from spineforge.homology import (BoundaryMatrix, boundary_matrix,
                                  verify_theorem2)
 from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
                                    validate_closed_manifold)
-from spineforge.spine import Decomposition
+from spineforge.spine import Decomposition, spine_subcomplex
 
 from grids import grid_surface
 
@@ -396,3 +397,128 @@ class TestPuncturedHomologyCache:
                 verify_theorem2(c, d)
         assert puncture_calls == [d.root] * 3
         assert c._punctured_homology == {}
+
+
+@st.composite
+def pure_complexes(draw):
+    """Pure 1- or 2-complexes on at most 8 vertices, relabelled densely."""
+    n = draw(st.integers(1, 2))
+    pool = list(combinations(range(8), n + 1))
+    tops = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    label = {v: i for i, v in enumerate(sorted({v for t in tops for v in t}))}
+    return SimplicialComplex(n, [tuple(label[v] for v in t) for t in tops])
+
+
+STRATEGIES_AND_SEEDS = [(s, seed) for s in ("bfs", "dfs", "random") for seed in range(10)]
+
+
+class TestFaceListProfile:
+    """Degree 1 by union-find and the spine read off the input's face ids,
+    each against an oracle that goes the long way round."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pure_complexes())
+    def test_union_find_matches_dense(self, c):
+        assert homology_groups(c).groups == dense_homology(c)
+
+    @pytest.mark.parametrize("name", sf.census_names())
+    def test_spine_matches_subcomplex_on_census(self, census, name):
+        c = census[name]
+        for strategy, seed in STRATEGIES_AND_SEEDS:
+            d = sf.decompose(c, strategy=strategy, seed=seed)
+            sub = spine_subcomplex(c, d).complex
+            spine = verify_theorem2(c, d).spine
+            assert spine.groups == homology_groups(sub).groups == dense_homology(sub)
+            assert len(spine.groups) == c.dimension   # spine dimension n-1
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_spine_matches_subcomplex_at_scale(self, klein):
+        c = grid_surface(GRID_K, klein=klein)
+        for strategy, seed in STRATEGIES_AND_SEEDS:
+            d = sf.decompose(c, root=seed, strategy=strategy, seed=seed)
+            report = verify_theorem2(c, d)
+            assert report.spine.groups == homology_groups(spine_subcomplex(c, d).complex).groups
+            assert report.ok
+
+    def test_empty_or_repeated_spine_rejected(self, census):
+        c = census["torus7"]
+        d = sf.decompose(c)
+        for spine in ((), d.spine[:1] * 2 + d.spine[1:]):
+            with pytest.raises(InvalidComplexError):
+                verify_theorem2(c, dataclasses.replace(d, spine=spine))
+
+
+def closure(c, ridges):
+    """Every proper face of the given ridges."""
+    ridge_faces = c.faces[c.dimension - 1]
+    return {f for rid in ridges for k in range(1, c.dimension)
+            for f in combinations(ridge_faces[rid], k)}
+
+
+def euler_changing_faults(c, d):
+    """Spines with one ridge dropped or one gate ridge added, where every
+    proper face of that ridge stays in (or already was in) the spine's
+    closure: only the ridge itself comes or goes, so the Euler characteristic
+    and with it the homology must change."""
+    spine = set(d.spine)
+    for rid in d.spine:
+        rest = spine - {rid}
+        if rest and closure(c, [rid]) <= closure(c, rest):
+            yield "drop", tuple(sorted(rest))
+    black = closure(c, spine)
+    for rid in d.gate_ids():
+        if closure(c, [rid]) <= black:
+            yield "add", tuple(sorted(spine | {rid}))
+
+
+class TestSpineFaultInjection:
+    @pytest.mark.parametrize("name", sf.census_names())
+    def test_census(self, census, name):
+        c = census[name]
+        kinds = set()
+        for strategy, seed in STRATEGIES_AND_SEEDS:
+            d = sf.decompose(c, strategy=strategy, seed=seed)
+            for kind, spine in euler_changing_faults(c, d):
+                kinds.add(kind)
+                report = verify_theorem2(c, dataclasses.replace(d, spine=spine))
+                assert not report.ok, (kind, strategy, seed)
+        # circle3's spine is one vertex: dropping it leaves nothing to check
+        assert kinds == ({"add"} if name == "circle3" else {"drop", "add"})
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_grids(self, klein):
+        c = grid_surface(12, klein=klein)
+        kinds = set()
+        for seed in range(2):
+            d = sf.decompose(c, strategy="random", seed=seed)
+            for kind, spine in euler_changing_faults(c, d):
+                kinds.add(kind)
+                assert not verify_theorem2(c, dataclasses.replace(d, spine=spine)).ok
+        assert kinds == {"drop", "add"}
+
+
+class TestSpineBuildsNoComplex:
+    """Counted calls, not wall-clock: per seed, verify reads the spine off the
+    input's faces and needs no elimination on a surface."""
+
+    def test_twenty_seeds_of_the_8x8_torus(self, monkeypatch):
+        c = grid_surface(8)
+        decompositions = [sf.decompose(c, strategy="random", seed=seed)
+                          for seed in range(20)]
+        built, eliminated = [], []
+        init = SimplicialComplex.__init__
+        factors = sf.homology.invariant_factors
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        def counting_factors(columns):
+            eliminated.append(len(columns))
+            return factors(columns)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
+        monkeypatch.setattr(sf.homology, "invariant_factors", counting_factors)
+        assert all(verify_theorem2(c, d).ok for d in decompositions)
+        assert built == [2]                                 # the punctured complex
+        assert eliminated == [len(c.top_simplices) - 1]     # its boundary d2
