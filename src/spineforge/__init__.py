@@ -3,9 +3,9 @@ closed manifolds, with cell charts, the retraction homotopy, integer-homology
 verification, and tensor-field deformation toward the thickened spine."""
 
 from .census import CENSUS, build_census, census_names, census_self_check
-from .chart import (BrokenLine, CellChart, ChartDomainError, ExtensionRecord,
-                    PointRef, Segment, broken_line_to, build_chart,
-                    forward_map, inverse_map, retract, stretch)
+from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef, Segment,
+                    broken_line_to, build_chart, forward_map, inverse_map,
+                    retract, stretch)
 from .fields import (FrameField, HoleRegion, TensorField, black_hole_region,
                      constant_tensor, continuity_report, deform_tensor,
                      extend_frame)

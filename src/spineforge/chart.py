@@ -41,10 +41,11 @@ agree with the metric's quadratic form of the chord's ends to rounding
 (1.5e-14 relative), so CLI float outputs differ in their low-order digits
 from that evaluation; repeated runs are byte-identical.
 
-All point evaluations are lazy walks over the extension records; nothing is
-meshed globally.  Charts are immutable after construction, apart from the h
-cache, whose entries are written once with the same value by any writer, and
-evaluations are pure, so they can run concurrently.
+All point evaluations are lazy walks over the decomposition's ``GateStep``s,
+which the chart reads as they are; nothing is meshed globally.  Charts are
+immutable after construction, apart from the h cache, whose entries are
+written once with the same value by any writer, and evaluations are pure, so
+they can run concurrently.
 """
 
 from __future__ import annotations
@@ -93,17 +94,6 @@ class PointRef:
             raise ChartDomainError(f"barycentric sum {s} too far from 1")
         if min(self.bary) < -MEMBERSHIP_TOL:
             raise ChartDomainError(f"negative barycentric coordinate in {self.bary}")
-
-
-@dataclass(frozen=True)
-class ExtensionRecord:
-    """One coordinate extension across a gate, in growth order."""
-
-    gate: int
-    parent: int
-    child: int
-    gate_center: PointRef
-    opposite_vertex: int
 
 
 class Segment(NamedTuple):
@@ -184,21 +174,21 @@ def _stray_weight(stray, from_top, to_top):
 
 
 class CellChart:
-    """Ordered extension records realizing the cell coordinates."""
+    """Cell coordinates extended across the decomposition's ``GateStep``s,
+    one coordinate extension per gate, in growth order."""
 
     def __init__(self, complex: SimplicialComplex, decomposition: Decomposition,
-                 metric: Metric, records):
+                 metric: Metric):
         self.complex = complex
         self.decomposition = decomposition
         self.metric = metric
-        self.records = tuple(records)
         self.root = decomposition.root
         n = complex.dimension
         self.c0 = PointRef(self.root, (1.0 / (n + 1),) * (n + 1))
 
         tops = complex.top_simplices
-        self.entry = {}          # child facet -> its entry record
-        self.gate_record = {}    # ridge id -> record
+        self.entry = {}          # child facet -> its entry GateStep
+        self.gate_record = {}    # ridge id -> GateStep
         # child facet -> (ov, off, up, down): the child's off-gate local index
         # ov, the parent's off-gate local index off, and the local index each
         # parent slot reads from the child (up) and each child slot from the
@@ -207,11 +197,13 @@ class CellChart:
         # so (ov, off) fixes both maps and at most (n+1)^2 of them exist.
         self._gate_maps = [None] * len(tops)
         shared = {}
-        for rec in self.records:
-            self.entry[rec.child] = rec
-            self.gate_record[rec.gate] = rec
-            child_verts, parent_verts = tops[rec.child], tops[rec.parent]
-            ov = child_verts.index(rec.opposite_vertex)
+        for step in decomposition.gates:
+            self.entry[step.child] = step
+            self.gate_record[step.gate] = step
+            child_verts, parent_verts = tops[step.child], tops[step.parent]
+            for ov, v in enumerate(child_verts):
+                if v not in parent_verts:
+                    break
             for off, v in enumerate(parent_verts):
                 if v not in child_verts:
                     break
@@ -222,7 +214,7 @@ class CellChart:
                 down = tuple(off if k == ov else parent_verts.index(v)
                              for k, v in enumerate(child_verts))
                 maps = shared[ov, off] = (ov, off, up, down)
-            self._gate_maps[rec.child] = maps
+            self._gate_maps[step.child] = maps
         self._heights = array("d", [math.nan]) * len(tops)   # _height, NaN until used
 
         self.spine_set = frozenset(decomposition.spine)
@@ -365,13 +357,13 @@ class CellChart:
         spine, as plain (facet, start, end, length) tuples."""
         while True:
             rid = self._facet_ridge(top, exit_local)
-            rec = self.gate_record.get(rid)
-            if rec is None:
+            step = self.gate_record.get(rid)
+            if step is None:
                 if rid in self.spine_set:
                     return
                 raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
-            # a chord never exits through its entry gate, so rec.parent == top
-            top = rec.child
+            # a chord never exits through its entry gate, so step.parent == top
+            top = step.child
             p, q, _, length, exit_local = self._chord(top, self._cross(q, top, upward=False))
             yield top, p, q, length
 
@@ -410,25 +402,8 @@ class CellChart:
 
 
 def build_chart(c: SimplicialComplex, d: Decomposition, m: Metric) -> CellChart:
-    """One extension record per gate, in growth order."""
-    n = c.dimension
-    records = []
-    for step in d.gates:
-        gate_face = c.faces[n - 1][step.gate]
-        child_verts = c.top_simplices[step.child]
-        opposite = next(v for v in child_verts if v not in gate_face)
-        parent_verts = c.top_simplices[step.parent]
-        center = [0.0] * (n + 1)
-        for v in gate_face:
-            center[parent_verts.index(v)] = 1.0 / n if n else 1.0
-        records.append(ExtensionRecord(
-            gate=step.gate,
-            parent=step.parent,
-            child=step.child,
-            gate_center=PointRef(step.parent, tuple(center)),
-            opposite_vertex=opposite,
-        ))
-    return CellChart(c, d, m, records)
+    """The chart of ``d``: one coordinate extension per gate, in growth order."""
+    return CellChart(c, d, m)
 
 
 def forward_map(chart: CellChart, p: PointRef) -> PointRef:
@@ -498,8 +473,12 @@ def retract(chart: CellChart, x: PointRef, t: float) -> PointRef:
         return x
     if chart.is_c0(x):
         # s(c0) depends on the line chosen; fixed convention: the line through
-        # the first gate's center.
-        line, _ = chart.locate(chart.records[0].gate_center)
+        # the first gate's center, 1/n on the gate's slots of its parent
+        first = chart.decomposition.gates[0]
+        n = chart.complex.dimension
+        center = [1.0 / n] * (n + 1)
+        center[chart._gate_maps[first.child][1]] = 0.0
+        line, _ = chart.locate(PointRef(first.parent, tuple(center)))
         arc = 0.0
     else:
         line, arc = chart.locate(x)

@@ -83,11 +83,12 @@ def extend_frame(chart: CellChart) -> FrameField:
     InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
-    records = chart.records
-    m = len(records)
+    gates = chart.decomposition.gates
+    m = len(gates)
     tops = np.array(c.top_simplices)        # sorted vertex ids, one row per facet
-    pv = tops[np.fromiter((rec.parent for rec in records), np.intp, m)]
-    cv = tops[np.fromiter((rec.child for rec in records), np.intp, m)]
+    steps = np.array(gates, np.intp).reshape(m, 3)   # (parent, gate, child) rows
+    pv = tops[steps[:, 0]]
+    cv = tops[steps[:, 2]]
     # local slot of the parent's far vertex w and of the child's apex a: the
     # one vertex each does not share with the other
     w_slot = (pv[:, :, None] != cv[:, None, :]).all(axis=2).argmax(axis=1)
@@ -129,22 +130,22 @@ def extend_frame(chart: CellChart) -> FrameField:
     trans[~usable] = np.eye(n)
 
     matrices = {chart.root: np.eye(n)}
-    for k, rec in enumerate(records):
-        matrices[rec.child] = trans[k] @ matrices[rec.parent]
+    for k, step in enumerate(gates):
+        matrices[step.child] = trans[k] @ matrices[step.parent]
     singular = np.abs(np.linalg.det(
-        np.array([matrices[rec.child] for rec in records]))) <= DEGENERACY_TOL
+        np.array([matrices[step.child] for step in gates]))) <= DEGENERACY_TOL
     bad = np.flatnonzero(~usable | singular)
     if bad.size:
-        rec = records[bad[0]]
+        step = gates[bad[0]]
         if flat_parent[bad[0]]:
             raise InvalidGeometryError(
-                f"simplex {tuple(c.top_simplices[rec.parent])} is metrically degenerate")
+                f"simplex {tuple(c.top_simplices[step.parent])} is metrically degenerate")
         if flat_child[bad[0]]:
             raise InvalidGeometryError(
-                f"child {tuple(c.top_simplices[rec.child])} degenerates onto gate "
-                f"{tuple(c.faces[n - 1][rec.gate])}")
-        raise InvalidGeometryError(f"frame transition into facet {rec.child} is singular")
-    return FrameField(matrices, {rec.gate: trans[k] for k, rec in enumerate(records)})
+                f"child {tuple(c.top_simplices[step.child])} degenerates onto gate "
+                f"{tuple(c.faces[n - 1][step.gate])}")
+        raise InvalidGeometryError(f"frame transition into facet {step.child} is singular")
+    return FrameField(matrices, {step.gate: trans[k] for k, step in enumerate(gates)})
 
 
 def _edge_lengths(metric, u, v) -> np.ndarray:

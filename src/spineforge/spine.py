@@ -13,6 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .simplicial import (InvalidComplexError, SimplicialComplex, build_dual_graph,
                          component_count)
@@ -20,8 +21,10 @@ from .simplicial import (InvalidComplexError, SimplicialComplex, build_dual_grap
 STRATEGIES = ("bfs", "dfs", "random")
 
 
-@dataclass(frozen=True)
-class GateStep:
+class GateStep(NamedTuple):
+    """One crossing of the growth: parent facet, gate ridge id, child facet.
+    The chart reads these steps as they are; it keeps no copy."""
+
     parent: int
     gate: int    # ridge id
     child: int

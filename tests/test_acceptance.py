@@ -188,7 +188,7 @@ def test_frame_and_deformation_seams(charts):
     for name in ALL:
         chart = charts[name]
         frame = extend_frame(chart)
-        for rec in chart.records:
+        for rec in chart.decomposition.gates:
             frame_worst = max(frame_worst,
                               gate_frame_agreement(chart, frame, rec.gate))
         hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))

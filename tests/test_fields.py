@@ -109,7 +109,7 @@ def reference_extend_frame(chart):
     n = c.dimension
     matrices = {chart.root: np.eye(n)}
     transitions = {}
-    for rec in chart.records:
+    for rec in chart.decomposition.gates:
         pv = c.top_simplices[rec.parent]
         qv = c.top_simplices[rec.child]
         gate_face = c.faces[n - 1][rec.gate]
@@ -185,7 +185,7 @@ class TestFrameField:
         pos[root_verts[0]] = 0.0
         pos[root_verts[1]] = m.length(*root_verts)
         expected = {chart.root: np.array([[1.0]])}
-        for rec in chart.records:
+        for rec in chart.decomposition.gates:
             gate_vertex = c.faces[0][rec.gate][0]
             child_verts = c.top_simplices[rec.child]
             step = m.length(*child_verts)
@@ -193,7 +193,8 @@ class TestFrameField:
             inward = pos[gate_vertex] - pos[[v for v in parent_verts
                                              if v != gate_vertex][0]]
             new_pos = pos[gate_vertex] + math.copysign(step, inward)
-            pos[rec.opposite_vertex] = new_pos
+            apex = next(v for v in child_verts if v != gate_vertex)
+            pos[apex] = new_pos
             direction = pos[child_verts[1]] - pos[child_verts[0]]
             expected[rec.child] = np.array([[math.copysign(1.0, direction)]])
         for top, want in expected.items():
@@ -217,13 +218,13 @@ class TestFrameField:
     def test_gate_agreement(self, charts, name):
         chart = charts[name]
         frame = extend_frame(chart)
-        for rec in chart.records:
+        for rec in chart.decomposition.gates:
             assert gate_frame_agreement(chart, frame, rec.gate) <= 1e-9
 
     def test_one_transition_per_gate(self, charts):
         chart = charts["torus7"]
         frame = extend_frame(chart)
-        assert set(frame.transitions) == set(r.gate for r in chart.records)
+        assert set(frame.transitions) == set(r.gate for r in chart.decomposition.gates)
 
     @staticmethod
     def _assert_matches_reference(chart):
@@ -288,7 +289,7 @@ class TestFrameField:
             calls.clear()
             extend_frame(chart)
             counts.append(len(calls))
-        assert len(chart.records) == 287
+        assert len(chart.decomposition.gates) == 287
         assert counts[0] == counts[1]
 
     def test_length_calls_independent_of_gate_count(self, census, monkeypatch):
@@ -309,7 +310,7 @@ class TestFrameField:
             frame = extend_frame(chart)
             monkeypatch.setattr(Metric, "length", length)
             counts.append(len(calls))
-            gates.append(len(chart.records))
+            gates.append(len(chart.decomposition.gates))
             want = reference_extend_frame(chart)[0]
             assert max(np.abs(frame.matrices[k] - want[k]).max() for k in want) <= 1e-12
         assert gates == [13, 287, 287]

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -495,6 +496,57 @@ class TestSpineFaultInjection:
                 kinds.add(kind)
                 assert not verify_theorem2(c, dataclasses.replace(d, spine=spine)).ok
         assert kinds == {"drop", "add"}
+
+
+class TestSpineComponentCount:
+    """``verify`` reads spine connectivity off ``betti[0]`` of the spine
+    profile; it must agree with ``spine_connected`` wherever both run."""
+
+    @staticmethod
+    def _spines(c, d):
+        """The spine, its fault-injected variants, and random sub-spines,
+        which are mostly disconnected."""
+        yield d.spine
+        for _, spine in euler_changing_faults(c, d):
+            yield spine
+        rng = random.Random(d.seed)
+        for _ in range(5):
+            yield tuple(sorted(rng.sample(d.spine, rng.randint(1, len(d.spine)))))
+
+    @pytest.mark.parametrize("name", sf.census_names())
+    def test_betti0_iff_spine_connected(self, census, name):
+        c = census[name]
+        for strategy, seed in STRATEGIES_AND_SEEDS:
+            d = sf.decompose(c, strategy=strategy, seed=seed)
+            for spine in self._spines(c, d):
+                e = dataclasses.replace(d, spine=spine)
+                assert (verify_theorem2(c, e).spine.betti[0] == 1) == \
+                    sf.spine_connected(c, e), (strategy, seed, spine)
+
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_betti0_iff_spine_connected_on_grids(self, klein):
+        c = grid_surface(12, klein=klein)
+        for seed in range(2):
+            d = sf.decompose(c, strategy="random", seed=seed)
+            for spine in self._spines(c, d):
+                e = dataclasses.replace(d, spine=spine)
+                assert (verify_theorem2(c, e).spine.betti[0] == 1) == \
+                    sf.spine_connected(c, e)
+
+    def test_disconnected_spine_is_reported(self, census, monkeypatch):
+        # two spine edges with no common vertex: two components, so both the
+        # homology and the connectivity entries appear, in that order
+        c = census["torus7"]
+        d = sf.decompose(c)
+        edges = c.faces[1]
+        a = d.spine[0]
+        b = next(r for r in d.spine if not set(edges[a]) & set(edges[r]))
+        split = dataclasses.replace(d, spine=(a, b))
+        assert not sf.spine_connected(c, split)
+        monkeypatch.setattr(cli, "decompose", lambda *args, **kwargs: split)
+        failures = cli.run_verification(c, 0, "random", [4])
+        assert [f["reason"] for f in failures] == ["homology mismatch", "spine disconnected"]
+        assert failures[1] == {"seed": 4, "reason": "spine disconnected"}
 
 
 class TestSpineBuildsNoComplex:
