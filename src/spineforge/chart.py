@@ -473,12 +473,11 @@ def retract(chart: CellChart, x: PointRef, t: float) -> PointRef:
         return x
     if chart.is_c0(x):
         # s(c0) depends on the line chosen; fixed convention: the line through
-        # the first gate's center, 1/n on the gate's slots of its parent
-        first = chart.decomposition.gates[0]
-        n = chart.complex.dimension
-        center = [1.0 / n] * (n + 1)
-        center[chart._gate_maps[first.child][1]] = 0.0
-        line, _ = chart.locate(PointRef(first.parent, tuple(center)))
+        # the root point with barycentrics proportional to (1, 2, ..., n+1),
+        # whose ray meets its exit face off every lower-dimensional face
+        n1 = chart.complex.dimension + 1
+        ray = PointRef(chart.root, tuple(k / (n1 * (n1 + 1) / 2) for k in range(1, n1 + 1)))
+        line, _ = chart.locate(ray)
         arc = 0.0
     else:
         line, arc = chart.locate(x)

@@ -73,7 +73,7 @@ def _load(args) -> SimplicialComplex:
             detail.append(f"vertex {v}: {why}")
         if not report.dual_connected:
             detail.append("dual graph is disconnected")
-        raise InvalidComplexError("; ".join(detail) or "validation failed")
+        raise InvalidComplexError("; ".join(detail))
     return c
 
 

@@ -16,9 +16,11 @@ splits at s0 = s_total - eps and only the rule is kept.  Fields are read one
 broken line at a time: ``TensorField.evaluate_along`` takes many arcs of one
 line and returns the blocks stacked, and the line's ``rows_at`` gives the
 facets and barycentric rows of all of them in one lookup, building no point.
-The deformed field is the constant block K(c0) on the white prefix (arc <
-s0), with no lookup; its eps-tail reads K in one batch at the mapped arcs,
-and only tail rows that may lie on the spine closure or at c0 build a point.
+The deformed field is one rule on a line: the constant block K(c0) on the
+white prefix (arc < s0), with no lookup, and K read in one batch at the
+mapped arcs of the eps-tail, whose end maps to the line's end, so K(z) on
+the spine is that rule's limit and no tail point is built.  A point is
+located and read by the same rule, unless it is c0 or on the spine closure.
 A stacked result is checked (shape, finiteness) once; K(c0) is checked at
 build and handed out read-only.  A linear field stores its value at every
 vertex and combines each row's vertex values by its barycentrics, with one
@@ -37,7 +39,7 @@ import numpy as np
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
-from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError
+from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError
 
 
 class InvalidGeometryError(ValueError):
@@ -181,8 +183,7 @@ class TensorField:
     returns the blocks stacked on a leading axis.  A field with a
     ``line_rule`` makes that stack in one batch, and the stack is checked
     (shape, finiteness) once; any other field falls back to ``evaluate`` at
-    ``line.point_at_arc`` of each arc.  ``evaluate_on_line`` is the one-arc
-    case."""
+    ``line.point_at_arc`` of each arc."""
 
     rank: tuple
     frame: FrameField
@@ -213,10 +214,6 @@ class TensorField:
             raise FieldDomainError(
                 f"non-finite components at arc {arcs[k]} of the line to {line.endpoint}")
         return arr
-
-    def evaluate_on_line(self, line: BrokenLine, arc: float) -> np.ndarray:
-        """``evaluate_along`` at the single arc ``arc``."""
-        return self.evaluate_along(line, (arc,))[0]
 
     def _checked(self, block, where) -> np.ndarray:
         arr = np.asarray(block, dtype=float)
@@ -302,74 +299,41 @@ def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
 
 # -- deformation ---------------------------------------------------------------
 
-def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion,
-                  spine_values=None) -> TensorField:
-    """Deformed field: K(z) on the spine, the constant block K(c0) outside the
-    hole, and inside each line's tail the pullback of K along the affine
-    reparametrization s(x) = (s(y) - s0)/s1 * (s0 + s1).
+def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorField:
+    """Deformed field: the constant block K(c0) outside the hole, inside each
+    line's tail the pullback of K along the affine reparametrization
+    s(x) = (s(y) - s0)/s1 * (s0 + s1), and K(z) on the spine.
 
-    Evaluating a point locates its line first; ``evaluate_along`` applies the
-    same rule to many arcs of a line the caller already holds.  Arcs in the
-    white prefix (arc < s0) take K(c0) without a lookup: those points lie in
-    the open cell, off the spine closure, and c0 takes K(c0) either way.
-    Tail arcs are looked up in one batch; only a row with a weight at
-    ``MEMBERSHIP_TOL`` or in the root facet can sit on the spine closure or
-    at c0, so only those build a point for the spine rule, and the rest read
-    K in one batch at their mapped arcs.  K(c0) is read-only and handed out
-    by reference; spine overrides are checked by ``K._checked`` as they are
-    read.
-
-    ``spine_values`` overrides the spine rule for input fields whose component
-    function cannot be evaluated on the spine closure; by default the input
-    field itself supplies K(z), which is also the continuity extension of the
-    tail pullback."""
+    One rule on a line serves both paths.  Arcs in the white prefix
+    (arc < s0) take K(c0) without a lookup; the tail arcs are mapped and K
+    reads them in one ``evaluate_along``.  K(z) is that rule at the line's
+    end: s1 = L - s0 makes the end map to L, where the line's rows give z.
+    A point is K(z) on the spine closure and K(c0) at c0, which no single
+    line owns; any other point is located and read by the line rule.  K(c0)
+    is read-only and handed out by reference."""
     base = np.array(K.evaluate(chart.c0), copy=True)
     base.setflags(write=False)
-    if spine_values is None:
-        spine_eval = K.evaluate
-    else:
-        def spine_eval(pt: PointRef):
-            return K._checked(spine_values(pt), pt)
-
-    def pinned(pt: PointRef):
-        """The value at a point no single line owns (spine closure, c0)."""
-        if chart.spine_face_of(pt) is not None:
-            return spine_eval(pt)
-        if chart.is_c0(pt):
-            return base
-        return None
-
-    def comp(pt: PointRef):
-        value = pinned(pt)
-        if value is not None:
-            return value
-        try:
-            line, arc = chart.locate(pt)
-        except ChartDomainError as exc:
-            raise FieldDomainError(f"point lies on no broken line: {exc}")
-        s0, s1 = hole.split(line)
-        return base if arc < s0 else K.evaluate_on_line(line, (arc - s0) / s1 * line.length)
 
     def on_line(line: BrokenLine, arcs):
         s0, s1 = hole.split(line)
         out = np.empty((len(arcs),) + base.shape)
         out[...] = base
         tail = [k for k, arc in enumerate(arcs) if not arc < s0]
-        if not tail:
-            return out
-        read = []
-        for k, top, row in zip(tail, *line.rows_at([arcs[k] for k in tail])):
-            value = None
-            if top == chart.root or min(row) <= MEMBERSHIP_TOL:
-                value = pinned(PointRef(top, row))
-            if value is None:
-                read.append(k)
-            else:
-                out[k] = value
-        if read:
-            out[read] = K.evaluate_along(line, [(arcs[k] - s0) / s1 * line.length
-                                                for k in read])
+        if tail:
+            out[tail] = K.evaluate_along(line, [(arcs[k] - s0) / s1 * line.length
+                                                for k in tail])
         return out
+
+    def comp(pt: PointRef):
+        if chart.spine_face_of(pt) is not None:
+            return K.evaluate(pt)
+        if chart.is_c0(pt):
+            return base
+        try:
+            line, arc = chart.locate(pt)
+        except ChartDomainError as exc:
+            raise FieldDomainError(f"point lies on no broken line: {exc}")
+        return on_line(line, (arc,))[0]
 
     return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
                        source=K, line_rule=on_line)
@@ -433,8 +397,11 @@ def _sampled_lines(chart: CellChart, count: int, seed: int):
                                                         rng.randrange(tops)))
 
 
+PROBE_LEVELS = 4    # dyadic offsets per side of the hole-boundary seam
+
+
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
-                      samples: int, seed: int = 0, levels: int = 4) -> ContinuityReport:
+                      samples: int, seed: int = 0) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field.
 
     Each sampled line is read with one batch of the deformed field (the
@@ -456,7 +423,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         # probe within GEOMETRIC_TOL of the line length of its seam, whatever
         # the tail's compression L / s1.
         step = GEOMETRIC_TOL * s1
-        deltas = [step / 2 ** k for k in range(levels)]
+        deltas = [step / 2 ** k for k in range(PROBE_LEVELS)]
         gates = []
         for acc in line.segment_ends[:-1]:
             delta = min(step, acc / 2, (line.length - acc) / 2)
@@ -466,8 +433,9 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         after = [acc + delta for acc, delta in gates]
         values = kbar.evaluate_along(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
                                      [line.length - step] + before + after)
-        inner, outer, near = values[:levels], values[levels:2 * levels], values[2 * levels]
-        at = 2 * levels + 1
+        inner, outer = values[:PROBE_LEVELS], values[PROBE_LEVELS:2 * PROBE_LEVELS]
+        near = values[2 * PROBE_LEVELS]
+        at = 2 * PROBE_LEVELS + 1
         before_vals, after_vals = values[at:at + len(gates)], values[at + len(gates):]
 
         # the seam itself goes through the point path (locate), so it checks

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -160,22 +160,10 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
         (rid, len(cof)) for rid, cof in enumerate(c.ridge_cofacets) if len(cof) != 2)
 
     # Dual connectivity through properly shared ridges; isolated facets count
-    # as disconnection.
-    adj = {i: set() for i in range(len(c.top_simplices))}
-    for cof in c.ridge_cofacets:
-        if len(cof) == 2:
-            a, b = cof
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    dual_connected = len(seen) == len(c.top_simplices)
+    # as disconnection, so every facet enters as its own singleton.
+    dual_connected = component_count(chain(
+        ((i,) for i in range(len(c.top_simplices))),
+        (cof for cof in c.ridge_cofacets if len(cof) == 2))) == 1
 
     # One pass gives each vertex its star, the facets containing it, in
     # facet order; the constructor guarantees every star is non-empty.
@@ -198,21 +186,7 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
                 deg[b] = deg.get(b, 0) + 1
             if any(d != 2 for d in deg.values()):
                 link_violations.append((v, "link is not 2-regular"))
-                continue
-            nbr = {}
-            for a, b in link_edges:
-                nbr.setdefault(a, []).append(b)
-                nbr.setdefault(b, []).append(a)
-            start = link_edges[0][0]
-            cycle = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in nbr[u]:
-                    if w not in cycle:
-                        cycle.add(w)
-                        stack.append(w)
-            if len(cycle) != len(deg):
+            elif component_count(link_edges) != 1:
                 link_violations.append((v, "link splits into several cycles"))
 
     report = ValidationReport(ridge_violations, dual_connected,

@@ -98,8 +98,6 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
         gate_ids.add(rid)
         frontier.extend((child, r, nb) for r, nb in graph.adjacency[child]
                         if not painted[nb])
-    if len(gates) != graph.node_count - 1:
-        raise InvalidComplexError("growth stalled; dual graph is disconnected")
     spine = tuple(sorted(rid for rid, _, _ in graph.edges if rid not in gate_ids))
     return Decomposition(root, tuple(gates), spine, strategy, seed)
 

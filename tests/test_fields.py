@@ -14,7 +14,7 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                constant_tensor, continuity_report,
                                deform_tensor, deformation_samples, extend_frame,
                                field_from_spec, parse_fld, root_facet_clearance)
-from spineforge.simplicial import MEMBERSHIP_TOL, InvalidComplexError, Metric
+from spineforge.simplicial import InvalidComplexError, Metric
 
 from grids import coordinate_torus, grid_surface
 
@@ -546,18 +546,6 @@ class TestDeformation:
             arc_x = (arc_y - s0) / s1 * line.length
             assert arc_x == pytest.approx(w * line.length)
 
-    def test_spine_override_callback(self, charts):
-        chart = charts["rp2_6"]
-        frame = extend_frame(chart)
-        K = constant_tensor([1.0, 2.0], frame, (1, 0))
-        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
-        marker = np.array([9.0, 9.0])
-        Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: marker)
-        rng = random.Random(31)
-        p = sample_interior(chart.complex, rng, 0)
-        line, _ = chart.locate(p)
-        assert np.array_equal(Kbar.evaluate(line.endpoint), marker)
-
 
 class TestContinuityReport:
     def test_constant_field_all_zero(self, charts):
@@ -617,10 +605,12 @@ class TestContinuityReport:
         rep = continuity_report(parity, chart, hole, samples=20, seed=1)
         assert rep.gate_jump >= 0.9
 
-        K = constant_tensor([1.0, 2.0], frame, (1, 0))
         marker = np.array([9.0, 9.0])
-        Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: marker)
-        rep = continuity_report(Kbar, chart, hole, samples=20, seed=1)
+        white = np.array([1.0, 2.0])
+        K = TensorField((1, 0), frame,
+                        lambda pt: marker if chart.spine_face_of(pt) is not None else white)
+        rep = continuity_report(deform_tensor(K, chart, hole), chart, hole,
+                                samples=20, seed=1)
         assert rep.spine_limit >= 0.9
 
 
@@ -638,7 +628,8 @@ def _sampled_lines(chart, count, seed):
 
 
 class TestLineHandle:
-    """``evaluate_on_line`` against the point path it replaces in the probes."""
+    """One-arc ``evaluate_along`` against the point path it replaces in the
+    probes."""
 
     @pytest.mark.parametrize("eps_frac", [0.25, 0.75])
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
@@ -654,7 +645,7 @@ class TestLineHandle:
             arcs = [line.length * k / 16 for k in range(17)] + \
                    [s0 + s1 * k / 8 for k in range(9)]
             for arc in arcs:
-                on_line = Kbar.evaluate_on_line(line, arc)
+                on_line = Kbar.evaluate_along(line, (arc,))[0]
                 by_point = Kbar.evaluate(line.point_at_arc(arc))
                 assert np.abs(on_line - by_point).max() <= 1e-9, (arc, s0)
                 if arc < s0:
@@ -662,7 +653,7 @@ class TestLineHandle:
                     assert np.array_equal(by_point, base)
                 if arc == line.length:
                     assert np.array_equal(on_line, by_point)
-            end_value = Kbar.evaluate_on_line(line, line.length)
+            end_value = Kbar.evaluate_along(line, (line.length,))[0]
             assert np.abs(end_value - K.evaluate(line.endpoint)).max() <= 1e-9
 
     @pytest.mark.parametrize("name", ALL)
@@ -678,7 +669,7 @@ class TestLineHandle:
             s0, s1 = hole.split(line)
             for arc in [line.length * k / 16 for k in range(17)] + \
                        [s0 + s1 * k / 8 for k in range(9)]:
-                assert np.array_equal(Kbar.evaluate_on_line(line, arc), block)
+                assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], block)
 
     def test_plain_field_is_point_evaluation(self, charts):
         chart = charts["torus7"]
@@ -686,7 +677,7 @@ class TestLineHandle:
         for line in _sampled_lines(chart, 3, seed=17):
             for k in range(9):
                 arc = line.length * k / 8
-                assert np.array_equal(K.evaluate_on_line(line, arc),
+                assert np.array_equal(K.evaluate_along(line, (arc,))[0],
                                       K.evaluate(line.point_at_arc(arc)))
 
     @pytest.mark.parametrize("block", [np.array([np.nan, 0.0]), np.zeros(3)],
@@ -698,12 +689,7 @@ class TestLineHandle:
         from spineforge.fields import TensorField
         plain = TensorField((1, 0), frame, lambda pt: block, label="bad")
         with pytest.raises(FieldDomainError):
-            plain.evaluate_on_line(line, 0.5 * line.length)
-        K = constant_tensor([1.0, 2.0], frame, (1, 0))
-        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
-        Kbar = deform_tensor(K, chart, hole, spine_values=lambda pt: block)
-        with pytest.raises(FieldDomainError):
-            Kbar.evaluate_on_line(line, line.length)
+            plain.evaluate_along(line, (0.5 * line.length,))
 
 
 class TestArcEvaluation:
@@ -731,15 +717,10 @@ class TestArcEvaluation:
             calls.append("spine_face_of")
             return spine_face_of(ch, pt)
 
-        # tail arcs off the root facet whose rows carry no weight at the
-        # membership tolerance: they can be neither on the spine closure nor c0
         tail = []
         for line in lines:
             s0, s1 = hole.split(line)
-            arcs = [s0 + s1 * k / 8 for k in range(8)]
-            tail += [(line, arc) for arc, top, row in zip(arcs, *line.rows_at(arcs))
-                     if top != chart.root and min(row) > MEMBERSHIP_TOL]
-        assert len(tail) >= 20
+            tail += [(line, s0 + s1 * k / 8) for k in range(8)]
         want = [K.evaluate(line.point_at_arc((arc - hole.split(line)[0]) /
                                              hole.split(line)[1] * line.length))
                 for line, arc in tail]
@@ -755,16 +736,40 @@ class TestArcEvaluation:
         for line in lines:
             s0, _ = hole.split(line)
             for arc in [0.0] + [s0 * k / 8 for k in range(1, 8)] + [math.nextafter(s0, 0.0)]:
-                assert np.array_equal(Kbar.evaluate_on_line(line, arc), base)
+                assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], base)
         assert calls == []
         # tail reads build no point either: one row lookup, one batch read of K
         for (line, arc), value in zip(tail, want):
-            assert np.array_equal(Kbar.evaluate_on_line(line, arc), value)
+            assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], value)
         assert calls == []
-        # a row at the spine does build its point, for the spine rule
+        # the spine row builds no point either: K(z) is the tail rule at the end
         line = lines[0]
-        Kbar.evaluate_on_line(line, line.length)
-        assert "PointRef" in calls and "spine_face_of" in calls
+        assert np.array_equal(Kbar.evaluate_along(line, (line.length,))[0],
+                              K.evaluate(line.endpoint))
+        assert calls == []
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_tail_batch_looks_rows_up_once(self, census, monkeypatch, strategy):
+        # the deformed rule maps the tail arcs and hands them to K's own line
+        # rule: one row lookup per batch, prefix, tail and spine end together
+        chart = _chart(census, "torus7", strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        rows_at = sf.chart.BrokenLine.rows_at
+        calls = []
+
+        def counted(line, arcs):
+            calls.append(len(arcs))
+            return rows_at(line, arcs)
+
+        monkeypatch.setattr(sf.chart.BrokenLine, "rows_at", counted)
+        for line in _sampled_lines(chart, 6, seed=43):
+            s0, s1 = hole.split(line)
+            arcs = [s0 * k / 4 for k in range(4)] + [s0 + s1 * k / 8 for k in range(9)]
+            calls.clear()
+            Kbar.evaluate_along(line, arcs)
+            assert calls == [9]
 
     @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
     @pytest.mark.parametrize("name", ["circle3", "sphere_tet", "torus7", "torus12"])
@@ -828,17 +833,15 @@ class TestBatchReads:
         plain = _plain_field(frame, rank)
         constant = constant_tensor(np.arange(2.0, 2.0 + n ** sum(rank)), frame, rank)
         source = _linear_field(chart, rank=rank)[0] if c.vertex_coords else plain
-        marker = np.full((n,) * sum(rank), 7.5)
         fields = [plain, constant, source, deform_tensor(source, chart, hole),
-                  deform_tensor(plain, chart, hole),
-                  deform_tensor(source, chart, hole, spine_values=lambda pt: marker)]
+                  deform_tensor(plain, chart, hole)]
         for line in _sampled_lines(chart, 3, seed=37):
             arcs = self._arcs(line, hole)
             for field in fields:
                 batch = field.evaluate_along(line, arcs)
                 assert batch.shape == (len(arcs),) + (n,) * sum(rank)
                 for arc, row in zip(arcs, batch):
-                    assert np.array_equal(row, field.evaluate_on_line(line, arc)), \
+                    assert np.array_equal(row, field.evaluate_along(line, (arc,))[0]), \
                         (field.label, arc)
                     if field.source is None:
                         # a field defined pointwise reads the point path exactly
@@ -861,8 +864,8 @@ class TestBatchReads:
             with pytest.raises(ValueError):
                 value += 5.0
             assert np.array_equal(field.evaluate(chart.c0), before)
-            assert np.array_equal(field.evaluate_on_line(line, 0.0), before)
-        row = K.evaluate_on_line(line, 0.5 * line.length)
+            assert np.array_equal(field.evaluate_along(line, (0.0,))[0], before)
+        row = K.evaluate_along(line, (0.5 * line.length,))[0]
         with pytest.raises(ValueError):
             row[0] = 5.0
         assert np.array_equal(K.evaluate(chart.c0), [1.0, 2.0])
@@ -928,8 +931,8 @@ class TestLocateCalls:
         hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
         Kbar = deform_tensor(K, chart, hole)
         attempts, sampled, calls = self._instrument(monkeypatch, chart)
-        levels = 4
-        rep = continuity_report(Kbar, chart, hole, samples=12, seed=3, levels=levels)
+        levels = sf.fields.PROBE_LEVELS
+        rep = continuity_report(Kbar, chart, hole, samples=12, seed=3)
         assert len(sampled) == 12
         assert len(calls) <= 2 * len(attempts)
         assert len(calls) == len(attempts) + len(sampled)
