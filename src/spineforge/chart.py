@@ -33,18 +33,20 @@ they are not validated on every walk.
 A walk step costs one gate index map and one multiply.  Every chord of a
 non-root facet is parallel to the segment from the gate centroid to the
 off-gate vertex, q - p = t * (e_ov - centroid), so its length is t times that
-segment's length h; h is taken from the metric once per facet, on first use.
-Crossing a gate copies coordinates by the child's precomputed parent<->child
-index maps.  ``Metric.dist`` therefore runs only in the root facet (one call
-for the root segment, two for a root ray) and once per facet for h.  Lengths
-agree with the metric's quadratic form of the chord's ends to rounding
-(1.5e-14 relative), so CLI float outputs differ in their low-order digits
-from that evaluation; repeated runs are byte-identical.
+segment's length h.  Every facet's h is computed at build, in one stacked
+pass over the metric's edge table that gives ``Metric.dist``'s bits, and a
+walk reads it.  Crossing a gate copies coordinates by the child's
+precomputed parent<->child index maps.  ``Metric.dist`` therefore runs only
+in the root facet: one call for the root segment, two for a root ray.
+Lengths agree with the metric's quadratic form of the chord's ends to
+rounding (1.5e-14 relative), so CLI float outputs differ in their low-order
+digits from that evaluation; repeated runs are byte-identical.
 
 All point evaluations are lazy walks over the decomposition's ``GateStep``s,
 which the chart reads as they are; nothing is meshed globally.  Charts are
-immutable after construction, apart from the h cache, whose entries are
-written once with the same value by any writer, and evaluations are pure, so
+immutable after construction, apart from the last line draw of
+``fields._sampled_lines``, one entry keyed by count and seed that any writer
+replaces whole with lines equal for equal keys.  Evaluations are pure, so
 they can run concurrently.
 """
 
@@ -52,15 +54,16 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
+import numpy as np
+
 from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
-                         Metric, SimplicialComplex)
+                         Metric, SimplicialComplex, facet_rows)
 from .spine import Decomposition
 
 
@@ -164,7 +167,7 @@ def stretch(s: float, s1: float, s2: float) -> float:
 
 
 def _lerp(a, b, w):
-    return tuple(x + w * (y - x) for x, y in zip(a, b))
+    return tuple([x + w * (y - x) for x, y in zip(a, b)])
 
 
 def _stray_weight(stray, from_top, to_top):
@@ -215,7 +218,8 @@ class CellChart:
                              for k, v in enumerate(child_verts))
                 maps = shared[ov, off] = (ov, off, up, down)
             self._gate_maps[step.child] = maps
-        self._heights = array("d", [math.nan]) * len(tops)   # _height, NaN until used
+        self._heights = self._facet_heights()
+        self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
         self.spine_set = frozenset(decomposition.spine)
         ridge_faces = complex.faces[n - 1]
@@ -261,18 +265,33 @@ class CellChart:
         out[off if upward else ov] = 0.0
         return tuple(out)
 
+    def _facet_heights(self):
+        """|off-gate vertex - gate centroid| of every non-root facet (NaN for
+        the root), all facets in one stacked pass.
+
+        The barycentric difference is 1 on the off-gate slot and -1/n on the
+        others, and the terms of ``Metric.sq_dist`` are summed in its pair
+        order from the squares it uses, so each height equals
+        ``Metric.dist`` of the two points bit for bit.  A facet whose edge
+        the metric lacks gets NaN, and a line through it raises."""
+        n = self.complex.dimension
+        children = [step.child for step in self.decomposition.gates]
+        heights = np.full(len(self.complex.top_simplices), np.nan)
+        if not children:    # a single facet, as a point is
+            return heights.tolist()
+        verts = facet_rows(self.complex)[children]
+        ov = np.array([self._gate_maps[child][0] for child in children])
+        diff = [np.where(ov == i, 1.0, 0.0 - 1.0 / n) for i in range(n + 1)]
+        s = np.zeros(len(children))
+        for i, j in combinations(range(n + 1), 2):
+            s -= diff[i] * diff[j] * self.metric.lengths_at(verts[:, i], verts[:, j],
+                                                            squared=True)
+        heights[children] = np.sqrt(np.maximum(s, 0.0))
+        return heights.tolist()
+
     def _height(self, top):
-        """|off-gate vertex - gate centroid| of a non-root facet, computed once."""
-        h = self._heights[top]
-        if h != h:
-            n = self.complex.dimension
-            ov = self._gate_maps[top][0]
-            centroid = [1.0 / n] * (n + 1)
-            centroid[ov] = 0.0
-            vertex = [0.0] * (n + 1)
-            vertex[ov] = 1.0
-            h = self._heights[top] = self._dist(top, vertex, centroid)
-        return h
+        """|off-gate vertex - gate centroid| of a non-root facet."""
+        return self._heights[top]
 
     def _ray(self, x):
         """Radial ray of the root through x != c0.
@@ -377,6 +396,9 @@ class CellChart:
         segments = tuple([Segment(*seg) for seg in segments])   # see segment_ends
         top, _, z, _ = segments[-1]
         total = math.fsum(seg.length for seg in segments)
+        if total != total:    # a NaN height: the metric lacks an edge of that facet
+            top = next(seg.top for seg in segments if seg.length != seg.length)
+            raise InvalidComplexError(f"metric misses an edge of facet {self._verts(top)}")
         return BrokenLine(segments, PointRef(top, z), total), arc
 
     def is_c0(self, pt: PointRef) -> bool:

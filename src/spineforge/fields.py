@@ -7,8 +7,9 @@ parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
 child's interval family.  ``extend_frame`` computes every transition from
-edge lengths in one stacked pass, without embedding any facet, and
-``root_facet_clearance`` reads the root's heights off Gram determinants.
+edge lengths in one stacked pass, without embedding any facet (the lengths
+come from ``Metric.lengths_at``, the gather the chart's heights use too),
+and ``root_facet_clearance`` reads the root's heights off Gram determinants.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -25,6 +26,11 @@ A stacked result is checked (shape, finiteness) once; K(c0) is checked at
 build and handed out read-only.  A linear field stores its value at every
 vertex and combines each row's vertex values by its barycentrics, with one
 formula for a point and for a batch, so the two agree bit for bit.
+
+The seam report and the sample rows read the same sampled lines: the chart
+keeps its last draw, keyed by count and seed, so a run that asks for both
+with one count and seed walks each line once.  A count below 1 raises, as a
+check over no line would pass having checked nothing.
 """
 
 from __future__ import annotations
@@ -33,13 +39,14 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
-from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError
+from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, facet_rows
 
 
 class InvalidGeometryError(ValueError):
@@ -87,8 +94,9 @@ def extend_frame(chart: CellChart) -> FrameField:
     n = c.dimension
     gates = chart.decomposition.gates
     m = len(gates)
-    tops = np.array(c.top_simplices)        # sorted vertex ids, one row per facet
-    steps = np.array(gates, np.intp).reshape(m, 3)   # (parent, gate, child) rows
+    tops = facet_rows(c)
+    # (parent, gate, child) rows
+    steps = np.fromiter(chain.from_iterable(gates), np.intp, 3 * m).reshape(m, 3)
     pv = tops[steps[:, 0]]
     cv = tops[steps[:, 2]]
     # local slot of the parent's far vertex w and of the child's apex a: the
@@ -105,7 +113,13 @@ def extend_frame(chart: CellChart) -> FrameField:
     gate = pv[rows[:, None], gate_slots[w_slot]]
     ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
     # squared lengths from each of (gate..., w, a) to each gate vertex
-    sq = _edge_lengths(chart.metric, ends[:, :, None], gate[:, None, :]) ** 2
+    lengths = chart.metric.lengths_at(ends[:, :, None], gate[:, None, :])
+    missing = np.argwhere(np.isnan(lengths))
+    if missing.size:
+        k, i, j = missing[0]
+        raise InvalidComplexError(
+            f"metric misses edge {tuple(sorted((int(ends[k, i]), int(gate[k, j]))))}")
+    sq = lengths ** 2
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
     off = sq[:, n:]
@@ -148,28 +162,6 @@ def extend_frame(chart: CellChart) -> FrameField:
                 f"{tuple(c.faces[n - 1][step.gate])}")
         raise InvalidGeometryError(f"frame transition into facet {step.child} is singular")
     return FrameField(matrices, {step.gate: trans[k] for k, step in enumerate(gates)})
-
-
-def _edge_lengths(metric, u, v) -> np.ndarray:
-    """Metric lengths of the edges (u, v), elementwise over broadcast arrays
-    of vertex ids, and 0 where u == v: one sorted search over the metric's
-    edge table instead of one ``Metric.length`` call per edge."""
-    table = metric.edge_lengths
-    pairs = np.fromiter(chain.from_iterable(table), np.int64, 2 * len(table)).reshape(-1, 2)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    base = int(max(pairs.max(initial=0), hi.max(initial=0))) + 1
-    codes = pairs[:, 0] * base + pairs[:, 1]
-    # a metric built from a complex lists its edges sorted; only sort otherwise
-    order = slice(None) if (codes[1:] > codes[:-1]).all() else np.argsort(codes)
-    codes = codes[order]
-    want = lo * base + hi
-    at = np.searchsorted(codes, want)
-    missing = (lo != hi) & (np.take(codes, at, mode="clip") != want)
-    if missing.any():
-        k = tuple(np.argwhere(missing)[0])
-        raise InvalidComplexError(f"metric misses edge {(int(lo[k]), int(hi[k]))}")
-    lengths = np.fromiter(table.values(), float, len(table))[order]
-    return np.where(lo == hi, 0.0, np.take(lengths, at, mode="clip"))
 
 
 # -- tensor fields -------------------------------------------------------------
@@ -339,8 +331,7 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorF
                        source=K, line_rule=on_line)
 
 
-@dataclass(frozen=True)
-class ContinuityProbe:
+class ContinuityProbe(NamedTuple):
     line_index: int
     seam: str        # "hole-boundary" | "spine-limit" | "gate"
     arc: float
@@ -386,15 +377,30 @@ def _jumps(a: np.ndarray, b: np.ndarray) -> list:
     return np.abs(a - b).max(axis=tuple(range(1, a.ndim))).tolist()
 
 
-def _sampled_lines(chart: CellChart, count: int, seed: int):
+def _sampled_lines(chart: CellChart, count: int, seed: int) -> list:
     """Broken lines through ``count`` random interior points, with each
     point's arc: a facet is drawn, then a point in it, then located.  A point
-    that cannot be located raises; none is skipped."""
+    that cannot be located raises; none is skipped.
+
+    The chart keeps its last draw, keyed by (count, seed), so a run that
+    reads the same lines twice walks them once; a draw that raises is not
+    kept.  The list is shared: callers only read it."""
+    key = (count, seed)
+    drawn = chart._line_draw
+    if drawn is not None and drawn[0] == key:
+        return drawn[1]
     rng = random.Random(seed)
     tops = len(chart.complex.top_simplices)
-    for _ in range(count):
-        yield chart.locate(chart_module.sample_interior(chart.complex, rng,
-                                                        rng.randrange(tops)))
+    sample, locate = chart_module.sample_interior, chart.locate
+    lines = [locate(sample(chart.complex, rng, rng.randrange(tops))) for _ in range(count)]
+    chart._line_draw = key, lines
+    return lines
+
+
+def _require_positive(**counts):
+    for name, count in counts.items():
+        if count < 1:
+            raise FieldDomainError(f"{name} must be at least 1, got {count}")
 
 
 PROBE_LEVELS = 4    # dyadic offsets per side of the hole-boundary seam
@@ -407,7 +413,9 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     Each sampled line is read with one batch of the deformed field (the
     hole-boundary, spine-limit and gate probes) and one batch of the input
     field (the same gate probes); the hole-boundary seam itself and the spine
-    point z go through the point path."""
+    point z go through the point path.  Fewer than one sample raises, since
+    a report over no line checks nothing."""
+    _require_positive(samples=samples)
     base = kbar.evaluate(chart.c0)
     probes = []
     nonsmooth = []
@@ -467,7 +475,8 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                         lines: int, per_line: int, seed: int = 0):
     """CSV-ready rows (line id, arc s(y), components...) along sampled lines,
-    one batch read per line."""
+    one batch read per line.  ``lines`` or ``per_line`` below 1 raises."""
+    _require_positive(lines=lines, per_line=per_line)
     rows = []
     for index, (line, _) in enumerate(_sampled_lines(chart, lines, seed)):
         arcs = [line.length * k / per_line for k in range(per_line + 1)]
@@ -562,7 +571,7 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
     # the affine map at every vertex, gathered per facet: a point's value is
     # the barycentric combination of its facet's rows
     at_vertex = offsets + np.array(chart.complex.vertex_coords) @ slopes.T
-    per_top = at_vertex[np.array(chart.complex.top_simplices)]
+    per_top = at_vertex[facet_rows(chart.complex)]
     shape = (n,) * order
 
     def combine(tops, bary_rows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -252,6 +253,14 @@ def component_count(simplices) -> int:
     return count
 
 
+def facet_rows(c: SimplicialComplex) -> np.ndarray:
+    """The facets' sorted vertex ids as an index array, one row per facet,
+    read straight off the flattened tuples."""
+    width = c.dimension + 1
+    return np.fromiter(chain.from_iterable(c.top_simplices), np.intp,
+                       width * len(c.top_simplices)).reshape(-1, width)
+
+
 def euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** k * len(fk) for k, fk in enumerate(c.faces))
 
@@ -262,6 +271,9 @@ class Metric:
     Segment lengths inside a simplex come from the flat simplex those edge
     lengths determine: for barycentric difference c with sum 0,
     |sum c_i v_i|^2 = -sum_{i<j} c_i c_j d_ij^2.
+
+    ``lengths_at`` gathers many edges at once from a sorted edge table,
+    built on first use; the lengths must not change after that.
     """
 
     def __init__(self, edge_lengths):
@@ -326,6 +338,39 @@ class Metric:
 
     def length(self, u, v) -> float:
         return self.edge_lengths[(min(u, v), max(u, v))]
+
+    @cached_property
+    def _edge_table(self):
+        """(base, codes, lengths, squares): the edges as sorted codes
+        u * base + v (u < v), and each one's length and square, the square
+        taken as ``sq_dist`` takes it (Python's ``** 2``)."""
+        table = self.edge_lengths
+        pairs = np.fromiter(chain.from_iterable(table), np.int64, 2 * len(table)).reshape(-1, 2)
+        base = int(pairs.max(initial=0)) + 1
+        codes = pairs[:, 0] * base + pairs[:, 1]
+        # a metric built from a complex lists its edges sorted; only sort otherwise
+        order = slice(None) if (codes[1:] > codes[:-1]).all() else np.argsort(codes)
+        lengths = np.fromiter(table.values(), float, len(table))[order]
+        squares = np.fromiter((l ** 2 for l in table.values()), float, len(table))[order]
+        return base, codes[order], lengths, squares
+
+    def lengths_at(self, u, v, squared=False) -> np.ndarray:
+        """Lengths (or squared lengths) of the edges (u, v), elementwise over
+        broadcast arrays of vertex ids: 0 where u == v and NaN where the
+        metric has no such edge.  One sorted search over the edge table
+        instead of one ``length`` call per edge; a squared length equals
+        the one ``sq_dist`` uses, bit for bit."""
+        base, codes, lengths, squares = self._edge_table
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        want = lo * base
+        want += hi
+        at = np.searchsorted(codes, want)
+        missing = np.take(codes, at, mode="clip") != want
+        missing |= hi >= base
+        out = np.take(squares if squared else lengths, at, mode="clip")
+        out[missing] = np.nan
+        out[lo == hi] = 0.0
+        return out
 
     def sq_dist(self, verts, a, b) -> float:
         diff = [x - y for x, y in zip(a, b)]

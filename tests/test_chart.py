@@ -11,7 +11,7 @@ from spineforge.chart import (BlackPointError, ChartDomainError, PointRef,
                               forward_map, geometric_tol, inverse_map,
                               point_gap, retract, retraction_samples,
                               sample_interior, stretch)
-from spineforge.simplicial import Metric
+from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex
 
 from grids import coordinate_torus, grid_surface
 
@@ -495,9 +495,71 @@ class TestTableWalk:
                 assert str(got.value) == str(expected.value)
 
 
+class TestFacetHeights:
+    """Every facet's height is computed at build, in one stacked pass, and
+    equals the Metric.dist reading it replaces bit for bit."""
+
+    @staticmethod
+    def metric_height(chart, top):
+        n = chart.complex.dimension
+        ov = chart._gate_maps[top][0]
+        centroid = [1.0 / n] * (n + 1)
+        centroid[ov] = 0.0
+        vertex = [0.0] * (n + 1)
+        vertex[ov] = 1.0
+        return chart.metric.dist(chart.complex.top_simplices[top], vertex, centroid)
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", [*sf.census_names(), "torus12", "klein12"])
+    def test_height_is_metric_dist(self, census, name, strategy):
+        c = census[name] if name in census else grid_surface(12, klein=name == "klein12")
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        for step in d.gates:
+            assert chart._height(step.child) == self.metric_height(chart, step.child)
+
+    def test_coordinate_torus_heights_are_metric_dist(self):
+        # the squares must be taken as Metric.sq_dist takes them: numpy's
+        # square of 6 of this torus's 1728 edge lengths is an ulp off Python's
+        c = coordinate_torus(24)
+        m = Metric.from_complex(c)
+        for strategy in ("bfs", "dfs", "random"):
+            chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0), m)
+            for step in chart.decomposition.gates:
+                assert chart._height(step.child) == self.metric_height(chart, step.child)
+
+    def test_chart_of_a_point_has_no_height(self):
+        # no gate, so no non-root facet; the pass must not divide by n = 0
+        c = SimplicialComplex(0, [(0,)])
+        chart = build_chart(c, sf.decompose(c), Metric.from_complex(c))
+        assert math.isnan(chart._height(0))
+
+    def test_walk_into_a_facet_without_metric_edge_raises(self, census):
+        # a hand-built metric may lack an edge; its facets get no height, and
+        # a line through one is an error, not a line of NaN length
+        c = census["torus7"]
+        lengths = dict(Metric.from_complex(c).edge_lengths)
+        del lengths[(1, 5)]
+        chart = build_chart(c, sf.decompose(c), Metric(lengths))
+        top = next(t for t, f in enumerate(c.top_simplices) if {1, 5} <= set(f))
+        with pytest.raises(InvalidComplexError, match=r"metric misses an edge of facet \("):
+            chart.locate(PointRef(top, (0.2, 0.3, 0.5)))
+
+    def test_build_makes_no_dist_call(self, monkeypatch):
+        c = coordinate_torus(12)
+        d = sf.decompose(c, root=0, strategy="random", seed=3)
+        m = Metric.from_complex(c)
+        calls = []
+        monkeypatch.setattr(Metric, "dist", lambda *args: calls.append(args))
+        monkeypatch.setattr(Metric, "sq_dist", lambda *args: calls.append(args))
+        build_chart(c, d, m)
+        assert calls == []
+
+
 class TestWalkCost:
-    """After a warm pass, the walk runs Metric.dist only in the root facet:
-    once for the root segment of a non-root point, twice for a root ray."""
+    """The walk runs Metric.dist only in the root facet: once for the root
+    segment of a non-root point, twice for a root ray.  Heights come from
+    the build, so this holds from the first walk on a fresh chart."""
 
     @pytest.fixture(scope="class")
     def dfs12(self):
@@ -536,6 +598,27 @@ class TestWalkCost:
             expected = 2 if top == chart.root else 1
             assert count(chart.locate, p) == expected, depth[top]
             assert count(inverse_map, chart, p) == expected, depth[top]
+
+    def test_first_locate_on_a_fresh_chart(self, dfs12, monkeypatch):
+        chart, depth = dfs12
+        rng = random.Random(4)
+        shallow = sorted(top for top, k in depth.items() if k <= 5)
+        deep = sorted(top for top, k in depth.items() if k >= 60)
+        points = [sample_interior(chart.complex, rng, top) for top in shallow + deep[::20]]
+        calls = []
+        original = Metric.dist
+
+        def counted(self, verts, a, b):
+            calls.append(1)
+            return original(self, verts, a, b)
+
+        for p in points:
+            fresh = build_chart(chart.complex, chart.decomposition, chart.metric)
+            monkeypatch.setattr(Metric, "dist", counted)
+            calls.clear()
+            fresh.locate(p)
+            monkeypatch.setattr(Metric, "dist", original)
+            assert len(calls) == (2 if p.top == chart.root else 1), depth[p.top]
 
     def test_locate_builds_one_point(self, dfs12, monkeypatch):
         # the line's endpoint; its segments hold plain barycentric tuples

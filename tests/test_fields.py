@@ -900,7 +900,9 @@ class TestBatchReads:
 
 class TestLocateCalls:
     """Probes and sample rows walk the line they already hold: locate runs
-    once per sampling attempt, plus the one point-path seam probe per line."""
+    once per sampling attempt, plus the one point-path seam probe per line.
+    The chart keeps its last draw, so a report and sample rows with the same
+    count and seed walk each sampled line once."""
 
     @staticmethod
     def _instrument(monkeypatch, chart):
@@ -952,6 +954,37 @@ class TestLocateCalls:
         assert len(sampled) == 9
         assert len(rows) == 9 * 17
 
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_report_then_samples_share_one_draw(self, census, monkeypatch, strategy):
+        # the CLI and the benchmark pass one count and seed to both calls
+        chart = _chart(census, "torus7", strategy)
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        attempts, sampled, calls = self._instrument(monkeypatch, chart)
+        continuity_report(Kbar, chart, hole, samples=9, seed=3)
+        rows = deformation_samples(Kbar, chart, hole, lines=9, per_line=16, seed=3)
+        assert len(calls) == 2 * 9
+        assert len(attempts) == len(sampled) == 9
+        assert len(rows) == 9 * 17
+
+    @pytest.mark.parametrize("count, seed", [(8, 3), (9, 4), (1, 3)])
+    def test_other_count_or_seed_draws_again(self, census, monkeypatch, count, seed):
+        from spineforge.fields import _sampled_lines as drawn
+        chart = _chart(census, "torus7", "random")
+        first = drawn(chart, 9, 3)
+        attempts, sampled, calls = self._instrument(monkeypatch, chart)
+        again = drawn(chart, count, seed)
+        assert len(attempts) == len(calls) == count
+        fresh = drawn(_chart(census, "torus7", "random"), count, seed)
+        assert [line.segments for line, _ in again] == [line.segments for line, _ in fresh]
+        assert [arc for _, arc in again] == [arc for _, arc in fresh]
+        # one entry: the first draw is gone and is walked again
+        calls.clear()
+        assert [line.segments for line, _ in drawn(chart, 9, 3)] == \
+            [line.segments for line, _ in first]
+        assert len(calls) == 9
+
     @pytest.mark.parametrize("sample", [
         lambda kbar, chart, hole: continuity_report(kbar, chart, hole, samples=5, seed=3),
         lambda kbar, chart, hole: deformation_samples(kbar, chart, hole, lines=5,
@@ -966,15 +999,43 @@ class TestLocateCalls:
         locate = chart.locate
         raised = []
 
-        def fails_once(pt):
-            if not raised:
+        def fails_at_third(pt):
+            # the third locate of every call, a sampled point: the draw that
+            # raised must not be kept, so a second call draws again and raises
+            if len(raised) % 3 == 2:
                 raised.append(pt)
                 raise ChartDomainError("no broken line here")
+            raised.append(pt)
             return locate(pt)
 
-        monkeypatch.setattr(chart, "locate", fails_once)
-        with pytest.raises(ChartDomainError, match="no broken line here"):
+        monkeypatch.setattr(chart, "locate", fails_at_third)
+        for _ in range(2):
+            raised.clear()
+            with pytest.raises(ChartDomainError, match="no broken line here"):
+                sample(Kbar, chart, hole)
+            assert len(raised) == 3
+
+    @pytest.mark.parametrize("sample, name", [
+        (lambda kbar, chart, hole: continuity_report(kbar, chart, hole, samples=0), "samples"),
+        (lambda kbar, chart, hole: continuity_report(kbar, chart, hole, samples=-2), "samples"),
+        (lambda kbar, chart, hole: deformation_samples(kbar, chart, hole, lines=0,
+                                                       per_line=4), "lines"),
+        (lambda kbar, chart, hole: deformation_samples(kbar, chart, hole, lines=3,
+                                                       per_line=0), "per_line"),
+        (lambda kbar, chart, hole: deformation_samples(kbar, chart, hole, lines=3,
+                                                       per_line=-1), "per_line"),
+    ], ids=["samples0", "samples-2", "lines0", "per_line0", "per_line-1"])
+    def test_a_check_over_nothing_raises(self, census, monkeypatch, sample, name):
+        # a report over no line would pass with every seam 0.0; the count is
+        # rejected before any point is drawn
+        chart = _chart(census, "torus7", "random")
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        attempts, _, calls = self._instrument(monkeypatch, chart)
+        with pytest.raises(FieldDomainError, match=f"^{name} must be at least 1"):
             sample(Kbar, chart, hole)
+        assert not attempts and not calls
 
 
 class TestFieldFiles:
