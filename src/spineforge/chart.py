@@ -489,10 +489,14 @@ def retract(chart: CellChart, x: PointRef, t: float) -> PointRef:
     arc (1-t)*s(x) from the endpoint z; spine points never move."""
     if not 0.0 <= t <= 1.0:
         raise ChartDomainError(f"homotopy time {t} outside [0, 1]")
-    if chart.spine_face_of(x) is not None:
-        return x
-    if t == 0.0:
-        return x
+    return _flow(chart, x, (t,))[0]
+
+
+def _flow(chart: CellChart, x: PointRef, times) -> list:
+    """``retract(chart, x, t)`` for each t in ``times``, from one walk of x's
+    broken line: x itself at t = 0, the line's endpoint at t = 1."""
+    if chart.spine_face_of(x) is not None or not any(times):
+        return [x] * len(times)
     if chart.is_c0(x):
         # s(c0) depends on the line chosen; fixed convention: the line through
         # the root point with barycentrics proportional to (1, 2, ..., n+1),
@@ -503,10 +507,9 @@ def retract(chart: CellChart, x: PointRef, t: float) -> PointRef:
         arc = 0.0
     else:
         line, arc = chart.locate(x)
-    if t == 1.0:
-        return line.endpoint
     s_x = line.length - arc
-    return line.point_at_arc(line.length - (1.0 - t) * s_x)
+    return [x if t == 0.0 else line.endpoint if t == 1.0
+            else line.point_at_arc(line.length - (1.0 - t) * s_x) for t in times]
 
 
 def ambient_position(c: SimplicialComplex, pt: PointRef):
@@ -547,10 +550,9 @@ def retraction_samples(chart: CellChart, count: int, t_steps: int, seed: int = 0
     rng = random.Random(seed)
     rows = []
     tops = len(chart.complex.top_simplices)
+    times = [k / t_steps for k in range(t_steps + 1)]
     for _ in range(count):
         x = sample_interior(chart.complex, rng, rng.randrange(tops))
-        for k in range(t_steps + 1):
-            t = k / t_steps
-            y = retract(chart, x, t)
+        for t, y in zip(times, _flow(chart, x, times)):
             rows.append((t, y.top) + tuple(y.bary))
     return rows

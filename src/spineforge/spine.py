@@ -4,13 +4,16 @@ Growing from a root facet, coordinates spread across one shared ridge at a
 time ("gates"); the ridges never crossed form the spine.  Gates trace a
 spanning tree of the dual graph in absorption order, so every prefix of the
 gate list spans a connected subtree containing the root.
+
+``decompose`` is one pass over the cached dual graph: each ridge enters the
+frontier exactly once, so growth costs O(ridges).  ``random`` draws uniformly
+over the frontier with the same bits as ``random.Random(seed).randrange``.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -55,13 +58,6 @@ class Decomposition:
         return json.dumps(self.to_json_obj(c), sort_keys=True, separators=(",", ":"))
 
 
-def decomposition_from_json(c: SimplicialComplex, obj) -> Decomposition:
-    ridge_index = c.face_index[c.dimension - 1]
-    spine = tuple(sorted(ridge_index[tuple(sorted(f))] for f in obj["spine"]))
-    gates = tuple(GateStep(p, g, ch) for p, g, ch in obj["gates"])
-    return Decomposition(obj["root"], gates, spine, obj["strategy"], obj["seed"])
-
-
 def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
               seed: int = 0) -> Decomposition:
     """Paint outward from ``root``, one unpainted facet per step.
@@ -75,31 +71,40 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
     if not 0 <= root < graph.node_count:
         raise InvalidComplexError(f"no facet with id {root}")
 
-    rng = random.Random(seed) if strategy == "random" else None
+    getrandbits = random.Random(seed).getrandbits if strategy == "random" else None
+    adjacency = graph.adjacency
     painted = [False] * graph.node_count
     painted[root] = True
-    frontier = deque()
-    frontier.extend((root, rid, nbr) for rid, nbr in graph.adjacency[root])
+    is_gate = [False] * len(graph.edges)
+    frontier = [(root, rid, nbr) for rid, nbr in adjacency[root]]
+    head = 0      # bfs reads the frontier in order; dfs and random pop it
     gates = []
-    gate_ids = set()
-    while frontier:
+    while head < len(frontier):
         if strategy == "bfs":
-            parent, rid, child = frontier.popleft()
+            step = frontier[head]
+            head += 1
         elif strategy == "dfs":
-            parent, rid, child = frontier.pop()
-        else:
-            k = rng.randrange(len(frontier))
-            frontier[k], frontier[-1] = frontier[-1], frontier[k]
-            parent, rid, child = frontier.pop()
+            step = frontier.pop()
+        else:   # randrange(size) minus its argument checks: CPython's same draw
+            size = len(frontier)
+            k = size.bit_length()
+            r = getrandbits(k)
+            while r >= size:
+                r = getrandbits(k)
+            step, frontier[r] = frontier[r], frontier[-1]
+            frontier.pop()
+        child = step[2]
         if painted[child]:
             continue
         painted[child] = True
-        gates.append(GateStep(parent, rid, child))
-        gate_ids.add(rid)
-        frontier.extend((child, r, nb) for r, nb in graph.adjacency[child]
-                        if not painted[nb])
-    spine = tuple(sorted(rid for rid, _, _ in graph.edges if rid not in gate_ids))
-    return Decomposition(root, tuple(gates), spine, strategy, seed)
+        gates.append(step)
+        is_gate[step[1]] = True
+        for rid, nbr in adjacency[child]:
+            if not painted[nbr]:
+                frontier.append((child, rid, nbr))
+    # graph.edges holds every ridge, sorted by id, so the ids come out sorted
+    spine = tuple([rid for rid, gate in enumerate(is_gate) if not gate])
+    return Decomposition(root, tuple(map(GateStep._make, gates)), spine, strategy, seed)
 
 
 @dataclass(frozen=True)

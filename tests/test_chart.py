@@ -777,6 +777,26 @@ class TestSamplingAndTolerance:
             assert 0.0 <= row[0] <= 1.0
             assert len(row) == 2 + chart.complex.dimension + 1
 
+    def test_retraction_samples_walk_each_point_once(self, monkeypatch):
+        # every time step reads the one held line, and the rows are the ones
+        # retract gives point by point
+        c = grid_surface(12)
+        chart = build_chart(c, sf.decompose(c, strategy="dfs", seed=1), Metric.from_complex(c))
+        count, t_steps = 30, 4
+        rng = random.Random(0)
+        expected = []
+        for _ in range(count):
+            x = sample_interior(c, rng, rng.randrange(len(c.top_simplices)))
+            for k in range(t_steps + 1):
+                y = retract(chart, x, k / t_steps)
+                expected.append((k / t_steps, y.top) + y.bary)
+        calls = []
+        locate = chart.locate
+        monkeypatch.setattr(chart, "locate", lambda pt: calls.append(pt) or locate(pt))
+        rows = retraction_samples(chart, count, t_steps, seed=0)
+        assert len(calls) == count
+        assert rows == expected
+
     def test_ambient_position(self, census):
         c = census["sphere_tet"]
         pt = PointRef(0, (1.0, 0.0, 0.0))

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import deque
 from itertools import combinations
 
@@ -6,10 +7,11 @@ import pytest
 
 import spineforge as sf
 from spineforge.homology import homology_groups, verify_theorem2
-from spineforge.simplicial import InvalidComplexError, SimplicialComplex
-from spineforge.spine import (Decomposition, GateStep, decompose,
-                              decomposition_from_json, spine_connected,
+from spineforge.simplicial import InvalidComplexError, SimplicialComplex, build_dual_graph
+from spineforge.spine import (Decomposition, GateStep, decompose, spine_connected,
                               spine_subcomplex, verify_cell_partition)
+
+from grids import grid_surface
 
 EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
                   "rp2_6": 6, "sphere3_pent": 6}
@@ -61,6 +63,46 @@ def decomposition_from_tree(c, root, tree_edges):
     spine = tuple(sorted(rid for rid in range(len(c.faces[n - 1]))
                          if rid not in gate_ids))
     return Decomposition(root, tuple(gates), spine, "manual", 0)
+
+
+def decomposition_from_json(c, obj):
+    """Inverse of ``Decomposition.to_json_obj``: spine faces back to ridge ids."""
+    ridge_index = c.face_index[c.dimension - 1]
+    spine = tuple(sorted(ridge_index[tuple(sorted(f))] for f in obj["spine"]))
+    gates = tuple(GateStep(p, g, ch) for p, g, ch in obj["gates"])
+    return Decomposition(obj["root"], gates, spine, obj["strategy"], obj["seed"])
+
+
+def reference_decompose(c, root=0, strategy="bfs", seed=0):
+    """The growth loop as first written: a deque frontier, ``randrange``
+    draws and the spine as the sorted ridge ids missing from a set of gate
+    ids.  ``decompose`` must return the same trees, seed for seed."""
+    graph = build_dual_graph(c)
+    rng = random.Random(seed) if strategy == "random" else None
+    painted = [False] * graph.node_count
+    painted[root] = True
+    frontier = deque()
+    frontier.extend((root, rid, nbr) for rid, nbr in graph.adjacency[root])
+    gates = []
+    gate_ids = set()
+    while frontier:
+        if strategy == "bfs":
+            parent, rid, child = frontier.popleft()
+        elif strategy == "dfs":
+            parent, rid, child = frontier.pop()
+        else:
+            k = rng.randrange(len(frontier))
+            frontier[k], frontier[-1] = frontier[-1], frontier[k]
+            parent, rid, child = frontier.pop()
+        if painted[child]:
+            continue
+        painted[child] = True
+        gates.append(GateStep(parent, rid, child))
+        gate_ids.add(rid)
+        frontier.extend((child, r, nb) for r, nb in graph.adjacency[child]
+                        if not painted[nb])
+    spine = tuple(sorted(rid for rid, _, _ in graph.edges if rid not in gate_ids))
+    return Decomposition(root, tuple(gates), spine, strategy, seed)
 
 
 def check_prefix_property(d):
@@ -125,6 +167,40 @@ class TestDecompose:
         d = decompose(c, strategy="random", seed=5)
         back = decomposition_from_json(c, json.loads(d.to_json(c)))
         assert back == d
+
+
+@pytest.fixture(scope="module")
+def grids():
+    return {"torus12": grid_surface(12), "klein12": grid_surface(12, klein=True),
+            "torus48": grid_surface(48)}
+
+
+def assert_same_as_reference(c, root, strategy, seed):
+    d = decompose(c, root=root, strategy=strategy, seed=seed)
+    ref = reference_decompose(c, root=root, strategy=strategy, seed=seed)
+    assert d == ref, (root, strategy, seed)
+    assert d.to_json(c).encode() == ref.to_json(c).encode()
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+class TestDecomposeMatchesReference:
+    """Tree identity: the flat loop grows the reference loop's trees."""
+
+    def test_census_every_root(self, census, strategy):
+        for c in census.values():
+            for root in range(len(c.top_simplices)):
+                for seed in range(20):
+                    assert_same_as_reference(c, root, strategy, seed)
+
+    @pytest.mark.parametrize("name", ["torus12", "klein12"])
+    def test_12x12_grids(self, grids, name, strategy):
+        for root in (0, 7):
+            for seed in range(50):
+                assert_same_as_reference(grids[name], root, strategy, seed)
+
+    def test_48x48_torus(self, grids, strategy):
+        for seed in (0, 1, 2):
+            assert_same_as_reference(grids["torus48"], 0, strategy, seed)
 
 
 @pytest.fixture(scope="module")
