@@ -30,17 +30,25 @@ arcs at once and returns facet ids and barycentric tuples, no points;
 tuples are points of their facets by construction, which the tests check, so
 they are not validated on every walk.
 
-A walk step costs one gate index map and one multiply.  Every chord of a
-non-root facet is parallel to the segment from the gate centroid to the
-off-gate vertex, q - p = t * (e_ov - centroid), so its length is t times that
-segment's length h.  Every facet's h is computed at build, in one stacked
-pass over the metric's edge table that gives ``Metric.dist``'s bits, and a
-walk reads it.  Crossing a gate copies coordinates by the child's
-precomputed parent<->child index maps.  ``Metric.dist`` therefore runs only
-in the root facet: one call for the root segment, two for a root ray.
-Lengths agree with the metric's quadratic form of the chord's ends to
-rounding (1.5e-14 relative), so CLI float outputs differ in their low-order
-digits from that evaluation; repeated runs are byte-identical.
+A walk step is a few list reads, one index gather and the chord arithmetic.
+The chart keeps two flat lists, filled in the one loop over the gates that
+builds it: ``_parent[f]``, the parent of facet f's entry gate, which the
+ascent follows, and ``_down[f*(n+1) + k]``, the child a chord of f enters
+when it leaves through the face opposite its local vertex k, which the
+descent follows (None where that face is not a gate of f: the line ends
+there, and its last step checks that the face is a spine ridge).  Crossing
+a gate gathers the coordinates by the child's precomputed parent<->child
+index map: the walk's crossing points hold exactly 0.0 off the gate, so the
+gather is ``_transfer`` bit for bit with no weight to check.  Every chord of a non-root facet is parallel to
+the segment from the gate centroid to the off-gate vertex, q - p = t *
+(e_ov - centroid), so its length is t times that segment's length h.  Every
+facet's h is computed at build, in one stacked pass over the metric's edge
+table that gives ``Metric.dist``'s bits, and a walk reads it from the list
+``_heights``.  ``Metric.dist`` therefore runs only in the root facet: one
+call for the root segment, two for a root ray.  Lengths agree with the
+metric's quadratic form of the chord's ends to rounding (1.5e-14 relative),
+so CLI float outputs differ in their low-order digits from that evaluation;
+repeated runs are byte-identical.
 
 All point evaluations are lazy walks over the decomposition's ``GateStep``s,
 which the chart reads as they are; nothing is meshed globally.  Charts are
@@ -58,6 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -170,12 +179,6 @@ def _lerp(a, b, w):
     return tuple([x + w * (y - x) for x, y in zip(a, b)])
 
 
-def _stray_weight(stray, from_top, to_top):
-    return ChartDomainError(
-        f"point carries weight {stray} outside the face shared by "
-        f"facets {from_top} and {to_top}")
-
-
 class CellChart:
     """Cell coordinates extended across the decomposition's ``GateStep``s,
     one coordinate extension per gate, in growth order."""
@@ -190,20 +193,21 @@ class CellChart:
         self.c0 = PointRef(self.root, (1.0 / (n + 1),) * (n + 1))
 
         tops = complex.top_simplices
-        self.entry = {}          # child facet -> its entry GateStep
-        self.gate_record = {}    # ridge id -> GateStep
-        # child facet -> (ov, off, up, down): the child's off-gate local index
-        # ov, the parent's off-gate local index off, and the local index each
-        # parent slot reads from the child (up) and each child slot from the
-        # parent (down).  The off-gate slots read each other's, which the
-        # crossing checks and then zeroes.  Facets are sorted vertex tuples,
-        # so (ov, off) fixes both maps and at most (n+1)^2 of them exist.
+        # child facet -> (ov, up, down): the child's off-gate local index ov
+        # and the gathers that read each parent slot from the child (up) and
+        # each child slot from the parent (down).  The two off-gate slots read
+        # each other's, which is 0.0 at every point where a walk crosses.
+        # Facets are sorted vertex tuples, so ov and the parent's off-gate
+        # index off fix both maps, and at most (n+1)^2 of them exist.  The
+        # walk's tables: _parent[f] is the parent of f's entry gate, and
+        # _down[f*(n+1) + off] the child a chord of f enters when it exits
+        # through local slot off, None where that ridge is not a gate of f.
         self._gate_maps = [None] * len(tops)
+        self._parent = [None] * len(tops)
+        self._down = [None] * (len(tops) * (n + 1))
         shared = {}
-        for step in decomposition.gates:
-            self.entry[step.child] = step
-            self.gate_record[step.gate] = step
-            child_verts, parent_verts = tops[step.child], tops[step.parent]
+        for parent, _, child in decomposition.gates:
+            child_verts, parent_verts = tops[child], tops[parent]
             for ov, v in enumerate(child_verts):
                 if v not in parent_verts:
                     break
@@ -212,23 +216,26 @@ class CellChart:
                     break
             maps = shared.get((ov, off))
             if maps is None:
-                up = tuple(ov if k == off else child_verts.index(v)
-                           for k, v in enumerate(parent_verts))
-                down = tuple(off if k == ov else parent_verts.index(v)
-                             for k, v in enumerate(child_verts))
-                maps = shared[ov, off] = (ov, off, up, down)
-            self._gate_maps[step.child] = maps
+                up = [ov if k == off else child_verts.index(v)
+                      for k, v in enumerate(parent_verts)]
+                down = [off if k == ov else parent_verts.index(v)
+                        for k, v in enumerate(child_verts)]
+                maps = shared[ov, off] = (ov, itemgetter(*up), itemgetter(*down))
+            self._gate_maps[child] = maps
+            self._parent[child] = parent
+            self._down[parent * (n + 1) + off] = child
         self._heights = self._facet_heights()
         self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
-        self.spine_set = frozenset(decomposition.spine)
-        ridge_faces = complex.faces[n - 1]
+        # every face of a spine ridge, the ridge itself included, keyed by
+        # the complex's own face tuple, so the chart holds no copy of one
+        faces, index = complex.faces, complex.face_index
         closure = {}
         for rid in decomposition.spine:
-            face = ridge_faces[rid]
             for k in range(n):
-                for sub in combinations(face, k + 1):
-                    closure.setdefault(sub, rid)
+                for sub in combinations(faces[n - 1][rid], k + 1):
+                    if sub not in closure:
+                        closure[faces[k][index[k][sub]]] = rid
         self.spine_closure = closure
 
     # -- low-level geometry ------------------------------------------------
@@ -239,31 +246,16 @@ class CellChart:
     def _dist(self, top, a, b):
         return self.metric.dist(self._verts(top), a, b)
 
-    def _facet_ridge(self, top, local):
-        verts = self._verts(top)
-        face = verts[:local] + verts[local + 1:]
-        return self.complex.face_index[self.complex.dimension - 1][face]
-
     def _transfer(self, bary, from_top, to_top):
         """Re-express a shared-face point in another facet's coordinates."""
         weights = dict(zip(self._verts(from_top), bary))
         out = tuple(weights.pop(v, 0.0) for v in self._verts(to_top))
         stray = sum(abs(w) for w in weights.values())
         if stray > GEOMETRIC_TOL:
-            raise _stray_weight(stray, from_top, to_top)
+            raise ChartDomainError(
+                f"point carries weight {stray} outside the face shared by "
+                f"facets {from_top} and {to_top}")
         return out
-
-    def _cross(self, bary, child, upward):
-        """``_transfer`` across the entry gate of child, by its index maps:
-        up into the parent, or down from the parent into child."""
-        ov, off, up, down = self._gate_maps[child]
-        stray = abs(bary[ov if upward else off])
-        if stray > GEOMETRIC_TOL:
-            parent = self.entry[child].parent
-            raise _stray_weight(stray, *((child, parent) if upward else (parent, child)))
-        out = [bary[i] for i in (up if upward else down)]
-        out[off if upward else ov] = 0.0
-        return tuple(out)
 
     def _facet_heights(self):
         """|off-gate vertex - gate centroid| of every non-root facet (NaN for
@@ -288,10 +280,6 @@ class CellChart:
                                                             squared=True)
         heights[children] = np.sqrt(np.maximum(s, 0.0))
         return heights.tolist()
-
-    def _height(self, top):
-        """|off-gate vertex - gate centroid| of a non-root facet."""
-        return self._heights[top]
 
     def _ray(self, x):
         """Radial ray of the root through x != c0.
@@ -323,9 +311,13 @@ class CellChart:
         n = self.complex.dimension
         ov = self._gate_maps[top][0]
         t_y = y[ov]
-        p = [yi + t_y / n for yi in y]
+        d = t_y / n
+        p = [yi + d for yi in y]
+        # the nearest exit off the entry gate; ties go to the lowest index
+        p[ov] = math.inf
+        m = min(p)
+        exit_local = p.index(m)
         p[ov] = 0.0
-        m, exit_local = min((pi, i) for i, pi in enumerate(p) if i != ov)
         if m <= MEMBERSHIP_TOL:
             raise ChartDomainError(
                 f"interval family of facet {top} degenerates at {tuple(y)}; "
@@ -334,7 +326,7 @@ class CellChart:
         q = [pi - m for pi in p]
         q[ov] = t_max
         q[exit_local] = 0.0
-        h = self._height(top)
+        h = self._heights[top]
         return tuple(p), tuple(q), t_y * h, t_max * h, exit_local
 
     # -- broken lines --------------------------------------------------------
@@ -347,43 +339,52 @@ class CellChart:
         chord last; y's arc on that segment; the local index of the face the
         segment exits through.
         """
-        if top == self.root:
+        root = self.root
+        if top == root:
             b, arc, length, exit_local = self._ray(y)
             return [(top, self.c0.bary, b, length)], arc, exit_local
         n = self.complex.dimension
+        parents, maps, heights = self._parent, self._gate_maps, self._heights
         j, q, arc, length, exit_local = self._chord(top, y)
         segments = [(top, j, q, length)]
+        ov, up, _ = maps[top]
         while True:
-            parent = self.entry[top].parent
-            j = self._cross(j, top, upward=True)
-            if parent == self.root:
+            # j is the junction of top's chord, on top's entry gate
+            parent = parents[top]
+            j = up(j)
+            if parent == root:
                 segments.append((parent, self.c0.bary, j,
                                  self._dist(parent, self.c0.bary, j)))
                 segments.reverse()
                 return segments, arc, exit_local
             # j lies on the parent's exit face; its chord starts at the
             # junction, t_j heights before j
-            ov = self._gate_maps[parent][0]
+            ov, up, _ = maps[parent]
             t_j = j[ov]
-            start = [x + t_j / n for x in j]
+            d = t_j / n
+            start = [x + d for x in j]
             start[ov] = 0.0
             start = tuple(start)
-            segments.append((parent, start, j, t_j * self._height(parent)))
+            segments.append((parent, start, j, t_j * heights[parent]))
             top, j = parent, start
 
     def _descend(self, top, q, exit_local):
         """Chords below the exit q of a segment in facet top, down to the
         spine, as plain (facet, start, end, length) tuples."""
+        n1 = self.complex.dimension + 1
+        down, maps = self._down, self._gate_maps
         while True:
-            rid = self._facet_ridge(top, exit_local)
-            step = self.gate_record.get(rid)
-            if step is None:
-                if rid in self.spine_set:
-                    return
-                raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
-            # a chord never exits through its entry gate, so step.parent == top
-            top = step.child
-            p, q, _, length, exit_local = self._chord(top, self._cross(q, top, upward=False))
+            child = down[top * n1 + exit_local]
+            if child is None:
+                verts = self._verts(top)
+                face = verts[:exit_local] + verts[exit_local + 1:]
+                if face not in self.spine_closure:
+                    rid = self.complex.face_index[n1 - 2][face]
+                    raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
+                return
+            # q lies on child's entry gate
+            top = child
+            p, q, _, length, exit_local = self._chord(top, maps[top][2](q))
             yield top, p, q, length
 
     def _line_through(self, pt: PointRef):

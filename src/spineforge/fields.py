@@ -86,8 +86,11 @@ def extend_frame(chart: CellChart) -> FrameField:
     sides, w in the child's barycentrics is foot_w + (h_w/h_a)·foot_a on the
     gate vertices and -h_w/h_a on a, and the parent's basis vectors follow.
     The gates' vertices, w, a, their squared edge lengths and the ring index
-    maps are gathered with index arrays, with no per-gate Python step before
-    the frames are chained in growth order.  The first gate in growth order
+    maps are gathered with index arrays, with no per-gate Python step, and
+    the frames are chained by pointer doubling, one stacked product per
+    round.  The products associate differently from a chain in growth order,
+    so a frame can differ from that chain's by rounding (3e-14 on the 12×12
+    torus); the transitions do not change.  The first gate in growth order
     with a flat parent, a child flat onto its gate or a singular frame raises
     InvalidGeometryError."""
     c = chart.complex
@@ -145,11 +148,25 @@ def extend_frame(chart: CellChart) -> FrameField:
     trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1).copy()
     trans[~usable] = np.eye(n)
 
+    # chain by pointer doubling: frames[f] is the product of the transitions
+    # on the gates from f up to facet up[f], and each round doubles that
+    # stretch with one stacked product; ceil(log2(depth)) rounds reach the
+    # root, and m.bit_length() bounds the loop whatever the gate list
+    children = steps[:, 2]
+    frames = np.broadcast_to(np.eye(n), (len(tops), n, n)).copy()
+    frames[children] = trans
+    up = np.arange(len(tops))
+    up[children] = steps[:, 0]
+    for _ in range(m.bit_length()):
+        above = up[up]
+        if (above == up).all():
+            break
+        frames = frames @ frames[up]
+        up = above
+    chained = frames[children]
     matrices = {chart.root: np.eye(n)}
-    for k, step in enumerate(gates):
-        matrices[step.child] = trans[k] @ matrices[step.parent]
-    singular = np.abs(np.linalg.det(
-        np.array([matrices[step.child] for step in gates]))) <= DEGENERACY_TOL
+    matrices.update(zip(children.tolist(), chained))
+    singular = np.abs(np.linalg.det(chained)) <= DEGENERACY_TOL
     bad = np.flatnonzero(~usable | singular)
     if bad.size:
         step = gates[bad[0]]

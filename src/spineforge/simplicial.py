@@ -82,11 +82,12 @@ class SimplicialComplex:
         self.vertex_count = len(verts)
 
         faces = []
-        for k in range(self.dimension + 1):
+        for k in range(self.dimension):
             fs = set()
             for t in tops:
                 fs.update(combinations(t, k + 1))
             faces.append(tuple(sorted(fs)))
+        faces.append(tuple(sorted(tops)))   # the facets themselves, no copy
         self.faces = tuple(faces)
         self.face_index = tuple({f: i for i, f in enumerate(fk)} for fk in faces)
 
@@ -283,7 +284,10 @@ class Metric:
             if not (l > 0 and math.isfinite(l)):
                 raise InvalidComplexError(
                     f"edge {e} has length {l}, expected a finite positive number")
-            lengths[(min(u, v), max(u, v))] = float(l)
+            # an (u, v) tuple key with u < v is kept, not copied: a metric
+            # from a complex shares the complex's edge tuples
+            key = e if type(e) is tuple and u < v else (min(u, v), max(u, v))
+            lengths[key] = float(l)
         self.edge_lengths = lengths
 
     @classmethod
@@ -292,12 +296,12 @@ class Metric:
         if c.dimension < 1:
             return cls({})
         lengths = {}
-        for u, v in c.faces[1]:
+        for e in c.faces[1]:
             if c.vertex_coords is not None:
-                pu, pv = c.vertex_coords[u], c.vertex_coords[v]
-                lengths[(u, v)] = math.sqrt(sum((a - b) ** 2 for a, b in zip(pu, pv)))
+                pu, pv = c.vertex_coords[e[0]], c.vertex_coords[e[1]]
+                lengths[e] = math.sqrt(sum((a - b) ** 2 for a, b in zip(pu, pv)))
             else:
-                lengths[(u, v)] = 1.0
+                lengths[e] = 1.0
         m = cls(lengths)
         m.validate(c)
         return m
@@ -356,10 +360,10 @@ class Metric:
 
     def lengths_at(self, u, v, squared=False) -> np.ndarray:
         """Lengths (or squared lengths) of the edges (u, v), elementwise over
-        broadcast arrays of vertex ids: 0 where u == v and NaN where the
-        metric has no such edge.  One sorted search over the edge table
-        instead of one ``length`` call per edge; a squared length equals
-        the one ``sq_dist`` uses, bit for bit."""
+        broadcast arrays of vertex ids (a 0-d array for two scalar ids): 0
+        where u == v and NaN where the metric has no such edge.  One sorted
+        search over the edge table instead of one ``length`` call per edge;
+        a squared length equals the one ``sq_dist`` uses, bit for bit."""
         base, codes, lengths, squares = self._edge_table
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         want = lo * base
@@ -367,7 +371,8 @@ class Metric:
         at = np.searchsorted(codes, want)
         missing = np.take(codes, at, mode="clip") != want
         missing |= hi >= base
-        out = np.take(squares if squared else lengths, at, mode="clip")
+        # an array even for scalar ids, so that the masks below can write to it
+        out = np.asarray(np.take(squares if squared else lengths, at, mode="clip"))
         out[missing] = np.nan
         out[lo == hi] = 0.0
         return out
@@ -454,10 +459,14 @@ def parse_tri(text: str) -> SimplicialComplex:
             i += 1
     tops = []
     facet_numbers = []
+    ids = {}    # each vertex token parsed once, so the facets share its int
     for number, toks in lines[i:]:
         if len(toks) != n + 1 or not all(_is_int_token(t) for t in toks):
             raise _bad_line(number, "bad facet line", toks)
-        tops.append(tuple(int(t) for t in toks))
+        for t in toks:
+            if t not in ids:
+                ids[t] = int(t)
+        tops.append(tuple(map(ids.__getitem__, toks)))
         facet_numbers.append(number)
     try:
         return SimplicialComplex(n, tops, vertex_coords=coords)

@@ -190,7 +190,7 @@ def test_frame_and_deformation_seams(charts):
         frame = extend_frame(chart)
         for rec in chart.decomposition.gates:
             frame_worst = max(frame_worst,
-                              gate_frame_agreement(chart, frame, rec.gate))
+                              gate_frame_agreement(chart, frame, rec))
         hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
         rng = random.Random(11)
         tops = len(chart.complex.top_simplices)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import random
 
@@ -6,12 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spineforge as sf
-from spineforge.chart import (BlackPointError, ChartDomainError, PointRef,
+from spineforge.chart import (BlackPointError, BrokenLine, ChartDomainError, PointRef,
                               Segment, ambient_position, broken_line_to, build_chart,
                               forward_map, geometric_tol, inverse_map,
                               point_gap, retract, retraction_samples,
                               sample_interior, stretch)
-from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex
+from spineforge.simplicial import (GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError, Metric,
+                                   SimplicialComplex)
 
 from grids import coordinate_torus, grid_surface
 
@@ -107,16 +110,26 @@ class TestBuildChart:
 
     def test_later_steps_inherit_gate_structure(self, charts):
         chart = charts["torus7"]
+        children = {rec.child for rec in chart.decomposition.gates}
         for rec in chart.decomposition.gates:
             if rec.parent != chart.root:
-                assert rec.parent in chart.entry
+                assert rec.parent in children
 
     def test_records_follow_growth_order(self, charts):
         chart = charts["torus7"]
         gates = chart.decomposition.gates
-        # the chart's lookup tables hold the decomposition's own steps
-        assert [chart.gate_record[g.gate] for g in gates] == list(gates)
-        assert all(chart.entry[g.child] is g for g in gates)
+        c = chart.complex
+        n1 = c.dimension + 1
+        # the walk's tables hold the decomposition's own steps: each child's
+        # parent, and the child entered through the parent's slot off its gate
+        assert chart._parent[chart.root] is None
+        assert all(chart._parent[g.child] == g.parent for g in gates)
+        downs = {}
+        for g in gates:
+            gate = c.faces[n1 - 2][g.gate]
+            off = next(k for k, v in enumerate(c.top_simplices[g.parent]) if v not in gate)
+            downs[g.parent * n1 + off] = g.child
+        assert {k: v for k, v in enumerate(chart._down) if v is not None} == downs
 
     def test_gate_center_and_opposite_vertex(self, census, charts):
         c = census["sphere_tet"]
@@ -471,28 +484,34 @@ class TestTableWalk:
         rng = random.Random(21)
         for rec in chart.decomposition.gates:
             child, parent = rec.child, rec.parent
+            _, up, down = chart._gate_maps[child]
             gate = c.faces[n - 1][rec.gate]
             for _ in range(3):
                 raw = [rng.random() + 0.01 for _ in gate]
                 weights = dict(zip(gate, (x / sum(raw) for x in raw)))
                 y = tuple(weights.get(v, 0.0) for v in c.top_simplices[child])
                 x = tuple(weights.get(v, 0.0) for v in c.top_simplices[parent])
-                assert bits(chart._cross(y, child, upward=True)) == \
-                    bits(chart._transfer(y, child, parent))
-                assert bits(chart._cross(x, child, upward=False)) == \
-                    bits(chart._transfer(x, parent, child))
-            # a stray weight off the gate raises with _transfer's message
+                assert bits(up(y)) == bits(chart._transfer(y, child, parent))
+                assert bits(down(x)) == bits(chart._transfer(x, parent, child))
+            # _transfer, which broken_line_to and point_gap use, refuses a
+            # stray weight off the gate
             off_child = c.top_simplices[child].index(opposite_vertex(c, rec))
             off_parent = next(k for k, v in enumerate(c.top_simplices[parent])
                               if v not in gate)
-            for bary, slot, upward, ends in ((y, off_child, True, (child, parent)),
-                                             (x, off_parent, False, (parent, child))):
+            for bary, slot, ends in ((y, off_child, (child, parent)),
+                                     (x, off_parent, (parent, child))):
                 stray = tuple(1e-6 if k == slot else w for k, w in enumerate(bary))
-                with pytest.raises(ChartDomainError) as expected:
+                with pytest.raises(ChartDomainError,
+                                   match=f"outside the face shared by facets {ends[0]} and {ends[1]}"):
                     chart._transfer(stray, *ends)
-                with pytest.raises(ChartDomainError) as got:
-                    chart._cross(stray, child, upward=upward)
-                assert str(got.value) == str(expected.value)
+        # the walk gathers with no stray-weight check: where a line crosses a
+        # gate, both sides' off-gate slots hold exactly 0.0, so each segment
+        # end is _transfer of the next segment's start bit for bit, both ways
+        for top in range(len(c.top_simplices)):
+            line, _ = chart.locate(sample_interior(c, rng, top))
+            for a, b in zip(line.segments, line.segments[1:]):
+                assert bits(chart._transfer(a.end, a.top, b.top)) == bits(b.start)
+                assert bits(chart._transfer(b.start, b.top, a.top)) == bits(a.end)
 
 
 class TestFacetHeights:
@@ -516,7 +535,7 @@ class TestFacetHeights:
         d = sf.decompose(c, root=0, strategy=strategy, seed=0)
         chart = build_chart(c, d, Metric.from_complex(c))
         for step in d.gates:
-            assert chart._height(step.child) == self.metric_height(chart, step.child)
+            assert chart._heights[step.child] == self.metric_height(chart, step.child)
 
     def test_coordinate_torus_heights_are_metric_dist(self):
         # the squares must be taken as Metric.sq_dist takes them: numpy's
@@ -526,13 +545,13 @@ class TestFacetHeights:
         for strategy in ("bfs", "dfs", "random"):
             chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0), m)
             for step in chart.decomposition.gates:
-                assert chart._height(step.child) == self.metric_height(chart, step.child)
+                assert chart._heights[step.child] == self.metric_height(chart, step.child)
 
     def test_chart_of_a_point_has_no_height(self):
         # no gate, so no non-root facet; the pass must not divide by n = 0
         c = SimplicialComplex(0, [(0,)])
         chart = build_chart(c, sf.decompose(c), Metric.from_complex(c))
-        assert math.isnan(chart._height(0))
+        assert math.isnan(chart._heights[0])
 
     def test_walk_into_a_facet_without_metric_edge_raises(self, census):
         # a hand-built metric may lack an edge; its facets get no height, and
@@ -655,6 +674,245 @@ class TestWalkCost:
             assert count(forward_map, chart, x) == 2
             reached.add(depth[forward_map(chart, x).top])
         assert max(reached) >= 5 and 0 in reached
+
+
+def reference_walk(chart):
+    """A copy of ``chart`` whose walk is the one the flat tables replaced:
+    entry steps and gate records in dicts, each exit ridge looked up by its
+    vertex tuple, a stray-weight check at every crossing and heights read
+    through a method.  It is the oracle the table walk must match bit for
+    bit, exceptions included."""
+    c = chart.complex
+    n = c.dimension
+    tops = c.top_simplices
+    spine_set = frozenset(chart.decomposition.spine)
+    entry = {g.child: g for g in chart.decomposition.gates}
+    gate_record = {g.gate: g for g in chart.decomposition.gates}
+    gate_maps = {}
+    for g in chart.decomposition.gates:
+        cv, pv = tops[g.child], tops[g.parent]
+        ov = next(k for k, v in enumerate(cv) if v not in pv)
+        off = next(k for k, v in enumerate(pv) if v not in cv)
+        gate_maps[g.child] = (ov, off,
+                              tuple(ov if k == off else cv.index(v) for k, v in enumerate(pv)),
+                              tuple(off if k == ov else pv.index(v) for k, v in enumerate(cv)))
+    ref = copy.copy(chart)
+
+    def height(top):
+        return chart._heights[top]
+
+    def facet_ridge(top, local):
+        verts = tops[top]
+        return c.face_index[n - 1][verts[:local] + verts[local + 1:]]
+
+    def cross(bary, child, upward):
+        ov, off, up, down = gate_maps[child]
+        stray = abs(bary[ov if upward else off])
+        if stray > GEOMETRIC_TOL:
+            parent = entry[child].parent
+            pair = (child, parent) if upward else (parent, child)
+            raise ChartDomainError(
+                f"point carries weight {stray} outside the face shared by "
+                f"facets {pair[0]} and {pair[1]}")
+        out = [bary[i] for i in (up if upward else down)]
+        out[off if upward else ov] = 0.0
+        return tuple(out)
+
+    def chord(top, y):
+        ov = gate_maps[top][0]
+        t_y = y[ov]
+        p = [yi + t_y / n for yi in y]
+        p[ov] = 0.0
+        m, exit_local = min((pi, i) for i, pi in enumerate(p) if i != ov)
+        if m <= MEMBERSHIP_TOL:
+            raise ChartDomainError(
+                f"interval family of facet {top} degenerates at {tuple(y)}; "
+                "point sits on a gate-boundary stratum")
+        t_max = n * m
+        q = [pi - m for pi in p]
+        q[ov] = t_max
+        q[exit_local] = 0.0
+        h = height(top)
+        return tuple(p), tuple(q), t_y * h, t_max * h, exit_local
+
+    def ascend(top, y):
+        if top == chart.root:
+            b, arc, length, exit_local = chart._ray(y)
+            return [(top, chart.c0.bary, b, length)], arc, exit_local
+        j, q, arc, length, exit_local = chord(top, y)
+        segments = [(top, j, q, length)]
+        while True:
+            parent = entry[top].parent
+            j = cross(j, top, upward=True)
+            if parent == chart.root:
+                segments.append((parent, chart.c0.bary, j,
+                                 chart._dist(parent, chart.c0.bary, j)))
+                segments.reverse()
+                return segments, arc, exit_local
+            ov = gate_maps[parent][0]
+            t_j = j[ov]
+            start = [x + t_j / n for x in j]
+            start[ov] = 0.0
+            start = tuple(start)
+            segments.append((parent, start, j, t_j * height(parent)))
+            top, j = parent, start
+
+    def descend(top, q, exit_local):
+        while True:
+            rid = facet_ridge(top, exit_local)
+            step = gate_record.get(rid)
+            if step is None:
+                if rid in spine_set:
+                    return
+                raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
+            top = step.child
+            p, q, _, length, exit_local = chord(top, cross(q, top, upward=False))
+            yield top, p, q, length
+
+    ref._ascend, ref._descend = ascend, descend
+    return ref
+
+
+def frozen(value):
+    """Bit pattern of a walk output, for exact comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, PointRef):
+        return value.top, bits(value.bary)
+    if isinstance(value, BrokenLine):
+        return ([(s.top, bits(s.start), bits(s.end), s.length.hex()) for s in value.segments],
+                frozen(value.endpoint), value.length.hex())
+    return tuple(frozen(v) for v in value)
+
+
+def outcome(fn, *args):
+    """What a call returns, as bits, or the class and message it raises."""
+    try:
+        return frozen(fn(*args))
+    except (ChartDomainError, InvalidComplexError) as e:
+        return type(e), str(e)
+
+
+class TestReferenceWalk:
+    """``locate``, ``inverse_map``, ``forward_map``, ``retract`` and
+    ``broken_line_to`` on the table walk against the same calls on the walk
+    it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def torus48(self):
+        c = coordinate_torus(48)
+        return c, Metric.from_complex(c)
+
+    @staticmethod
+    def calls(chart, rng, count):
+        """(function, args) of each public walk call on count points of
+        random facets, some on faces, plus c0 and the spine's ridges."""
+        c = chart.complex
+        n1 = c.dimension + 1
+        tops = c.top_simplices
+        points = [chart.c0]
+        for k in range(count):
+            p = sample_interior(c, rng, rng.randrange(len(tops)))
+            if k % 4 == 3:   # onto a face: the spine, or a gate-boundary stratum
+                bary = list(p.bary)
+                for slot in rng.sample(range(n1), rng.randrange(1, n1)):
+                    bary[slot] = 0.0
+                p = PointRef(p.top, tuple(x / sum(bary) for x in bary))
+            points.append(p)
+        out = []
+        for p in points:
+            out += [(chart.locate, (p,)), (inverse_map, (chart, p)),
+                    (retract, (chart, p, rng.random()))]
+            # forward_map of p's preimage, and of a root point near the root's
+            # boundary, whose image lies deep
+            try:
+                out.append((forward_map, (chart, inverse_map(chart, p))))
+            except (ChartDomainError, InvalidComplexError):
+                pass
+            b = chart._ray(sample_interior(c, rng, chart.root).bary)[0]
+            w = 1.0 - 2.0 ** -rng.randrange(1, 40)
+            x = tuple(c + w * (e - c) for c, e in zip(chart.c0.bary, b))
+            out.append((forward_map, (chart, PointRef(chart.root, x))))
+        ridge_faces = c.faces[n1 - 2]
+        for rid in chart.decomposition.spine[:count]:
+            side, other = c.ridge_cofacets[rid]
+            raw = [rng.random() + 0.01 for _ in ridge_faces[rid]]
+            weights = dict(zip(ridge_faces[rid], (x / sum(raw) for x in raw)))
+            z = PointRef(side, tuple(weights.get(v, 0.0) for v in tops[side]))
+            out += [(broken_line_to, (chart, z)), (broken_line_to, (chart, z, other))]
+        return out
+
+    def check(self, chart, seed, count):
+        ref = reference_walk(chart)
+        for fn, args in self.calls(chart, random.Random(seed), count):
+            got = outcome(fn, *args)
+            want = outcome(fn, *((ref,) + args[1:] if args[0] is chart else args))
+            assert got == want, (fn.__name__, args)
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", [*sf.census_names(), "torus12"])
+    def test_matches_the_reference(self, census, name, strategy):
+        c = named_complex(census, name)
+        m = Metric.from_complex(c)
+        for seed in range(3):
+            chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=seed), m)
+            self.check(chart, seed, 40)
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    def test_matches_the_reference_on_the_48_torus(self, torus48, strategy):
+        c, m = torus48
+        for seed in range(2):
+            chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=seed), m)
+            self.check(chart, seed, 6)
+
+    def test_matches_the_reference_on_bad_input(self, census):
+        # a hand-built decomposition that lists no spine, where the walk
+        # raises as a line leaves the cell, and a metric without an edge,
+        # where a line through one of its facets raises
+        c = census["torus7"]
+        d = sf.decompose(c, root=0, strategy="random", seed=2)
+        m = Metric.from_complex(c)
+        self.check(build_chart(c, dataclasses.replace(d, spine=()), m), 5, 20)
+        lengths = dict(m.edge_lengths)
+        del lengths[(1, 5)]
+        self.check(build_chart(c, d, Metric(lengths)), 6, 20)
+
+
+class TestWalkSteps:
+    """The walk takes one step per level: the ascent from a facet of depth d
+    yields d + 1 segments, and the descent one segment per ``_down`` read
+    that finds a child, ending at the one read that finds the spine."""
+
+    class Reads(list):
+        """A table that counts the reads that find an entry and those that
+        find None."""
+
+        def __getitem__(self, k):
+            value = super().__getitem__(k)
+            self.hits[value is None] += 1
+            return value
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ["torus12", "sphere3_pent"])
+    def test_segments_per_level(self, census, name, strategy):
+        c = named_complex(census, name)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        depth = tree_depth(d)
+        parents, down = self.Reads(chart._parent), self.Reads(chart._down)
+        chart._parent, chart._down = parents, down
+        rng = random.Random(8)
+        for top in range(len(c.top_simplices)):
+            y = sample_interior(c, rng, top)
+            parents.hits = [0, 0]
+            segments, _, _ = chart._ascend(top, y.bary)
+            assert len(segments) == depth[top] + 1
+            assert parents.hits == [depth[top], 0]
+            down.hits = [0, 0]
+            line, _ = chart.locate(y)
+            steps, ends = down.hits
+            assert ends == 1
+            assert len(line.segments) == depth[top] + 1 + steps
 
 
 class TestRetract:

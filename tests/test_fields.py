@@ -85,11 +85,12 @@ def _affine_basis(coords):
     return (coords[1:] - coords[0]).T
 
 
-def gate_frame_agreement(chart, frame, gate):
+def gate_frame_agreement(chart, frame, rec):
     """Max deviation between the two sides' frame vectors as ambient directions
-    in a joint unfolding of the gate's cofacets.  The vectors are constant over
-    the gate in this flat model, so one comparison covers every sample point."""
-    rec = chart.gate_record[gate]
+    in a joint unfolding of the cofacets of the gate step ``rec``.  The vectors
+    are constant over the gate in this flat model, so one comparison covers
+    every sample point."""
+    gate = rec.gate
     c = chart.complex
     n = c.dimension
     pv = c.top_simplices[rec.parent]
@@ -219,7 +220,7 @@ class TestFrameField:
         chart = charts[name]
         frame = extend_frame(chart)
         for rec in chart.decomposition.gates:
-            assert gate_frame_agreement(chart, frame, rec.gate) <= 1e-9
+            assert gate_frame_agreement(chart, frame, rec) <= 1e-9
 
     def test_one_transition_per_gate(self, charts):
         chart = charts["torus7"]

@@ -310,6 +310,25 @@ class TestMetric:
         d = m.dist(verts, (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0))
         assert d == pytest.approx(1 / math.sqrt(3))
 
+    def test_lengths_at_scalar_ids(self):
+        # two scalar ids broadcast to a 0-d array, like any other shapes
+        m = Metric({(0, 1): 1.5, (1, 2): 2.0, (0, 5): 0.25})
+        assert m.lengths_at(0, 1).shape == ()
+        assert m.lengths_at(0, 1) == 1.5 and m.lengths_at(2, 1) == 2.0
+        assert m.lengths_at(1, 2, squared=True) == 4.0
+        assert math.isnan(m.lengths_at(0, 2))                  # no such edge
+        assert math.isnan(m.lengths_at(0, 9))                  # past every vertex id
+        assert m.lengths_at(1, 1) == 0.0 and m.lengths_at(9, 9) == 0.0
+        row = m.lengths_at(0, [1, 2, 0, 5])
+        assert row[0] == 1.5 and math.isnan(row[1]) and row[2] == 0.0 and row[3] == 0.25
+
+    def test_lengths_at_matches_length(self, census):
+        c = census["torus7"]
+        m = Metric.from_complex(c)
+        for u, v in c.faces[1]:
+            assert m.lengths_at(u, v) == m.length(u, v) == m.lengths_at(v, u)
+            assert m.lengths_at(u, v, squared=True) == m.length(u, v) ** 2
+
     def test_rejects_nonpositive_length(self):
         with pytest.raises(InvalidComplexError):
             Metric({(0, 1): 0.0})
