@@ -39,13 +39,15 @@ descent follows (None where that face is not a gate of f: the line ends
 there, and its last step checks that the face is a spine ridge).  Crossing
 a gate gathers the coordinates by the child's precomputed parent<->child
 index map: the walk's crossing points hold exactly 0.0 off the gate, so the
-gather is ``_transfer`` bit for bit with no weight to check.  Every chord of a non-root facet is parallel to
-the segment from the gate centroid to the off-gate vertex, q - p = t *
-(e_ov - centroid), so its length is t times that segment's length h.  Every
-facet's h is computed at build, in one stacked pass over the metric's edge
-table that gives ``Metric.dist``'s bits, and a walk reads it from the list
-``_heights``.  ``Metric.dist`` therefore runs only in the root facet: one
-call for the root segment, two for a root ray.  Lengths agree with the
+gather is ``_transfer`` bit for bit with no weight to check.  Every chord
+of a non-root facet is parallel to the segment from the gate centroid to
+the off-gate vertex, q - p = t * (e_ov - centroid), so its length is t
+times that segment's length h.  Every facet's h is computed at build, in
+one stacked pass over the metric's edge table that gives ``Metric.dist``'s
+bits, and a walk reads it from the list ``_heights``.  The root's squared
+edge lengths are read at build too, so a walk never calls ``Metric.dist``:
+``_root_dist`` gives its bits for the root segment and both ends of a root
+ray.  Lengths agree with the
 metric's quadratic form of the chord's ends to rounding (1.5e-14 relative),
 so CLI float outputs differ in their low-order digits from that evaluation;
 repeated runs are byte-identical.
@@ -225,6 +227,11 @@ class CellChart:
             self._parent[child] = parent
             self._down[parent * (n + 1) + off] = child
         self._heights = self._facet_heights()
+        # the root's squared edge lengths, (i, j, square) in Metric.sq_dist's
+        # pair order and as it takes them (NaN for an edge the metric lacks)
+        root = tops[self.root]
+        self._root_squares = [(i, j, metric.edge_lengths.get((root[i], root[j]), math.nan) ** 2)
+                              for i, j in combinations(range(n + 1), 2)]
         self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
         # every face of a spine ridge, the ridge itself included, keyed by
@@ -245,6 +252,16 @@ class CellChart:
 
     def _dist(self, top, a, b):
         return self.metric.dist(self._verts(top), a, b)
+
+    def _root_dist(self, a, b):
+        """``Metric.dist`` in the root facet, bit for bit: its terms, zero
+        differences skipped, in its order, from the squares read at build."""
+        diff = [x - y for x, y in zip(a, b)]
+        s = 0.0
+        for i, j, sq in self._root_squares:
+            if diff[i] != 0.0 and diff[j] != 0.0:
+                s -= diff[i] * diff[j] * sq
+        return math.sqrt(max(s, 0.0))
 
     def _transfer(self, bary, from_top, to_top):
         """Re-express a shared-face point in another facet's coordinates."""
@@ -297,8 +314,8 @@ class CellChart:
         b = [c + t_max * d for d in direction]
         b[exit_local] = 0.0
         b = tuple(b)
-        s_point = self._dist(self.root, (c,) * n1, x)
-        s_ray = self._dist(self.root, (c,) * n1, b)
+        s_point = self._root_dist((c,) * n1, x)
+        s_ray = self._root_dist((c,) * n1, b)
         return b, s_point, s_ray, exit_local
 
     def _chord(self, top, y):
@@ -353,8 +370,7 @@ class CellChart:
             parent = parents[top]
             j = up(j)
             if parent == root:
-                segments.append((parent, self.c0.bary, j,
-                                 self._dist(parent, self.c0.bary, j)))
+                segments.append((parent, self.c0.bary, j, self._root_dist(self.c0.bary, j)))
                 segments.reverse()
                 return segments, arc, exit_local
             # j lies on the parent's exit face; its chord starts at the

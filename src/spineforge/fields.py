@@ -13,14 +13,14 @@ and ``root_facet_clearance`` reads the root's heights off Gram determinants.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
-splits at s0 = s_total - eps and only the rule is kept.  Fields are read one
-broken line at a time: ``TensorField.evaluate_along`` takes many arcs of one
-line and returns the blocks stacked, and the line's ``rows_at`` gives the
-facets and barycentric rows of all of them in one lookup, building no point.
-The deformed field is one rule on a line: the constant block K(c0) on the
-white prefix (arc < s0), with no lookup, and K read in one batch at the
-mapped arcs of the eps-tail, whose end maps to the line's end, so K(z) on
-the spine is that rule's limit and no tail point is built.  A point is
+splits at s0 = s_total - eps and only the rule is kept.  Fields are read in
+one stack per run: ``TensorField.evaluate_lines`` takes the arcs of many
+lines and returns the blocks stacked in request order, and each line's
+``rows_at`` gives the facets and barycentric rows of its arcs in one lookup,
+building no point.  The deformed field is one rule on many lines: the
+constant block K(c0) on each white prefix (arc < s0), with no lookup, and
+K read once at the mapped arcs of every eps-tail, whose end maps to the
+line's end, so K(z) on the spine is that rule's limit.  A point is
 located and read by the same rule, unless it is c0 or on the spine closure.
 A stacked result is checked (shape, finiteness) once; K(c0) is checked at
 build and handed out read-only.  A linear field stores its value at every
@@ -29,8 +29,9 @@ formula for a point and for a batch, so the two agree bit for bit.
 
 The seam report and the sample rows read the same sampled lines: the chart
 keeps its last draw, keyed by count and seed, so a run that asks for both
-with one count and seed walks each line once.  A count below 1 raises, as a
-check over no line would pass having checked nothing.
+with one count and seed walks each line once, and each reads the deformed
+field once for all lines.  A count below 1 raises, as a check over no line
+would pass having checked nothing.
 """
 
 from __future__ import annotations
@@ -187,10 +188,10 @@ def extend_frame(chart: CellChart) -> FrameField:
 class TensorField:
     """Type-(r,s) field: component function over point refs, in the frame basis.
 
-    ``evaluate_along`` reads the field at a sequence of arcs of one broken
-    line the caller already holds, without locating the points again, and
-    returns the blocks stacked on a leading axis.  A field with a
-    ``line_rule`` makes that stack in one batch, and the stack is checked
+    ``evaluate_lines`` reads the field at the arcs of many broken lines the
+    caller already holds, without locating the points again, and returns
+    the blocks stacked in request order; ``evaluate_along`` reads one line.
+    A field with a ``line_rule`` makes the stack in one batch, checked
     (shape, finiteness) once; any other field falls back to ``evaluate`` at
     ``line.point_at_arc`` of each arc."""
 
@@ -199,7 +200,7 @@ class TensorField:
     components: object          # PointRef -> array with r+s axes of length n
     label: str = ""
     source: object = None       # original field, when this one was derived
-    line_rule: object = None    # (BrokenLine, arcs) -> array (len(arcs), n, ...), or None
+    line_rule: object = None    # [(BrokenLine, arcs), ...] -> array (total arcs, n, ...), or None
 
     def __post_init__(self):
         self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
@@ -210,18 +211,25 @@ class TensorField:
     def evaluate_along(self, line: BrokenLine, arcs) -> np.ndarray:
         """The field at each arc s(y) of ``line``, stacked: row k equals
         ``evaluate(line.point_at_arc(arcs[k]))`` up to the rounding of locate."""
-        shape = (len(arcs),) + self._shape
+        return self.evaluate_lines([(line, arcs)])
+
+    def evaluate_lines(self, requests) -> np.ndarray:
+        """``evaluate_along`` of each (line, arcs) request, one stack in
+        request order.  A non-finite row raises naming its own arc and line."""
+        shape = (sum(len(arcs) for _, arcs in requests),) + self._shape
         if not shape[0]:
             return np.empty(shape)
         if self.line_rule is None:
-            return np.stack([self.evaluate(line.point_at_arc(s)) for s in arcs])
-        arr = np.asarray(self.line_rule(line, arcs), dtype=float)
+            return np.stack([self.evaluate(line.point_at_arc(s))
+                             for line, arcs in requests for s in arcs])
+        arr = np.asarray(self.line_rule(requests), dtype=float)
         if arr.shape != shape:
             raise FieldDomainError(f"component stack has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
-            k = int(np.isfinite(arr.reshape(len(arcs), -1)).all(axis=1).argmin())
+            k = int(np.isfinite(arr.reshape(shape[0], -1)).all(axis=1).argmin())
+            line, arc = [(line, arc) for line, arcs in requests for arc in arcs][k]
             raise FieldDomainError(
-                f"non-finite components at arc {arcs[k]} of the line to {line.endpoint}")
+                f"non-finite components at arc {arc} of the line to {line.endpoint}")
         return arr
 
     def _checked(self, block, where) -> np.ndarray:
@@ -248,7 +256,8 @@ def constant_tensor(components, frame: FrameField, rank) -> TensorField:
     arr = arr.reshape((n,) * (r + s))
     arr.setflags(write=False)
     return TensorField((r, s), frame, lambda pt: arr, label="constant",
-                       line_rule=lambda line, arcs: np.broadcast_to(arr, (len(arcs),) + arr.shape))
+                       line_rule=lambda requests: np.broadcast_to(
+                           arr, (sum(len(arcs) for _, arcs in requests),) + arr.shape))
 
 
 # -- hole region ---------------------------------------------------------------
@@ -313,24 +322,28 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorF
     line's tail the pullback of K along the affine reparametrization
     s(x) = (s(y) - s0)/s1 * (s0 + s1), and K(z) on the spine.
 
-    One rule on a line serves both paths.  Arcs in the white prefix
-    (arc < s0) take K(c0) without a lookup; the tail arcs are mapped and K
-    reads them in one ``evaluate_along``.  K(z) is that rule at the line's
-    end: s1 = L - s0 makes the end map to L, where the line's rows give z.
-    A point is K(z) on the spine closure and K(c0) at c0, which no single
-    line owns; any other point is located and read by the line rule.  K(c0)
-    is read-only and handed out by reference."""
+    One rule on many lines serves both paths.  Arcs in a white prefix
+    (arc < s0) take K(c0) without a lookup; the tail arcs of every line are
+    mapped and K reads them in one ``evaluate_lines``.  K(z) is that rule
+    at the line's end: s1 = L - s0 makes the end map to L, where the line's
+    rows give z.  A point is K(z) on the spine closure and K(c0) at c0,
+    which no single line owns; any other point is located and read by the
+    line rule.  K(c0) is read-only and handed out by reference."""
     base = np.array(K.evaluate(chart.c0), copy=True)
     base.setflags(write=False)
 
-    def on_line(line: BrokenLine, arcs):
-        s0, s1 = hole.split(line)
-        out = np.empty((len(arcs),) + base.shape)
+    def on_lines(requests):
+        rows, reads, at = [], [], 0
+        for line, arcs in requests:
+            s0, s1 = hole.split(line)
+            tail = [k for k, arc in enumerate(arcs) if not arc < s0]
+            rows += [at + k for k in tail]
+            reads.append((line, [(arcs[k] - s0) / s1 * line.length for k in tail]))
+            at += len(arcs)
+        out = np.empty((at,) + base.shape)
         out[...] = base
-        tail = [k for k, arc in enumerate(arcs) if not arc < s0]
-        if tail:
-            out[tail] = K.evaluate_along(line, [(arcs[k] - s0) / s1 * line.length
-                                                for k in tail])
+        if rows:
+            out[rows] = K.evaluate_lines(reads)
         return out
 
     def comp(pt: PointRef):
@@ -342,10 +355,10 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorF
             line, arc = chart.locate(pt)
         except ChartDomainError as exc:
             raise FieldDomainError(f"point lies on no broken line: {exc}")
-        return on_line(line, (arc,))[0]
+        return on_lines([(line, (arc,))])[0]
 
     return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
-                       source=K, line_rule=on_line)
+                       source=K, line_rule=on_lines)
 
 
 class ContinuityProbe(NamedTuple):
@@ -427,22 +440,20 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field.
 
-    Each sampled line is read with one batch of the deformed field (the
-    hole-boundary, spine-limit and gate probes) and one batch of the input
-    field (the same gate probes); the hole-boundary seam itself and the spine
-    point z go through the point path.  Fewer than one sample raises, since
-    a report over no line checks nothing."""
+    One pass over the sampled lines sets their probe arcs and makes each
+    line's two point-path reads: the hole-boundary seam itself, whose
+    ``locate`` checks the point function against the line rule, and the
+    spine point z.  Then the deformed field is read once at every line's
+    probes, the input field once at their gate probes, and each jump is a
+    row of one stacked difference.  Fewer than one sample raises, since a
+    report over no line checks nothing."""
     _require_positive(samples=samples)
     base = kbar.evaluate(chart.c0)
-    probes = []
-    nonsmooth = []
-    boundary_seam = 0.0
-    spine_limit = 0.0
-    gate_jump = 0.0
-    input_gate_jump = 0.0
+    plans, probe_reads, gate_reads, spine = [], [], [], []
+    ka, kb, ia, ib = [], [], [], []     # the rows each jump takes, deformed and input field
+    at = read_at = 0
     for index, (line, _) in enumerate(_sampled_lines(chart, samples, seed)):
         s0, s1 = hole.split(line)
-        nonsmooth.append((index, s0))
         # Probe offsets are set in the input field's arc: an offset delta in
         # the tail reads K at delta * L / s1, so delta <= step keeps every
         # probe within GEOMETRIC_TOL of the line length of its seam, whatever
@@ -454,52 +465,58 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
             delta = min(step, acc / 2, (line.length - acc) / 2)
             if delta > 0.0:
                 gates.append((acc, delta))
-        before = [acc - delta for acc, delta in gates]
-        after = [acc + delta for acc, delta in gates]
-        values = kbar.evaluate_along(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
-                                     [line.length - step] + before + after)
-        inner, outer = values[:PROBE_LEVELS], values[PROBE_LEVELS:2 * PROBE_LEVELS]
-        near = values[2 * PROBE_LEVELS]
-        at = 2 * PROBE_LEVELS + 1
-        before_vals, after_vals = values[at:at + len(gates)], values[at + len(gates):]
-
-        # the seam itself goes through the point path (locate), so it checks
-        # that the point function agrees with the line rule the probes use
+        sides = [acc - delta for acc, delta in gates] + [acc + delta for acc, delta in gates]
+        probe_reads.append((line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
+                            [line.length - step] + sides))
+        gate_reads.append((line, sides))
+        # inside against outside the hole boundary, near z against z (the
+        # point-path rows after the probe rows), after against before a gate
+        g, near = len(gates), at + 2 * PROBE_LEVELS
+        ka += [*range(at, at + PROBE_LEVELS), near, *range(near + 1 + g, near + 1 + 2 * g)]
+        kb += [*range(at + PROBE_LEVELS, near), index - samples, *range(near + 1, near + 1 + g)]
+        ia += range(read_at + g, read_at + 2 * g)
+        ib += range(read_at, read_at + g)
+        at, read_at = near + 1 + 2 * g, read_at + 2 * g
         at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
-        boundary_seam = max(boundary_seam, at_seam)
+        spine.append(kbar.evaluate(line.endpoint))
+        plans.append((line.length, s0, step, deltas, gates, at_seam))
+
+    read = np.concatenate([kbar.evaluate_lines(probe_reads), np.stack(spine)])
+    left, right = [read[ka]], [read[kb]]
+    if kbar.source is not None:
+        read = kbar.source.evaluate_lines(gate_reads)
+        left.append(read[ia])
+        right.append(read[ib])
+    jumps = _jumps(np.concatenate(left), np.concatenate(right))
+    inputs, jumps = iter(jumps[len(ka):]), iter(jumps)
+    probes = []
+    for index, (length, s0, step, deltas, gates, at_seam) in enumerate(plans):
         probes.append(ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
-        for delta, jump in zip(deltas, _jumps(inner, outer)):
-            probes.append(ContinuityProbe(index, "hole-boundary", s0, delta, jump, 0.0))
-
-        sj = _jump(near, kbar.evaluate(line.endpoint))
-        spine_limit = max(spine_limit, sj)
-        probes.append(ContinuityProbe(index, "spine-limit", line.length, step, sj, 0.0))
-
-        gate_jumps = _jumps(after_vals, before_vals)
-        input_jumps = [0.0] * len(gates)
-        if kbar.source is not None:
-            read = kbar.source.evaluate_along(line, before + after)
-            input_jumps = _jumps(read[len(gates):], read[:len(gates)])
-        for (acc, delta), gj, ij in zip(gates, gate_jumps, input_jumps):
-            gate_jump = max(gate_jump, gj)
-            input_gate_jump = max(input_gate_jump, ij)
-            probes.append(ContinuityProbe(index, "gate", acc, delta, gj, ij))
-
-    return ContinuityReport(tuple(probes), boundary_seam, spine_limit,
-                            gate_jump, input_gate_jump, tuple(nonsmooth))
+        probes += [ContinuityProbe(index, "hole-boundary", s0, d, next(jumps), 0.0)
+                   for d in deltas]
+        probes.append(ContinuityProbe(index, "spine-limit", length, step, next(jumps), 0.0))
+        probes += [ContinuityProbe(index, "gate", acc, d, next(jumps), next(inputs, 0.0))
+                   for acc, d in gates]
+    # each max folds from 0.0 in probe order, so a NaN jump never enters it
+    gate_probes = [p for p in probes if p.seam == "gate"]
+    return ContinuityReport(
+        tuple(probes), max([0.0] + [plan[-1] for plan in plans]),
+        max([0.0] + [p.jump for p in probes if p.seam == "spine-limit"]),
+        max([0.0] + [p.jump for p in gate_probes]),
+        max([0.0] + [p.input_jump for p in gate_probes]),
+        tuple((index, plan[1]) for index, plan in enumerate(plans)))
 
 
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                         lines: int, per_line: int, seed: int = 0):
     """CSV-ready rows (line id, arc s(y), components...) along sampled lines,
-    one batch read per line.  ``lines`` or ``per_line`` below 1 raises."""
+    all lines in one read.  ``lines`` or ``per_line`` below 1 raises."""
     _require_positive(lines=lines, per_line=per_line)
-    rows = []
-    for index, (line, _) in enumerate(_sampled_lines(chart, lines, seed)):
-        arcs = [line.length * k / per_line for k in range(per_line + 1)]
-        values = kbar.evaluate_along(line, arcs).reshape(len(arcs), -1).tolist()
-        rows.extend([index, arc] + row for arc, row in zip(arcs, values))
-    return rows
+    reads = [(line, [line.length * k / per_line for k in range(per_line + 1)])
+             for line, _ in _sampled_lines(chart, lines, seed)]
+    keys = [(index, arc) for index, (_, arcs) in enumerate(reads) for arc in arcs]
+    values = kbar.evaluate_lines(reads).reshape(len(keys), -1).tolist()
+    return [[index, arc] + row for (index, arc), row in zip(keys, values)]
 
 
 # -- .fld field files ------------------------------------------------------------
@@ -597,5 +614,9 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
         return np.matmul(np.array(bary_rows)[:, None, :],
                          per_top[tops]).reshape((len(tops),) + shape)
 
+    def on_lines(requests):
+        tops, rows = zip(*[line.rows_at(arcs) for line, arcs in requests])
+        return combine([*chain.from_iterable(tops)], [*chain.from_iterable(rows)])
+
     return TensorField(spec.rank, frame, lambda pt: combine([pt.top], [pt.bary])[0],
-                       label="linear", line_rule=lambda line, arcs: combine(*line.rows_at(arcs)))
+                       label="linear", line_rule=on_lines)

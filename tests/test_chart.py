@@ -8,9 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spineforge as sf
-from spineforge.chart import (BlackPointError, BrokenLine, ChartDomainError, PointRef,
-                              Segment, ambient_position, broken_line_to, build_chart,
-                              forward_map, geometric_tol, inverse_map,
+from spineforge.chart import (BlackPointError, BrokenLine, CellChart, ChartDomainError,
+                              PointRef, Segment, ambient_position, broken_line_to,
+                              build_chart, forward_map, geometric_tol, inverse_map,
                               point_gap, retract, retraction_samples,
                               sample_interior, stretch)
 from spineforge.simplicial import (GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError, Metric,
@@ -553,16 +553,42 @@ class TestFacetHeights:
         chart = build_chart(c, sf.decompose(c), Metric.from_complex(c))
         assert math.isnan(chart._heights[0])
 
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", [*sf.census_names(), "grid12", "torus12"])
+    def test_root_dist_is_metric_dist(self, census, name, strategy):
+        # random root points, some on faces so that sq_dist's zero-difference
+        # skips are taken, against Metric.dist bit for bit
+        c = census[name] if name in census else \
+            grid_surface(12) if name == "grid12" else coordinate_torus(12)
+        m = Metric.from_complex(c)
+        n1 = c.dimension + 1
+        for seed in range(3):
+            chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=seed), m)
+            verts = c.top_simplices[chart.root]
+            rng = random.Random(seed)
+            points = [chart.c0.bary]
+            for k in range(30):
+                bary = list(sample_interior(c, rng, chart.root).bary)
+                for slot in rng.sample(range(n1), k % n1):
+                    bary[slot] = 0.0
+                points.append(tuple(x / sum(bary) for x in bary))
+            for a in points:
+                for b in points[::3]:
+                    assert chart._root_dist(a, b).hex() == m.dist(verts, a, b).hex()
+
     def test_walk_into_a_facet_without_metric_edge_raises(self, census):
-        # a hand-built metric may lack an edge; its facets get no height, and
-        # a line through one is an error, not a line of NaN length
+        # a hand-built metric may lack an edge; its facets get no height (the
+        # root no squared length), and a line through one is an error, not a
+        # line of NaN length
         c = census["torus7"]
-        lengths = dict(Metric.from_complex(c).edge_lengths)
-        del lengths[(1, 5)]
-        chart = build_chart(c, sf.decompose(c), Metric(lengths))
-        top = next(t for t, f in enumerate(c.top_simplices) if {1, 5} <= set(f))
-        with pytest.raises(InvalidComplexError, match=r"metric misses an edge of facet \("):
-            chart.locate(PointRef(top, (0.2, 0.3, 0.5)))
+        for edge in ((1, 5), (0, 1)):
+            lengths = dict(Metric.from_complex(c).edge_lengths)
+            del lengths[edge]
+            chart = build_chart(c, sf.decompose(c), Metric(lengths))
+            top = next(t for t, f in enumerate(c.top_simplices) if set(edge) <= set(f))
+            assert (top == chart.root) == (edge == (0, 1))
+            with pytest.raises(InvalidComplexError, match=r"metric misses an edge of facet \("):
+                chart.locate(PointRef(top, (0.2, 0.3, 0.5)))
 
     def test_build_makes_no_dist_call(self, monkeypatch):
         c = coordinate_torus(12)
@@ -576,9 +602,11 @@ class TestFacetHeights:
 
 
 class TestWalkCost:
-    """The walk runs Metric.dist only in the root facet: once for the root
-    segment of a non-root point, twice for a root ray.  Heights come from
-    the build, so this holds from the first walk on a fresh chart."""
+    """The walk measures a distance only in the root facet, from the root's
+    squared edge lengths read at build (``CellChart._root_dist``): once for
+    the root segment of a non-root point, twice for a root ray, and never
+    through Metric.dist.  Heights come from the build, so this holds from
+    the first walk on a fresh chart."""
 
     @pytest.fixture(scope="class")
     def dfs12(self):
@@ -588,15 +616,24 @@ class TestWalkCost:
         return build_chart(c, d, Metric.from_complex(c)), tree_depth(d)
 
     @staticmethod
-    def dist_calls(monkeypatch):
+    def root_dist_calls(monkeypatch):
+        """The list each root distance appends to; a Metric.dist call fails."""
         calls = []
-        original = Metric.dist
+        original = CellChart._root_dist
 
-        def counted(self, verts, a, b):
+        def counted(self, a, b):
             calls.append(1)
-            return original(self, verts, a, b)
+            return original(self, a, b)
 
-        monkeypatch.setattr(Metric, "dist", counted)
+        def forbidden(*args):
+            raise AssertionError("the walk called Metric.dist")
+
+        monkeypatch.setattr(CellChart, "_root_dist", counted)
+        monkeypatch.setattr(Metric, "sq_dist", forbidden)
+        return calls
+
+    def dist_calls(self, monkeypatch):
+        calls = self.root_dist_calls(monkeypatch)
 
         def count(fn, *args):
             fn(*args)          # warm pass
@@ -624,19 +661,11 @@ class TestWalkCost:
         shallow = sorted(top for top, k in depth.items() if k <= 5)
         deep = sorted(top for top, k in depth.items() if k >= 60)
         points = [sample_interior(chart.complex, rng, top) for top in shallow + deep[::20]]
-        calls = []
-        original = Metric.dist
-
-        def counted(self, verts, a, b):
-            calls.append(1)
-            return original(self, verts, a, b)
-
+        calls = self.root_dist_calls(monkeypatch)
         for p in points:
             fresh = build_chart(chart.complex, chart.decomposition, chart.metric)
-            monkeypatch.setattr(Metric, "dist", counted)
             calls.clear()
             fresh.locate(p)
-            monkeypatch.setattr(Metric, "dist", original)
             assert len(calls) == (2 if p.top == chart.root else 1), depth[p.top]
 
     def test_locate_builds_one_point(self, dfs12, monkeypatch):

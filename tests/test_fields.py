@@ -899,6 +899,182 @@ class TestBatchReads:
         assert len(next(iter(per_line.values()))) > 3
 
 
+def reference_continuity_report(kbar, chart, hole, samples, seed=0):
+    """``continuity_report`` as it read the fields before the stacked read:
+    one deformed-field batch and one input-field batch per line, and the
+    jumps of each line taken on their own."""
+    fields = sf.fields
+    fields._require_positive(samples=samples)
+    levels = fields.PROBE_LEVELS
+    base = kbar.evaluate(chart.c0)
+    probes = []
+    nonsmooth = []
+    boundary_seam = 0.0
+    spine_limit = 0.0
+    gate_jump = 0.0
+    input_gate_jump = 0.0
+    for index, (line, _) in enumerate(fields._sampled_lines(chart, samples, seed)):
+        s0, s1 = hole.split(line)
+        nonsmooth.append((index, s0))
+        step = fields.GEOMETRIC_TOL * s1
+        deltas = [step / 2 ** k for k in range(levels)]
+        gates = []
+        for acc in line.segment_ends[:-1]:
+            delta = min(step, acc / 2, (line.length - acc) / 2)
+            if delta > 0.0:
+                gates.append((acc, delta))
+        before = [acc - delta for acc, delta in gates]
+        after = [acc + delta for acc, delta in gates]
+        values = kbar.evaluate_along(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
+                                     [line.length - step] + before + after)
+        inner, outer = values[:levels], values[levels:2 * levels]
+        near = values[2 * levels]
+        at = 2 * levels + 1
+        before_vals, after_vals = values[at:at + len(gates)], values[at + len(gates):]
+
+        at_seam = fields._jump(kbar.evaluate(line.point_at_arc(s0)), base)
+        boundary_seam = max(boundary_seam, at_seam)
+        probes.append(fields.ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
+        for delta, jump in zip(deltas, fields._jumps(inner, outer)):
+            probes.append(fields.ContinuityProbe(index, "hole-boundary", s0, delta, jump, 0.0))
+
+        sj = fields._jump(near, kbar.evaluate(line.endpoint))
+        spine_limit = max(spine_limit, sj)
+        probes.append(fields.ContinuityProbe(index, "spine-limit", line.length, step, sj, 0.0))
+
+        gate_jumps = fields._jumps(after_vals, before_vals)
+        input_jumps = [0.0] * len(gates)
+        if kbar.source is not None:
+            read = kbar.source.evaluate_along(line, before + after)
+            input_jumps = fields._jumps(read[len(gates):], read[:len(gates)])
+        for (acc, delta), gj, ij in zip(gates, gate_jumps, input_jumps):
+            gate_jump = max(gate_jump, gj)
+            input_gate_jump = max(input_gate_jump, ij)
+            probes.append(fields.ContinuityProbe(index, "gate", acc, delta, gj, ij))
+
+    return fields.ContinuityReport(tuple(probes), boundary_seam, spine_limit,
+                                   gate_jump, input_gate_jump, tuple(nonsmooth))
+
+
+def reference_deformation_samples(kbar, chart, hole, lines, per_line, seed=0):
+    """``deformation_samples`` with one batch read per line."""
+    sf.fields._require_positive(lines=lines, per_line=per_line)
+    rows = []
+    for index, (line, _) in enumerate(sf.fields._sampled_lines(chart, lines, seed)):
+        arcs = [line.length * k / per_line for k in range(per_line + 1)]
+        values = kbar.evaluate_along(line, arcs).reshape(len(arcs), -1).tolist()
+        rows.extend([index, arc] + row for arc, row in zip(arcs, values))
+    return rows
+
+
+def _parity_field(frame, rank):
+    """A field with no line rule that jumps by 1 across every gate."""
+    shape = (frame.dimension,) * (rank[0] + rank[1])
+    return sf.fields.TensorField(rank, frame, lambda pt: np.full(shape, float(pt.top % 2)),
+                                 label="parity")
+
+
+class TestStackedReads:
+    """The seam report and the sample rows read every sampled line in one
+    stack, with the values, probes and rows of one read per line."""
+
+    @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_equals_one_read_per_line(self, census, name, strategy, rank):
+        c = coordinate_torus(12) if name == "torus12" else census[name]
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        frame = extend_frame(chart)
+        n = c.dimension
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        inputs = [constant_tensor(np.arange(2.0, 2.0 + n ** sum(rank)), frame, rank),
+                  _plain_field(frame, rank), _parity_field(frame, rank)]
+        if c.vertex_coords:
+            inputs.append(_linear_field(chart, rank=rank)[0])
+        for K in inputs:
+            for field in (K, deform_tensor(K, chart, hole)):
+                for seed in (3, 4):
+                    got = continuity_report(field, chart, hole, samples=6, seed=seed)
+                    want = reference_continuity_report(field, chart, hole, samples=6, seed=seed)
+                    assert got == want, (field.label, seed)
+                    got = deformation_samples(field, chart, hole, lines=6, per_line=16, seed=seed)
+                    assert got == reference_deformation_samples(field, chart, hole, lines=6,
+                                                                per_line=16, seed=seed)
+
+    @staticmethod
+    def _counted_rules(monkeypatch, K, Kbar):
+        """Record (field, arcs, inside a deformed-field read) of each rule call."""
+        calls, reading = [], []
+        kbar_rule, k_rule = Kbar.line_rule, K.line_rule
+
+        def kbar_counted(requests):
+            calls.append(("Kbar", sum(len(arcs) for _, arcs in requests), False))
+            reading.append(True)
+            try:
+                return kbar_rule(requests)
+            finally:
+                reading.pop()
+
+        def k_counted(requests):
+            calls.append(("K", sum(len(arcs) for _, arcs in requests), bool(reading)))
+            return k_rule(requests)
+
+        monkeypatch.setattr(Kbar, "line_rule", kbar_counted)
+        monkeypatch.setattr(K, "line_rule", k_counted)
+        return calls
+
+    @pytest.mark.parametrize("samples", [1, 5, 20])
+    def test_one_read_per_field(self, monkeypatch, samples):
+        # the report reads the deformed field once, whose tails read K once
+        # inside it, and K once at the gate probes; the seam point of each
+        # line reads through the point path with one arc at most
+        c = coordinate_torus(12)
+        chart = build_chart(c, sf.decompose(c, root=0, strategy="dfs", seed=0),
+                            Metric.from_complex(c))
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        calls = self._counted_rules(monkeypatch, K, Kbar)
+        rep = continuity_report(Kbar, chart, hole, samples=samples, seed=0)
+        assert any(p.seam == "gate" for p in rep.probes)
+        multi = [(field, nested) for field, arcs, nested in calls if arcs > 1]
+        assert multi == [("Kbar", False), ("K", True), ("K", False)]
+        calls.clear()
+        rows = deformation_samples(Kbar, chart, hole, lines=samples, per_line=16, seed=0)
+        # the sample rows read no point: the one deformed-field read of all
+        # rows and the one K read of its tails are every rule call
+        assert len(rows) == samples * 17
+        assert [(field, nested) for field, _, nested in calls] == [("Kbar", False), ("K", True)]
+        assert calls[0][1] == samples * 17
+
+    def test_non_finite_row_names_its_line_and_arc(self, census):
+        # a rule that is NaN in one facet: the error names the first bad row
+        # in request order, on a later line than the first
+        c = coordinate_torus(12)
+        chart = build_chart(c, sf.decompose(c, root=0, strategy="random", seed=0),
+                            Metric.from_complex(c))
+        frame = extend_frame(chart)
+        lines = [line for line, _ in sf.fields._sampled_lines(chart, 6, 2)]
+        requests = [(line, [line.length * k / 16 for k in range(17)]) for line in lines]
+        first = {line.rows_at(arcs)[0][0] for line, arcs in requests[:1]}
+        bad = next(top for line, arcs in requests[1:] for top in line.rows_at(arcs)[0]
+                   if top not in first)
+
+        def rule(reads):
+            tops = [top for line, arcs in reads for top in line.rows_at(arcs)[0]]
+            return np.array([[math.nan, 0.0] if top == bad else [1.0, 2.0] for top in tops])
+
+        K = sf.fields.TensorField((1, 0), frame, lambda pt: np.zeros(2), line_rule=rule)
+        line, arc = next((line, arc) for line, arcs in requests
+                         for arc, top in zip(arcs, line.rows_at(arcs)[0]) if top == bad)
+        assert line is not lines[0]
+        with pytest.raises(FieldDomainError) as err:
+            K.evaluate_lines(requests)
+        assert str(err.value) == \
+            f"non-finite components at arc {arc} of the line to {line.endpoint}"
+
+
 class TestLocateCalls:
     """Probes and sample rows walk the line they already hold: locate runs
     once per sampling attempt, plus the one point-path seam probe per line.
