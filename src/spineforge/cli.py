@@ -145,6 +145,8 @@ def cmd_deform(args) -> int:
         raise FieldDomainError("no field file: give --field PATH.fld")
     spec = read_fld(args.field)
     d = decompose(c, root=args.root, strategy=args.strategy, seed=args.seed)
+    if not d.spine:   # a point: no spine to deform toward, nor a frame to extend
+        raise InvalidComplexError("decomposition has an empty spine")
     chart = build_chart(c, d, Metric.from_complex(c))
     frame = extend_frame(chart)
     field = field_from_spec(spec, chart, frame)

@@ -50,7 +50,8 @@ class SimplicialComplex:
 
     ``faces[k]`` lists every k-face as a sorted vertex tuple in lexicographic
     order; ``face_index[k]`` inverts that listing.  ``ridge_cofacets`` maps
-    each (n-1)-face id to the facets containing it.
+    each (n-1)-face id to the facets containing it, in facet order; one pass
+    over the facets gives both the ridges and their cofacets.
     """
 
     def __init__(self, dimension, top_simplices, vertex_coords=None):
@@ -61,7 +62,7 @@ class SimplicialComplex:
         tops = []
         seen = set()
         for i, s in enumerate(top_simplices):
-            t = tuple(sorted(int(v) for v in s))
+            t = tuple(sorted(map(int, s)))
             if len(t) != self.dimension + 1:
                 raise InvalidComplexError(
                     f"facet {t} has {len(t)} vertices, expected {self.dimension + 1}",
@@ -81,24 +82,28 @@ class SimplicialComplex:
             raise InvalidComplexError("vertices must be dense integers 0..V-1")
         self.vertex_count = len(verts)
 
-        faces = []
-        for k in range(self.dimension):
+        n = self.dimension
+        # vertices are dense, so the 0-faces need no pass over the facets
+        faces = [tuple([(v,) for v in verts])] if n >= 2 else []
+        for k in range(1, n - 1):
             fs = set()
             for t in tops:
                 fs.update(combinations(t, k + 1))
             faces.append(tuple(sorted(fs)))
+        # one pass lists each ridge's cofacets in facet order; its keys are
+        # the ridges, each the first tuple seen, as a set would keep it
+        cofacets = {}
+        for ti, t in enumerate(tops):
+            for f in combinations(t, n):
+                cofacets.setdefault(f, []).append(ti)
+        if n >= 1:
+            faces.append(tuple(sorted(cofacets)))
+            self.ridge_cofacets = tuple(map(tuple, map(cofacets.__getitem__, faces[-1])))
+        else:
+            self.ridge_cofacets = ()
         faces.append(tuple(sorted(tops)))   # the facets themselves, no copy
         self.faces = tuple(faces)
         self.face_index = tuple({f: i for i, f in enumerate(fk)} for fk in faces)
-
-        if self.dimension >= 1:
-            cof = [[] for _ in self.faces[self.dimension - 1]]
-            for ti, t in enumerate(tops):
-                for f in combinations(t, self.dimension):
-                    cof[self.face_index[self.dimension - 1][f]].append(ti)
-            self.ridge_cofacets = tuple(tuple(v) for v in cof)
-        else:
-            self.ridge_cofacets = ()
 
         if vertex_coords is not None:
             coords = [tuple(float(x) for x in p) for p in vertex_coords]
@@ -155,7 +160,8 @@ class ValidationReport:
 
 def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     """Check that every ridge has two cofacets, the dual graph is connected,
-    and (for n <= 2 only) every vertex link is a single sphere/cycle."""
+    and (for n <= 2 only) every vertex link is a single sphere/cycle.  Link
+    degrees are read off the ridge check; only n = 2 builds its links."""
     if c._validation_cache is not None:
         return c._validation_cache
     ridge_violations = tuple(
@@ -167,28 +173,25 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
         ((i,) for i in range(len(c.top_simplices))),
         (cof for cof in c.ridge_cofacets if len(cof) == 2))) == 1
 
-    # One pass gives each vertex its star, the facets containing it, in
-    # facet order; the constructor guarantees every star is non-empty.
-    stars = [[] for _ in range(c.vertex_count)]
-    for t in c.top_simplices:
-        for v in t:
-            stars[v].append(t)
+    # In n = 1 a vertex is a ridge.  In n = 2 a link vertex w of v has as many
+    # link edges as the edge vw has cofacets, so one pass over the facets
+    # gathers the links only to test that each is one cycle.
     link_violations = []
     links_checked = c.dimension <= 2
     if c.dimension == 1:
-        for v, star in enumerate(stars):
-            if len(star) != 2:
-                link_violations.append((v, f"vertex in {len(star)} edges, expected 2"))
+        for v, count in ridge_violations:
+            link_violations.append((v, f"vertex in {count} edges, expected 2"))
     elif c.dimension == 2:
-        for v, star in enumerate(stars):
-            link_edges = [tuple(w for w in t if w != v) for t in star]
-            deg = {}
-            for a, b in link_edges:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-            if any(d != 2 for d in deg.values()):
+        irregular = {v for rid, _ in ridge_violations for v in c.faces[1][rid]}
+        links = [[] for _ in range(c.vertex_count)]
+        for a, b, d in c.top_simplices:
+            links[a].append((b, d))
+            links[b].append((a, d))
+            links[d].append((a, b))
+        for v, link in enumerate(links):
+            if v in irregular:
                 link_violations.append((v, "link is not 2-regular"))
-            elif component_count(link_edges) != 1:
+            elif component_count(link) != 1:
                 link_violations.append((v, "link splits into several cycles"))
 
     report = ValidationReport(ridge_violations, dual_connected,
@@ -199,10 +202,10 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """Facet adjacency: one edge per shared ridge of a closed complex."""
+    """Facet adjacency of a closed complex: facets a and b are neighbours
+    across ridge r exactly when ``c.ridge_cofacets[r]`` is (a, b)."""
 
     node_count: int
-    edges: tuple       # (ridge id, facet a, facet b), sorted by ridge id
     adjacency: tuple   # per facet: tuple of (ridge id, neighbor facet)
 
 
@@ -217,15 +220,11 @@ def build_dual_graph(c: SimplicialComplex) -> DualGraph:
             f"ridge {face} has {count} cofacets, expected 2")
     if not report.dual_connected:
         raise InvalidComplexError("dual graph is disconnected")
-    edges = []
     adjacency = [[] for _ in c.top_simplices]
-    for rid, cof in enumerate(c.ridge_cofacets):
-        a, b = cof
-        edges.append((rid, a, b))
+    for rid, (a, b) in enumerate(c.ridge_cofacets):
         adjacency[a].append((rid, b))
         adjacency[b].append((rid, a))
-    graph = DualGraph(len(c.top_simplices), tuple(edges),
-                      tuple(tuple(sorted(a)) for a in adjacency))
+    graph = DualGraph(len(c.top_simplices), tuple(tuple(sorted(a)) for a in adjacency))
     c._dual_cache = graph
     return graph
 
@@ -311,12 +310,15 @@ class Metric:
             if (u, v) not in self.edge_lengths:
                 raise InvalidComplexError(f"metric misses edge {(u, v)}")
         if c.dimension >= 2:
-            for a, b, d in c.faces[2]:
-                lab, lad, lbd = self.length(a, b), self.length(a, d), self.length(b, d)
-                slack = GEOMETRIC_TOL * max(lab, lad, lbd)
-                if lab > lad + lbd + slack or lad > lab + lbd + slack or lbd > lab + lad + slack:
-                    raise InvalidComplexError(
-                        f"triangle inequality fails on 2-face {(a, b, d)}")
+            # one stacked check; the gathers give ``length``'s floats, bit for bit
+            tri = c.faces[2]
+            a, b, d = np.fromiter(chain.from_iterable(tri), np.intp, 3 * len(tri)).reshape(-1, 3).T
+            lab, lad, lbd = self.lengths_at(a, b), self.lengths_at(a, d), self.lengths_at(b, d)
+            slack = GEOMETRIC_TOL * np.maximum(np.maximum(lab, lad), lbd)
+            bad = (lab > lad + lbd + slack) | (lad > lab + lbd + slack) | (lbd > lab + lad + slack)
+            if bad.any():
+                raise InvalidComplexError(
+                    f"triangle inequality fails on 2-face {tri[int(bad.argmax())]}")
         for k in range(3, c.dimension + 1):
             for face in c.faces[k]:
                 det, scale = self._gram_det(face)
@@ -404,6 +406,10 @@ class Metric:
 # tokens ('.', 'e', ...) or by a field count different from n+1; the writer
 # always emits repr() floats so its output round-trips bit-exactly.
 
+# int() accepts no token that holds one of these, so a float row needs no try
+_FLOAT_MARKS = frozenset(".eEiInN")
+
+
 def _tokens(text):
     """(1-based source line number, tokens) of every non-blank line."""
     for number, raw in enumerate(text.splitlines(), 1):
@@ -413,6 +419,8 @@ def _tokens(text):
 
 
 def _is_int_token(tok):
+    if not _FLOAT_MARKS.isdisjoint(tok):
+        return False
     try:
         int(tok)
         return True
@@ -450,7 +458,7 @@ def parse_tri(text: str) -> SimplicialComplex:
             if not looks_coord:
                 break
             try:
-                row = tuple(float(t) for t in toks)
+                row = tuple(map(float, toks))
             except ValueError:
                 raise _bad_line(number, "bad coordinate line", toks)
             if not all(map(math.isfinite, row)):
@@ -459,14 +467,15 @@ def parse_tri(text: str) -> SimplicialComplex:
             i += 1
     tops = []
     facet_numbers = []
-    ids = {}    # each vertex token parsed once, so the facets share its int
+    ids = {}    # each distinct vertex token parsed once; the facets share its int
     for number, toks in lines[i:]:
-        if len(toks) != n + 1 or not all(_is_int_token(t) for t in toks):
+        try:
+            row = tuple([ids[t] if t in ids else ids.setdefault(t, int(t)) for t in toks])
+        except ValueError:
+            row = None
+        if row is None or len(row) != n + 1:
             raise _bad_line(number, "bad facet line", toks)
-        for t in toks:
-            if t not in ids:
-                ids[t] = int(t)
-        tops.append(tuple(map(ids.__getitem__, toks)))
+        tops.append(row)
         facet_numbers.append(number)
     try:
         return SimplicialComplex(n, tops, vertex_coords=coords)

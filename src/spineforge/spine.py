@@ -75,7 +75,7 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
     adjacency = graph.adjacency
     painted = [False] * graph.node_count
     painted[root] = True
-    is_gate = [False] * len(graph.edges)
+    is_gate = [False] * len(c.ridge_cofacets)
     frontier = [(root, rid, nbr) for rid, nbr in adjacency[root]]
     head = 0      # bfs reads the frontier in order; dfs and random pop it
     gates = []
@@ -102,7 +102,7 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
         for rid, nbr in adjacency[child]:
             if not painted[nbr]:
                 frontier.append((child, rid, nbr))
-    # graph.edges holds every ridge, sorted by id, so the ids come out sorted
+    # is_gate is indexed by ridge id, so the spine's ids come out sorted
     spine = tuple([rid for rid, gate in enumerate(is_gate) if not gate])
     return Decomposition(root, tuple(map(GateStep._make, gates)), spine, strategy, seed)
 

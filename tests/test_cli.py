@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from itertools import combinations
 
@@ -196,6 +198,19 @@ class TestDeform:
                          "--field", str(fld))
         assert code == 2
 
+    @pytest.mark.parametrize("fld", [LINEAR_FLD, "type 0 0\nconstant\n1.5\n"],
+                             ids=["linear", "scalar-constant"])
+    def test_point_has_empty_spine(self, capsys, tmp_path, fld):
+        # a single vertex has no ridge, so there is no spine to deform toward
+        # and no frame to extend; decompose and verify say the same
+        path = tmp_path / "point.tri"
+        path.write_text("dim 0\n0\n")
+        field = tmp_path / "f.fld"
+        field.write_text(fld)
+        for argv in (("deform", str(path), "--field", str(field)),
+                     ("decompose", str(path)), ("verify", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: decomposition has an empty spine\n")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_rejected(self, capsys, tmp_path, samples):
@@ -352,6 +367,22 @@ class TestExitCodes:
     def test_disjoint_and_stable(self):
         assert (cli.EXIT_OK, cli.EXIT_FALSIFIED, cli.EXIT_INVALID, cli.EXIT_IO) \
             == (0, 1, 2, 3)
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("argv", [("decompose", "--census", "torus7"),
+                                      ("decompose", "missing.tri")],
+                             ids=["ok", "io-error"])
+    def test_python_dash_m_equals_main(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "spineforge", *argv],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (code, out.encode(), err.encode())
 
 
 # -- mutation fuzz over the command line ------------------------------------------

@@ -17,11 +17,16 @@ EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
                   "rp2_6": 6, "sphere3_pent": 6}
 
 
-def all_spanning_trees(graph):
-    """Brute-force oracle: every edge subset of size N-1 that spans."""
-    n = graph.node_count
+def dual_edges(c):
+    """(ridge id, facet a, facet b) per ridge of a closed complex, by id."""
+    return [(rid, a, b) for rid, (a, b) in enumerate(c.ridge_cofacets)]
+
+
+def all_spanning_trees(c):
+    """Brute-force oracle: every dual edge subset of size N-1 that spans."""
+    n = len(c.top_simplices)
     trees = []
-    for combo in combinations(graph.edges, n - 1):
+    for combo in combinations(dual_edges(c), n - 1):
         parent = list(range(n))
 
         def find(x):
@@ -101,7 +106,7 @@ def reference_decompose(c, root=0, strategy="bfs", seed=0):
         gate_ids.add(rid)
         frontier.extend((child, r, nb) for r, nb in graph.adjacency[child]
                         if not painted[nb])
-    spine = tuple(sorted(rid for rid, _, _ in graph.edges if rid not in gate_ids))
+    spine = tuple(sorted(rid for rid, _, _ in dual_edges(c) if rid not in gate_ids))
     return Decomposition(root, tuple(gates), spine, strategy, seed)
 
 
@@ -205,7 +210,7 @@ class TestDecomposeMatchesReference:
 
 @pytest.fixture(scope="module")
 def trees(census):
-    return all_spanning_trees(sf.build_dual_graph(census["sphere_tet"]))
+    return all_spanning_trees(census["sphere_tet"])
 
 
 class TestSphereTetExhaustive:
