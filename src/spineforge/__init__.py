@@ -2,7 +2,7 @@
 closed manifolds, with cell charts, the retraction homotopy, integer-homology
 verification, and tensor-field deformation toward the thickened spine."""
 
-from .census import CENSUS, build_census, census_names, census_self_check
+from .census import CENSUS, build_census, census_names
 from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef, Segment,
                     broken_line_to, build_chart, forward_map, inverse_map,
                     retract, stretch)
@@ -12,9 +12,8 @@ from .fields import (FrameField, HoleRegion, TensorField, black_hole_region,
 from .homology import (BoundaryMatrix, HomologyProfile, boundary_matrix,
                        homology_groups, punctured_complex, smith_normal_form,
                        verify_theorem2)
-from .simplicial import (DualGraph, InvalidComplexError, Metric,
-                         SimplicialComplex, ValidationReport, build_dual_graph,
-                         euler_characteristic, read_tri, validate_closed_manifold,
+from .simplicial import (InvalidComplexError, Metric, SimplicialComplex,
+                         ValidationReport, read_tri, validate_closed_manifold,
                          write_tri)
 from .spine import (Decomposition, GateStep, decompose, spine_connected,
                     spine_subcomplex, verify_cell_partition)

@@ -1,9 +1,9 @@
 """Built-in triangulations used as test subjects and CLI inputs.
 
 Facet lists are derived where a construction exists (simplex boundaries, the
-mod-7 orbit torus) and every entry is re-validated at access time against its
-expected f-vector, manifold checks and homology, so a transcription slip
-cannot propagate silently.
+mod-7 orbit torus).  Each entry records its expected f-vector and homology,
+and the test suite checks every entry against them before trusting any, so
+a transcription slip cannot propagate silently.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .simplicial import InvalidComplexError, SimplicialComplex, validate_closed_manifold
+from .simplicial import InvalidComplexError, SimplicialComplex
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,3 @@ def build_census(name: str) -> SimplicialComplex:
         raise InvalidComplexError(
             f"unknown census name {name!r}; known: {', '.join(CENSUS)}")
     return entry.builder()
-
-
-def census_self_check():
-    """Validate every census entry against its expectations; raise on drift."""
-    from .homology import homology_groups  # local import: avoids module cycle
-
-    for name, entry in CENSUS.items():
-        c = entry.builder()
-        report = validate_closed_manifold(c)
-        if not report.ok:
-            raise InvalidComplexError(f"census {name}: manifold checks failed: {report}")
-        if c.f_vector != entry.f_vector:
-            raise InvalidComplexError(
-                f"census {name}: f-vector {c.f_vector} != expected {entry.f_vector}")
-        profile = homology_groups(c)
-        got = tuple((b, tuple(t)) for b, t in profile.groups)
-        if got != entry.homology:
-            raise InvalidComplexError(
-                f"census {name}: homology {got} != expected {entry.homology}")

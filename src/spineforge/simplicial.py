@@ -1,4 +1,4 @@
-"""Triangulated closed manifolds: face lattice, metrics, dual adjacency.
+"""Triangulated closed manifolds: face lattice, validation, metrics.
 
 A complex is stored as its top-dimensional simplices over dense integer
 vertices.  Every lower face is derived from the top list and given a stable
@@ -125,19 +125,13 @@ class SimplicialComplex:
         else:
             self.vertex_coords = None
 
-        self._dual_cache = None
+        self._gate_table = None         # spine's per-facet gate steps
         self._validation_cache = None
         self._punctured_homology = {}   # root facet id -> HomologyProfile
 
     @property
     def f_vector(self):
         return tuple(len(fk) for fk in self.faces)
-
-    def face_id(self, k, verts):
-        try:
-            return self.face_index[k][tuple(sorted(verts))]
-        except KeyError:
-            raise InvalidComplexError(f"no {k}-face with vertices {tuple(verts)}")
 
     def __repr__(self):
         return (f"SimplicialComplex(dim={self.dimension}, "
@@ -200,35 +194,6 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Facet adjacency of a closed complex: facets a and b are neighbours
-    across ridge r exactly when ``c.ridge_cofacets[r]`` is (a, b)."""
-
-    node_count: int
-    adjacency: tuple   # per facet: tuple of (ridge id, neighbor facet)
-
-
-def build_dual_graph(c: SimplicialComplex) -> DualGraph:
-    if c._dual_cache is not None:
-        return c._dual_cache
-    report = validate_closed_manifold(c)
-    if report.ridge_violations:
-        rid, count = report.ridge_violations[0]
-        face = c.faces[c.dimension - 1][rid] if c.dimension >= 1 else ()
-        raise InvalidComplexError(
-            f"ridge {face} has {count} cofacets, expected 2")
-    if not report.dual_connected:
-        raise InvalidComplexError("dual graph is disconnected")
-    adjacency = [[] for _ in c.top_simplices]
-    for rid, (a, b) in enumerate(c.ridge_cofacets):
-        adjacency[a].append((rid, b))
-        adjacency[b].append((rid, a))
-    graph = DualGraph(len(c.top_simplices), tuple(tuple(sorted(a)) for a in adjacency))
-    c._dual_cache = graph
-    return graph
-
-
 def component_count(simplices) -> int:
     """Connected components of the union of ``simplices`` (vertex tuples in
     any labels), each simplex joining its own vertices; by union-find with
@@ -259,10 +224,6 @@ def facet_rows(c: SimplicialComplex) -> np.ndarray:
     width = c.dimension + 1
     return np.fromiter(chain.from_iterable(c.top_simplices), np.intp,
                        width * len(c.top_simplices)).reshape(-1, width)
-
-
-def euler_characteristic(c: SimplicialComplex) -> int:
-    return sum((-1) ** k * len(fk) for k, fk in enumerate(c.faces))
 
 
 class Metric:

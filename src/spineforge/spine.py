@@ -5,9 +5,10 @@ time ("gates"); the ridges never crossed form the spine.  Gates trace a
 spanning tree of the dual graph in absorption order, so every prefix of the
 gate list spans a connected subtree containing the root.
 
-``decompose`` is one pass over the cached dual graph: each ridge enters the
-frontier exactly once, so growth costs O(ridges).  ``random`` draws uniformly
-over the frontier with the same bits as ``random.Random(seed).randrange``.
+``decompose`` is one pass over a per-complex table of gate steps, built once:
+each ridge enters the frontier exactly once, as a step of that table, so growth
+costs O(ridges) and builds no step.  ``random`` draws uniformly over the
+frontier with the same bits as ``random.Random(seed).randrange``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from .simplicial import (InvalidComplexError, SimplicialComplex, build_dual_graph,
-                         component_count)
+from .simplicial import (InvalidComplexError, SimplicialComplex, component_count,
+                         validate_closed_manifold)
 
 STRATEGIES = ("bfs", "dfs", "random")
 
 
 class GateStep(NamedTuple):
     """One crossing of the growth: parent facet, gate ridge id, child facet.
-    The chart reads these steps as they are; it keeps no copy."""
+    Every decomposition of a complex shares its steps from one table, and
+    the chart reads them as they are; it keeps no copy."""
 
     parent: int
     gate: int    # ridge id
@@ -58,6 +60,29 @@ class Decomposition:
         return json.dumps(self.to_json_obj(c), sort_keys=True, separators=(",", ":"))
 
 
+def _gate_table(c: SimplicialComplex) -> tuple:
+    """Per facet, the ``GateStep`` out of it across each of its ridges, in
+    ridge-id order.  Built once per complex, after the checks that every
+    ridge has two cofacets and that the dual graph is connected."""
+    table = c._gate_table
+    if table is not None:
+        return table
+    report = validate_closed_manifold(c)
+    if report.ridge_violations:
+        rid, count = report.ridge_violations[0]
+        face = c.faces[c.dimension - 1][rid] if c.dimension >= 1 else ()
+        raise InvalidComplexError(
+            f"ridge {face} has {count} cofacets, expected 2")
+    if not report.dual_connected:
+        raise InvalidComplexError("dual graph is disconnected")
+    rows = [[] for _ in c.top_simplices]
+    for rid, (a, b) in enumerate(c.ridge_cofacets):
+        rows[a].append(GateStep(a, rid, b))
+        rows[b].append(GateStep(b, rid, a))
+    table = c._gate_table = tuple(map(tuple, rows))
+    return table
+
+
 def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
               seed: int = 0) -> Decomposition:
     """Paint outward from ``root``, one unpainted facet per step.
@@ -67,16 +92,15 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
     """
     if strategy not in STRATEGIES:
         raise InvalidComplexError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
-    graph = build_dual_graph(c)   # raises if ridges are bad or dual graph splits
-    if not 0 <= root < graph.node_count:
+    table = _gate_table(c)   # raises if ridges are bad or dual graph splits
+    if not 0 <= root < len(table):
         raise InvalidComplexError(f"no facet with id {root}")
 
     getrandbits = random.Random(seed).getrandbits if strategy == "random" else None
-    adjacency = graph.adjacency
-    painted = [False] * graph.node_count
+    painted = [False] * len(table)
     painted[root] = True
     is_gate = [False] * len(c.ridge_cofacets)
-    frontier = [(root, rid, nbr) for rid, nbr in adjacency[root]]
+    frontier = list(table[root])
     head = 0      # bfs reads the frontier in order; dfs and random pop it
     gates = []
     while head < len(frontier):
@@ -99,12 +123,12 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
         painted[child] = True
         gates.append(step)
         is_gate[step[1]] = True
-        for rid, nbr in adjacency[child]:
-            if not painted[nbr]:
-                frontier.append((child, rid, nbr))
+        for out in table[child]:
+            if not painted[out[2]]:
+                frontier.append(out)
     # is_gate is indexed by ridge id, so the spine's ids come out sorted
     spine = tuple([rid for rid, gate in enumerate(is_gate) if not gate])
-    return Decomposition(root, tuple(map(GateStep._make, gates)), spine, strategy, seed)
+    return Decomposition(root, tuple(gates), spine, strategy, seed)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import spineforge as sf
 from spineforge.chart import build_chart
 from spineforge.simplicial import Metric
 
+from helpers import census_self_check
+
 
 @pytest.fixture(scope="session", autouse=True)
 def census_gate():
     # every census entry must match its expected f-vector, links and homology
     # before any test trusts it
-    sf.census_self_check()
+    census_self_check()
 
 
 @pytest.fixture(scope="session")

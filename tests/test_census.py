@@ -4,6 +4,8 @@ import spineforge as sf
 from spineforge.census import CENSUS, build_census
 from spineforge.simplicial import InvalidComplexError, Metric
 
+from helpers import census_self_check
+
 
 def test_registry_names():
     assert sf.census_names() == ("circle3", "sphere_tet", "torus7",
@@ -47,4 +49,4 @@ def test_unembeddable_entries_carry_no_coords(census):
 
 
 def test_self_check_runs():
-    sf.census_self_check()
+    census_self_check()

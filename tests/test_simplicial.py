@@ -10,8 +10,10 @@ import spineforge as sf
 from spineforge.simplicial import (GEOMETRIC_TOL, InvalidComplexError, Metric,
                                    SimplicialComplex, ValidationReport,
                                    format_tri, parse_tri)
+from spineforge.spine import _gate_table
 
 from grids import grid_surface
+from helpers import euler_characteristic, face_id
 
 
 def brute_cofacets(tops, face):
@@ -159,7 +161,7 @@ class TestConstruction:
         for k, faces in enumerate(c.faces):
             assert list(faces) == sorted(faces)
             for i, f in enumerate(faces):
-                assert c.face_id(k, f) == i
+                assert face_id(c, k, f) == i
 
     def test_face_sets_match_brute_force(self, census):
         c = census["torus7"]
@@ -241,6 +243,9 @@ class TestValidationOracle:
 
 
 class TestDualGraph:
+    """The dual graph as ``decompose`` reads it: per facet, the gate step
+    across each of its ridges."""
+
     @pytest.mark.parametrize("name,nodes,edges,degree", [
         ("circle3", 3, 3, 2),
         ("sphere_tet", 4, 6, 3),
@@ -248,19 +253,29 @@ class TestDualGraph:
     ])
     def test_counts(self, census, name, nodes, edges, degree):
         c = census[name]
-        g = sf.build_dual_graph(c)
-        assert g.node_count == nodes
+        table = _gate_table(c)
+        assert len(table) == nodes
         assert len(c.ridge_cofacets) == edges
-        assert all(len(a) == degree for a in g.adjacency)
+        assert all(len(row) == degree for row in table)
+        # each ridge is crossed from both of its cofacets, in ridge-id order
+        for facet, row in enumerate(table):
+            assert [s.gate for s in row] == sorted(s.gate for s in row)
+            for parent, rid, child in row:
+                assert parent == facet
+                assert sorted(c.ridge_cofacets[rid]) == sorted((facet, child))
         # independent count: facet pairs sharing a ridge
         pairs = sum(1 for a, b in combinations(c.top_simplices, 2)
                     if len(set(a) & set(b)) == c.dimension)
         assert len(c.ridge_cofacets) == pairs
+        assert len(sf.decompose(c).gates) == nodes - 1
 
     def test_rejects_open_complex(self, census):
         tops = list(census["sphere_tet"].top_simplices)[:-1]
-        with pytest.raises(InvalidComplexError):
-            sf.build_dual_graph(SimplicialComplex(2, tops))
+        open_complex = SimplicialComplex(2, tops)
+        with pytest.raises(InvalidComplexError,
+                           match=r"^ridge \(1, 2\) has 1 cofacets, expected 2$"):
+            sf.decompose(open_complex)
+        assert open_complex._gate_table is None
 
     def test_ridge_double_counting(self, census):
         for c in census.values():
@@ -270,22 +285,22 @@ class TestDualGraph:
 
 class TestEuler:
     def test_sphere(self, census):
-        assert sf.euler_characteristic(census["sphere_tet"]) == 2
+        assert euler_characteristic(census["sphere_tet"]) == 2
 
     def test_torus(self, census):
         c = census["torus7"]
         assert c.f_vector == (7, 21, 14)
-        assert sf.euler_characteristic(c) == 0
+        assert euler_characteristic(c) == 0
 
     def test_projective_plane(self, census):
         c = census["rp2_6"]
         assert c.f_vector == (6, 15, 10)
-        assert sf.euler_characteristic(c) == 1
+        assert euler_characteristic(c) == 1
 
     @given(st.permutations(list(range(4))))
     def test_invariant_under_relabeling(self, perm):
         tops = [tuple(perm[v] for v in t) for t in combinations(range(4), 3)]
-        assert sf.euler_characteristic(SimplicialComplex(2, tops)) == 2
+        assert euler_characteristic(SimplicialComplex(2, tops)) == 2
 
 
 class TestMetric:

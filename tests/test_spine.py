@@ -7,9 +7,9 @@ import pytest
 
 import spineforge as sf
 from spineforge.homology import homology_groups, verify_theorem2
-from spineforge.simplicial import InvalidComplexError, SimplicialComplex, build_dual_graph
-from spineforge.spine import (Decomposition, GateStep, decompose, spine_connected,
-                              spine_subcomplex, verify_cell_partition)
+from spineforge.simplicial import InvalidComplexError, SimplicialComplex
+from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, decompose,
+                              spine_connected, spine_subcomplex, verify_cell_partition)
 
 from grids import grid_surface
 
@@ -79,15 +79,20 @@ def decomposition_from_json(c, obj):
 
 
 def reference_decompose(c, root=0, strategy="bfs", seed=0):
-    """The growth loop as first written: a deque frontier, ``randrange``
-    draws and the spine as the sorted ridge ids missing from a set of gate
-    ids.  ``decompose`` must return the same trees, seed for seed."""
-    graph = build_dual_graph(c)
+    """The growth loop as first written: a sorted (ridge id, neighbour)
+    adjacency of its own, a deque frontier, ``randrange`` draws and the spine
+    as the sorted ridge ids missing from a set of gate ids.  ``decompose``
+    must return the same trees, seed for seed."""
+    adjacency = [[] for _ in c.top_simplices]
+    for rid, a, b in dual_edges(c):
+        adjacency[a].append((rid, b))
+        adjacency[b].append((rid, a))
+    adjacency = [sorted(row) for row in adjacency]
     rng = random.Random(seed) if strategy == "random" else None
-    painted = [False] * graph.node_count
+    painted = [False] * len(adjacency)
     painted[root] = True
     frontier = deque()
-    frontier.extend((root, rid, nbr) for rid, nbr in graph.adjacency[root])
+    frontier.extend((root, rid, nbr) for rid, nbr in adjacency[root])
     gates = []
     gate_ids = set()
     while frontier:
@@ -104,7 +109,7 @@ def reference_decompose(c, root=0, strategy="bfs", seed=0):
         painted[child] = True
         gates.append(GateStep(parent, rid, child))
         gate_ids.add(rid)
-        frontier.extend((child, r, nb) for r, nb in graph.adjacency[child]
+        frontier.extend((child, r, nb) for r, nb in adjacency[child]
                         if not painted[nb])
     spine = tuple(sorted(rid for rid, _, _ in dual_edges(c) if rid not in gate_ids))
     return Decomposition(root, tuple(gates), spine, strategy, seed)
@@ -157,7 +162,7 @@ class TestDecompose:
     def test_rejects_disconnected(self):
         two_circles = SimplicialComplex(
             1, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        with pytest.raises(InvalidComplexError):
+        with pytest.raises(InvalidComplexError, match="^dual graph is disconnected$"):
             decompose(two_circles)
 
     def test_determinism(self, census):
@@ -206,6 +211,59 @@ class TestDecomposeMatchesReference:
     def test_48x48_torus(self, grids, strategy):
         for seed in (0, 1, 2):
             assert_same_as_reference(grids["torus48"], 0, strategy, seed)
+
+
+class TestSharedSteps:
+    """Counts on the 12x12 torus: ``decompose`` hands out the complex's own
+    gate steps and draws exactly the bits the reference draws."""
+
+    def test_builds_no_gate_step(self, grids, monkeypatch):
+        c = grids["torus12"]
+        table = _gate_table(c)
+        built = []
+        new, make = GateStep.__new__, GateStep._make
+
+        def counting_new(cls, *args):
+            built.append(args)
+            return new(cls, *args)
+
+        def counting_make(cls, iterable):
+            built.append(iterable)
+            return make(iterable)
+
+        monkeypatch.setattr(GateStep, "__new__", counting_new)
+        monkeypatch.setattr(GateStep, "_make", classmethod(counting_make))
+        for strategy in STRATEGIES:
+            for seed in range(3):
+                d = decompose(c, strategy=strategy, seed=seed)
+                assert len(d.gates) == len(c.top_simplices) - 1
+                for g in d.gates:
+                    assert any(g is step for step in table[g.parent])
+        assert built == []
+
+    def test_draws_as_many_bits_as_randrange(self, grids, monkeypatch):
+        c = grids["torus12"]
+        generators = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                self.widths = []
+                generators.append(self)
+                super().__init__(seed)
+
+            def getrandbits(self, k):
+                self.widths.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        for root in (0, 7):
+            for seed in range(10):
+                d = decompose(c, root=root, strategy="random", seed=seed)
+                ref = reference_decompose(c, root=root, strategy="random", seed=seed)
+                assert d == ref
+                ours, theirs = generators[-2].widths, generators[-1].widths
+                assert len(ours) == len(theirs) >= len(d.gates)
+                assert ours == theirs
 
 
 @pytest.fixture(scope="module")
