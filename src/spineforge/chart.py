@@ -31,32 +31,41 @@ tuples are points of their facets by construction, which the tests check, so
 they are not validated on every walk.
 
 A walk step is a few list reads, one index gather and the chord arithmetic.
-The chart keeps two flat lists, filled in the one loop over the gates that
-builds it: ``_parent[f]``, the parent of facet f's entry gate, which the
-ascent follows, and ``_down[f*(n+1) + k]``, the child a chord of f enters
-when it leaves through the face opposite its local vertex k, which the
-descent follows (None where that face is not a gate of f: the line ends
-there, and its last step checks that the face is a spine ridge).  Crossing
-a gate gathers the coordinates by the child's precomputed parent<->child
-index map: the walk's crossing points hold exactly 0.0 off the gate, so the
-gather is ``_transfer`` bit for bit with no weight to check.  Every chord
-of a non-root facet is parallel to the segment from the gate centroid to
-the off-gate vertex, q - p = t * (e_ov - centroid), so its length is t
-times that segment's length h.  Every facet's h is computed at build, in
-one stacked pass over the metric's edge table that gives ``Metric.dist``'s
-bits, and a walk reads it from the list ``_heights``.  The root's squared
-edge lengths are read at build too, so a walk never calls ``Metric.dist``:
-``_root_dist`` gives its bits for the root segment and both ends of a root
-ray.  Lengths agree with the
-metric's quadratic form of the chord's ends to rounding (1.5e-14 relative),
-so CLI float outputs differ in their low-order digits from that evaluation;
+The chart keeps two flat lists: ``_parent[f]``, the parent of facet f's
+entry gate, which the ascent follows, and ``_down[f*(n+1) + k]``, the child
+a chord of f enters when it leaves through the face opposite its local
+vertex k, which the descent follows (None where that face is not a gate of
+f: the line ends there, and its last step checks that the face is a spine
+ridge).  Crossing a gate gathers the coordinates by the child's
+parent<->child index map: the walk's crossing points hold exactly 0.0 off
+the gate, so the gather is ``_transfer`` bit for bit with no weight to
+check.  Every chord of a non-root facet is parallel to the segment from the
+gate centroid to the off-gate vertex, q - p = t * (e_ov - centroid), so its
+length is t times that segment's length h, which a walk reads from the list
+``_heights``.  The root's squared edge lengths are read at build too, so a
+walk never calls ``Metric.dist``: ``_root_dist`` gives its bits for the
+root segment and both ends of a root ray.  Lengths agree with the metric's
+quadratic form of the chord's ends to rounding (1.5e-14 relative), so CLI
+float outputs differ in their low-order digits from that evaluation;
 repeated runs are byte-identical.
+
+The index maps, the off-gate slots and h depend on the gate step and the
+metric, never on the tree, so they live in one table per complex
+(``StepGeometry``), keyed by directed ridge and by the metric object.  A
+chart computes, in one stacked pass over the metric's edge table that
+gives ``Metric.dist``'s bits, only its steps that no earlier chart of that
+complex and metric took, and gathers its lists from the table with index
+arrays; ``fields.extend_frame`` keeps the frame transitions in the same
+table.  A single chart does the work it always did, and a later tree on the
+same complex and metric mostly gathers.
 
 All point evaluations are lazy walks over the decomposition's ``GateStep``s,
 which the chart reads as they are; nothing is meshed globally.  Charts are
 immutable after construction, apart from the last line draw of
 ``fields._sampled_lines``, one entry keyed by count and seed that any writer
-replaces whole with lines equal for equal keys.  Evaluations are pure, so
+replaces whole with lines equal for equal keys.  Until another metric
+replaces it, the complex's step table only grows, by rows equal for equal
+keys, each written before it is marked filled.  Evaluations are pure, so
 they can run concurrently.
 """
 
@@ -67,7 +76,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -181,6 +190,100 @@ def _lerp(a, b, w):
     return tuple([x + w * (y - x) for x, y in zip(a, b)])
 
 
+class StepGeometry:
+    """The geometry of a complex's gate steps under one metric, which no
+    tree changes.  Rows are keyed by directed ridge ``2*rid + side``, side 0
+    when the step's parent is ``ridge_cofacets[rid][0]``; a gate ridge has
+    two cofacets, as ``decompose`` checks.
+
+    A chart row holds the child's and the parent's off-gate slots (ov,
+    off), the shared (ov, up, down) index maps and the child's height.  A
+    frame row, which ``fields.extend_frame`` fills, holds the transition
+    (identity where the step is flat), the flat-parent, flat-child and
+    missing-edge flags and the first missing edge.  Rows are filled on first
+    use: a tree computes, in one stacked pass, only its steps not yet in the
+    table.  A fill writes equal values for equal keys and marks its rows
+    only after writing them, so charts of one complex can be built
+    concurrently.  The complex keeps one table (``step_geometry``)."""
+
+    def __init__(self, c: SimplicialComplex, metric: Metric):
+        n = self.dimension = c.dimension
+        rows = 2 * len(c.ridge_cofacets)
+        self.metric = metric
+        self.tops = facet_rows(c)
+        # each ridge's first cofacet: the parent of its side-0 step
+        self.first = np.fromiter((cof[0] for cof in c.ridge_cofacets), np.intp,
+                                 len(c.ridge_cofacets))
+        # a row is read only once it is marked, so only the marks start set;
+        # the rest stays unwritten, and a caller that extends no frame never
+        # touches the frame rows' memory
+        self.charted = np.zeros(rows, bool)
+        self.ov = np.empty(rows, np.int8)
+        self.off = np.empty(rows, np.int8)
+        self.maps = np.empty(rows, object)
+        self.height = np.empty(rows)
+        self.framed = np.zeros(rows, bool)
+        self.transition = np.empty((rows, n, n))
+        self.flat_parent = np.empty(rows, bool)
+        self.flat_child = np.empty(rows, bool)
+        self.missing = np.empty(rows, bool)
+        self.missing_edge = np.empty((rows, 2), np.intp)
+        # (ov, off) -> (ov, up, down): the gathers that read each parent slot
+        # from the child (up) and each child slot from the parent (down).
+        # Facets are sorted vertex tuples, so the k-th shared vertex sits at
+        # the k-th slot other than ov in the child and other than off in the
+        # parent.  The two off-gate slots read each other's, which is 0.0 at
+        # every point where a walk crosses.
+        self._shared_maps = np.empty((n + 1, n + 1), object)
+        for ov, off in np.ndindex(n + 1, n + 1):
+            shared_child = [k for k in range(n + 1) if k != ov]
+            shared_parent = [k for k in range(n + 1) if k != off]
+            up, down = [ov] * (n + 1), [off] * (n + 1)
+            for k_child, k_parent in zip(shared_child, shared_parent):
+                up[k_parent], down[k_child] = k_child, k_parent
+            self._shared_maps[ov, off] = (ov, itemgetter(*up), itemgetter(*down))
+
+    def chart_rows(self, steps: np.ndarray) -> np.ndarray:
+        """The row key of each (parent, gate, child) row of ``steps``, with
+        every chart row of them filled."""
+        keys = 2 * steps[:, 1] + (steps[:, 0] != self.first[steps[:, 1]])
+        new = ~self.charted[keys]
+        if new.any():
+            self._fill_chart(keys[new], steps[new])
+        return keys
+
+    def _fill_chart(self, keys, steps):
+        """Chart rows of the given steps, in one stacked pass.  The height
+        |off-gate vertex - gate centroid| sums ``Metric.sq_dist``'s terms in
+        its pair order from the squares it uses (the barycentric difference
+        is 1 on the off-gate slot and -1/n on the others), so it equals
+        ``Metric.dist`` of the two points bit for bit; a facet whose edge the
+        metric lacks gets NaN, and a line through it raises."""
+        n = self.dimension
+        pv, cv = self.tops[steps[:, 0]], self.tops[steps[:, 2]]
+        # the one slot each of parent and child does not share with the other
+        off = (pv[:, :, None] != cv[:, None, :]).all(axis=2).argmax(axis=1)
+        ov = (cv[:, :, None] != pv[:, None, :]).all(axis=2).argmax(axis=1)
+        diff = [np.where(ov == i, 1.0, 0.0 - 1.0 / n) for i in range(n + 1)]
+        s = np.zeros(len(keys))
+        for i, j in combinations(range(n + 1), 2):
+            s -= diff[i] * diff[j] * self.metric.lengths_at(cv[:, i], cv[:, j], squared=True)
+        self.ov[keys], self.off[keys] = ov, off
+        self.maps[keys] = self._shared_maps[ov, off]
+        self.height[keys] = np.sqrt(np.maximum(s, 0.0))
+        self.charted[keys] = True
+
+
+def step_geometry(c: SimplicialComplex, metric: Metric) -> StepGeometry:
+    """The complex's step table for ``metric``: one entry keyed by the metric
+    object, replaced whole by any other metric.  A metric's lengths must not
+    change once its edge table exists, as ``Metric`` requires."""
+    geometry = c._step_geometry
+    if geometry is None or geometry.metric is not metric:
+        geometry = c._step_geometry = StepGeometry(c, metric)
+    return geometry
+
+
 class CellChart:
     """Cell coordinates extended across the decomposition's ``GateStep``s,
     one coordinate extension per gate, in growth order."""
@@ -195,38 +298,29 @@ class CellChart:
         self.c0 = PointRef(self.root, (1.0 / (n + 1),) * (n + 1))
 
         tops = complex.top_simplices
-        # child facet -> (ov, up, down): the child's off-gate local index ov
-        # and the gathers that read each parent slot from the child (up) and
-        # each child slot from the parent (down).  The two off-gate slots read
-        # each other's, which is 0.0 at every point where a walk crosses.
-        # Facets are sorted vertex tuples, so ov and the parent's off-gate
-        # index off fix both maps, and at most (n+1)^2 of them exist.  The
-        # walk's tables: _parent[f] is the parent of f's entry gate, and
-        # _down[f*(n+1) + off] the child a chord of f enters when it exits
-        # through local slot off, None where that ridge is not a gate of f.
-        self._gate_maps = [None] * len(tops)
+        # The walk's tables, gathered from the complex's per-step geometry
+        # (``StepGeometry``): _gate_maps[f] is the (ov, up, down) maps of f's
+        # entry step, _heights[f] its height, _parent[f] the parent of f's
+        # entry gate, and _down[f*(n+1) + off] the child a chord of f enters
+        # when it exits through local slot off, None where that ridge is not
+        # a gate of f.
+        gates = decomposition.gates
+        geometry = self._geometry = step_geometry(complex, metric)
+        steps = self._steps = np.fromiter(chain.from_iterable(gates), np.intp,
+                                          3 * len(gates)).reshape(-1, 3)
+        keys = self._step_keys = geometry.chart_rows(steps)
+        children = steps[:, 2]
+        gate_maps = np.full(len(tops), None, object)
+        gate_maps[children] = geometry.maps[keys]
+        heights = np.full(len(tops), np.nan)
+        heights[children] = geometry.height[keys]
+        self._gate_maps, self._heights = gate_maps.tolist(), heights.tolist()
+        # filled from the steps' own ints, which a list from an array would copy
         self._parent = [None] * len(tops)
         self._down = [None] * (len(tops) * (n + 1))
-        shared = {}
-        for parent, _, child in decomposition.gates:
-            child_verts, parent_verts = tops[child], tops[parent]
-            for ov, v in enumerate(child_verts):
-                if v not in parent_verts:
-                    break
-            for off, v in enumerate(parent_verts):
-                if v not in child_verts:
-                    break
-            maps = shared.get((ov, off))
-            if maps is None:
-                up = [ov if k == off else child_verts.index(v)
-                      for k, v in enumerate(parent_verts)]
-                down = [off if k == ov else parent_verts.index(v)
-                        for k, v in enumerate(child_verts)]
-                maps = shared[ov, off] = (ov, itemgetter(*up), itemgetter(*down))
-            self._gate_maps[child] = maps
+        for (parent, _, child), off in zip(gates, geometry.off[keys].tolist()):
             self._parent[child] = parent
             self._down[parent * (n + 1) + off] = child
-        self._heights = self._facet_heights()
         # the root's squared edge lengths, (i, j, square) in Metric.sq_dist's
         # pair order and as it takes them (NaN for an edge the metric lacks)
         root = tops[self.root]
@@ -273,30 +367,6 @@ class CellChart:
                 f"point carries weight {stray} outside the face shared by "
                 f"facets {from_top} and {to_top}")
         return out
-
-    def _facet_heights(self):
-        """|off-gate vertex - gate centroid| of every non-root facet (NaN for
-        the root), all facets in one stacked pass.
-
-        The barycentric difference is 1 on the off-gate slot and -1/n on the
-        others, and the terms of ``Metric.sq_dist`` are summed in its pair
-        order from the squares it uses, so each height equals
-        ``Metric.dist`` of the two points bit for bit.  A facet whose edge
-        the metric lacks gets NaN, and a line through it raises."""
-        n = self.complex.dimension
-        children = [step.child for step in self.decomposition.gates]
-        heights = np.full(len(self.complex.top_simplices), np.nan)
-        if not children:    # a single facet, as a point is
-            return heights.tolist()
-        verts = facet_rows(self.complex)[children]
-        ov = np.array([self._gate_maps[child][0] for child in children])
-        diff = [np.where(ov == i, 1.0, 0.0 - 1.0 / n) for i in range(n + 1)]
-        s = np.zeros(len(children))
-        for i, j in combinations(range(n + 1), 2):
-            s -= diff[i] * diff[j] * self.metric.lengths_at(verts[:, i], verts[:, j],
-                                                            squared=True)
-        heights[children] = np.sqrt(np.maximum(s, 0.0))
-        return heights.tolist()
 
     def _ray(self, x):
         """Radial ray of the root through x != c0.

@@ -6,10 +6,13 @@ vertex_j - vertex_0 of its flat embedding).  Crossing a gate re-expresses the
 parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
-child's interval family.  ``extend_frame`` computes every transition from
-edge lengths in one stacked pass, without embedding any facet (the lengths
-come from ``Metric.lengths_at``, the gather the chart's heights use too),
-and ``root_facet_clearance`` reads the root's heights off Gram determinants.
+child's interval family.  A transition depends only on its gate step and
+the metric, so ``extend_frame`` computes each once per complex and metric,
+in the complex's step table, from edge lengths in one stacked pass over the
+steps a tree adds to it, without embedding any facet (the lengths come from
+``Metric.lengths_at``, the gather the chart's heights use too); per tree it
+only gathers and chains them.  ``root_facet_clearance`` reads the root's
+heights off Gram determinants.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -81,48 +84,104 @@ def extend_frame(chart: CellChart) -> FrameField:
     """Identity on the root; across each gate the parent frame re-expressed in
     the child's affine basis, constant along the child's interval family.
 
-    Every transition comes from edge lengths, all gates in one stacked pass.
+    A transition depends only on its gate step and the metric, so it is a
+    frame row of the complex's step table (``chart.StepGeometry``): a tree
+    computes, in one stacked pass, only its steps not yet in the table
+    (``_fill_frame_rows``), and gathers the rest.  Per tree, the frames are
+    chained by pointer doubling, one stacked product per round.  The
+    products associate differently from a chain in growth order, so a frame
+    can differ from that chain's by rounding (3e-14 on the 12×12 torus); the
+    transitions do not change.  The first gate in growth order whose step
+    misses a metric edge raises InvalidComplexError naming the edge; then
+    the first with a flat parent, a child flat onto its gate or a singular
+    frame raises InvalidGeometryError."""
+    c = chart.complex
+    n = c.dimension
+    gates = chart.decomposition.gates
+    geometry, steps, keys = chart._geometry, chart._steps, chart._step_keys
+    new = ~geometry.framed[keys]
+    if new.any():
+        _fill_frame_rows(geometry, keys[new], steps[new])
+    missing = geometry.missing[keys]
+    if missing.any():
+        u, v = geometry.missing_edge[keys[missing.argmax()]].tolist()
+        raise InvalidComplexError(f"metric misses edge {(u, v)}")
+    trans = geometry.transition[keys]
+
+    # chain by pointer doubling: frames[f] is the product of the transitions
+    # on the gates from f up to facet up[f], and each round doubles that
+    # stretch with one stacked product; ceil(log2(depth)) rounds reach the
+    # root, and the gate count's bit length bounds the loop whatever the list
+    children = steps[:, 2]
+    frames = np.broadcast_to(np.eye(n), (len(c.top_simplices), n, n)).copy()
+    frames[children] = trans
+    up = np.arange(len(c.top_simplices))
+    up[children] = steps[:, 0]
+    for _ in range(len(gates).bit_length()):
+        above = up[up]
+        if (above == up).all():
+            break
+        frames = frames @ frames[up]
+        up = above
+    chained = frames[children]
+    matrices = {chart.root: np.eye(n)}
+    matrices.update(zip(children.tolist(), chained))
+    flat_parent, flat_child = geometry.flat_parent[keys], geometry.flat_child[keys]
+    singular = np.abs(np.linalg.det(chained)) <= DEGENERACY_TOL
+    bad = np.flatnonzero(flat_parent | flat_child | singular)
+    if bad.size:
+        step = gates[bad[0]]
+        if flat_parent[bad[0]]:
+            raise InvalidGeometryError(
+                f"simplex {tuple(c.top_simplices[step.parent])} is metrically degenerate")
+        if flat_child[bad[0]]:
+            raise InvalidGeometryError(
+                f"child {tuple(c.top_simplices[step.child])} degenerates onto gate "
+                f"{tuple(c.faces[n - 1][step.gate])}")
+        raise InvalidGeometryError(f"frame transition into facet {step.child} is singular")
+    return FrameField(matrices, dict(zip(steps[:, 1].tolist(), trans)))
+
+
+def _fill_frame_rows(geometry, keys, steps):
+    """Frame rows of the given (parent, gate, child) steps, whose chart rows
+    are filled, from edge lengths in one stacked pass.
+
     The gate's Gram matrix gives the feet and heights of the parent's far
     vertex w and the child's apex a over the gate; as the two lie on opposite
     sides, w in the child's barycentrics is foot_w + (h_w/h_a)·foot_a on the
     gate vertices and -h_w/h_a on a, and the parent's basis vectors follow.
     The gates' vertices, w, a, their squared edge lengths and the ring index
-    maps are gathered with index arrays, with no per-gate Python step, and
-    the frames are chained by pointer doubling, one stacked product per
-    round.  The products associate differently from a chain in growth order,
-    so a frame can differ from that chain's by rounding (3e-14 on the 12×12
-    torus); the transitions do not change.  The first gate in growth order
-    with a flat parent, a child flat onto its gate or a singular frame raises
-    InvalidGeometryError."""
-    c = chart.complex
-    n = c.dimension
-    gates = chart.decomposition.gates
-    m = len(gates)
-    tops = facet_rows(c)
-    # (parent, gate, child) rows
-    steps = np.fromiter(chain.from_iterable(gates), np.intp, 3 * m).reshape(m, 3)
-    pv = tops[steps[:, 0]]
-    cv = tops[steps[:, 2]]
+    maps are gathered with index arrays, with no per-gate Python step.  A
+    step whose edges the metric lacks gets only its flag and its first
+    missing edge."""
+    n = geometry.dimension
+    pv, cv = geometry.tops[steps[:, 0]], geometry.tops[steps[:, 2]]
     # local slot of the parent's far vertex w and of the child's apex a: the
     # one vertex each does not share with the other
-    w_slot = (pv[:, :, None] != cv[:, None, :]).all(axis=2).argmax(axis=1)
-    a_slot = (cv[:, :, None] != pv[:, None, :]).all(axis=2).argmax(axis=1)
+    w_slot, a_slot = geometry.off[keys], geometry.ov[keys]
     # per off-gate slot o: the gate's local slots, and each local slot's index
     # in the ring (gate..., off-gate vertex)
     slots = np.arange(n + 1)[:, None]
     gate_slots = np.arange(n) + (np.arange(n) >= slots)
     ring_index = np.arange(n + 1) - (np.arange(n + 1) > slots)
     np.fill_diagonal(ring_index, n)
-    rows = np.arange(m)
+    rows = np.arange(len(keys))
     gate = pv[rows[:, None], gate_slots[w_slot]]
     ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
     # squared lengths from each of (gate..., w, a) to each gate vertex
-    lengths = chart.metric.lengths_at(ends[:, :, None], gate[:, None, :])
-    missing = np.argwhere(np.isnan(lengths))
-    if missing.size:
-        k, i, j = missing[0]
-        raise InvalidComplexError(
-            f"metric misses edge {tuple(sorted((int(ends[k, i]), int(gate[k, j]))))}")
+    lengths = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :])
+    nan = np.isnan(lengths).reshape(len(keys), -1)
+    missing = geometry.missing[keys] = nan.any(axis=1)
+    if missing.any():
+        # the first missing edge of each such step, in (end, gate vertex) order
+        k = np.flatnonzero(missing)
+        i, j = np.divmod(nan[k].argmax(axis=1), n)
+        edge = np.stack([ends[k, i], gate[k, j]], axis=1)
+        geometry.missing_edge[keys[k]] = np.sort(edge, axis=1)
+        geometry.framed[keys[k]] = True
+        keep = ~missing
+        keys, lengths, w_slot, a_slot = keys[keep], lengths[keep], w_slot[keep], a_slot[keep]
+        rows = np.arange(len(keys))
     sq = lengths ** 2
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
@@ -140,46 +199,17 @@ def extend_frame(chart: CellChart) -> FrameField:
     ratio = np.sqrt(np.maximum(h_sq[:, 0], 0.0)) / np.where(usable, h_a, 1.0)
 
     # barycentrics in the child's ring (gate..., a) of the parent's ring (gate..., w)
-    ring = np.zeros((m, n + 1, n + 1))
+    ring = np.zeros((len(keys), n + 1, n + 1))
     ring[:, :n, :n] = np.eye(n)
     ring[:, n, :n] = foot[:, 0] + ratio[:, None] * foot[:, 1]
     ring[:, n, n] = -ratio
     bary = ring[rows[:, None, None], ring_index[w_slot][:, :, None],
                 ring_index[a_slot][:, None, :]]
-    trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1).copy()
+    trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1)
     trans[~usable] = np.eye(n)
-
-    # chain by pointer doubling: frames[f] is the product of the transitions
-    # on the gates from f up to facet up[f], and each round doubles that
-    # stretch with one stacked product; ceil(log2(depth)) rounds reach the
-    # root, and m.bit_length() bounds the loop whatever the gate list
-    children = steps[:, 2]
-    frames = np.broadcast_to(np.eye(n), (len(tops), n, n)).copy()
-    frames[children] = trans
-    up = np.arange(len(tops))
-    up[children] = steps[:, 0]
-    for _ in range(m.bit_length()):
-        above = up[up]
-        if (above == up).all():
-            break
-        frames = frames @ frames[up]
-        up = above
-    chained = frames[children]
-    matrices = {chart.root: np.eye(n)}
-    matrices.update(zip(children.tolist(), chained))
-    singular = np.abs(np.linalg.det(chained)) <= DEGENERACY_TOL
-    bad = np.flatnonzero(~usable | singular)
-    if bad.size:
-        step = gates[bad[0]]
-        if flat_parent[bad[0]]:
-            raise InvalidGeometryError(
-                f"simplex {tuple(c.top_simplices[step.parent])} is metrically degenerate")
-        if flat_child[bad[0]]:
-            raise InvalidGeometryError(
-                f"child {tuple(c.top_simplices[step.child])} degenerates onto gate "
-                f"{tuple(c.faces[n - 1][step.gate])}")
-        raise InvalidGeometryError(f"frame transition into facet {step.child} is singular")
-    return FrameField(matrices, {step.gate: trans[k] for k, step in enumerate(gates)})
+    geometry.transition[keys] = trans
+    geometry.flat_parent[keys], geometry.flat_child[keys] = flat_parent, flat_child
+    geometry.framed[keys] = True
 
 
 # -- tensor fields -------------------------------------------------------------

@@ -10,6 +10,7 @@ treated as immutable afterwards; they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -126,6 +127,7 @@ class SimplicialComplex:
             self.vertex_coords = None
 
         self._gate_table = None         # spine's per-facet gate steps
+        self._step_geometry = None      # chart's per-step geometry under one metric
         self._validation_cache = None
         self._punctured_homology = {}   # root facet id -> HomologyProfile
 
@@ -226,6 +228,27 @@ def facet_rows(c: SimplicialComplex) -> np.ndarray:
                        width * len(c.top_simplices)).reshape(-1, width)
 
 
+# CPython's ``sum`` adds floats with Neumaier's compensation since 3.12 and
+# left to right before it
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+
+def _float_sums(terms: np.ndarray) -> np.ndarray:
+    """``sum`` of each row of a 2-d float array, bit for bit as the builtin
+    adds the row's floats to its start 0 on this interpreter."""
+    total = terms[:, 0] + 0.0
+    comp = np.zeros(len(terms))
+    # an infinite sum is the builtin's too, and it drops a NaN compensation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, terms.shape[1]):
+            x = terms[:, k]
+            t = total + x
+            if _COMPENSATED_SUM:
+                comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+            total = t
+        return np.where((comp != 0.0) & np.isfinite(comp), total + comp, total)
+
+
 class Metric:
     """Piecewise-flat metric: one positive length per edge of the complex.
 
@@ -252,17 +275,25 @@ class Metric:
 
     @classmethod
     def from_complex(cls, c: SimplicialComplex) -> "Metric":
-        """Euclidean lengths when coordinates exist, unit lengths otherwise."""
+        """Euclidean lengths when coordinates exist, unit lengths otherwise.
+
+        All edges are taken in one stacked pass, and each length has the
+        bits of ``math.sqrt(sum((a - b) ** 2 for a, b in zip(pu, pv)))``:
+        each term is squared by Python's ``**`` (numpy's square and
+        ``np.power`` differ from it on some inputs) and the terms are summed
+        as ``sum`` sums them (``_float_sums``)."""
         if c.dimension < 1:
             return cls({})
-        lengths = {}
-        for e in c.faces[1]:
-            if c.vertex_coords is not None:
-                pu, pv = c.vertex_coords[e[0]], c.vertex_coords[e[1]]
-                lengths[e] = math.sqrt(sum((a - b) ** 2 for a, b in zip(pu, pv)))
-            else:
-                lengths[e] = 1.0
-        m = cls(lengths)
+        edges = c.faces[1]
+        if c.vertex_coords is None:
+            m = cls(dict.fromkeys(edges, 1.0))
+        else:
+            ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+            coords = np.array(c.vertex_coords)
+            with np.errstate(over="ignore"):    # an infinite length is refused below
+                diff = coords[ends[:, 0]] - coords[ends[:, 1]]
+            terms = np.array([x ** 2 for x in diff.ravel().tolist()]).reshape(diff.shape)
+            m = cls(dict(zip(edges, np.sqrt(_float_sums(terms)).tolist())))
         m.validate(c)
         return m
 

@@ -14,7 +14,7 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                constant_tensor, continuity_report,
                                deform_tensor, deformation_samples, extend_frame,
                                field_from_spec, parse_fld, root_facet_clearance)
-from spineforge.simplicial import InvalidComplexError, Metric
+from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex
 
 from grids import coordinate_torus, grid_surface
 
@@ -254,8 +254,8 @@ class TestFrameField:
     # facet (0, 1, 2) is flat: |01| = |02| + |12|
     FLAT_TET = {(0, 1): 2.0, (0, 2): 1.0, (0, 3): 1.5,
                 (1, 2): 1.0, (1, 3): 1.5, (2, 3): 1.2}
-
-    @pytest.mark.parametrize("root, strategy, message", [
+    # (root, strategy, the error extend_frame raises on that tree)
+    FLAT_TET_CASES = [
         (0, "bfs", "simplex (0, 1, 2) is metrically degenerate"),
         (0, "dfs", "simplex (0, 1, 2) is metrically degenerate"),
         (1, "bfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
@@ -264,7 +264,9 @@ class TestFrameField:
         (2, "dfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
         (3, "bfs", "child (0, 1, 2) degenerates onto gate (1, 2)"),
         (3, "dfs", "child (0, 1, 2) degenerates onto gate (0, 1)"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("root, strategy, message", FLAT_TET_CASES)
     def test_flat_facet_names_first_gate(self, census, root, strategy, message):
         c = census["sphere_tet"]
         m = Metric(self.FLAT_TET)
@@ -336,6 +338,139 @@ class TestFrameField:
         chart = build_chart(c, sf.decompose(c), Metric(lengths))
         with pytest.raises(InvalidComplexError, match=r"metric misses edge \(0, 1\)"):
             extend_frame(chart)
+
+
+class TestStepGeometry:
+    """The complex's per-step table: filled on first use, reused by every
+    later tree on the same metric, replaced by another metric, and never the
+    source of an error that names a gate of another tree."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Spy on Metric.lengths_at (rows asked for) and np.linalg.solve."""
+        calls = {"lengths_at": 0, "rows": 0, "solve": 0}
+        lengths_at, solve = Metric.lengths_at, np.linalg.solve
+
+        def counted_lengths(metric, u, v, squared=False):
+            calls["lengths_at"] += 1
+            calls["rows"] += np.broadcast(u, v).size
+            return lengths_at(metric, u, v, squared=squared)
+
+        def counted_solve(*args, **kwargs):
+            calls["solve"] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(Metric, "lengths_at", counted_lengths)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        return calls
+
+    def test_second_tree_on_the_table_computes_nothing(self, monkeypatch):
+        c = coordinate_torus(12)
+        m = Metric.from_complex(c)
+        d = sf.decompose(c, root=0, strategy="random", seed=4)
+        calls = self._count_calls(monkeypatch)
+        first = extend_frame(build_chart(c, d, m))
+        assert calls["lengths_at"] and calls["solve"]
+        for key in calls:
+            calls[key] = 0
+        chart = build_chart(c, d, m)
+        second = extend_frame(chart)
+        assert calls == {"lengths_at": 0, "rows": 0, "solve": 0}
+        for got, want in ((second.matrices, first.matrices),
+                          (second.transitions, first.transitions)):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+        # and another tree computes only the steps no earlier tree took
+        other = sf.decompose(c, root=5, strategy="dfs", seed=0)
+        taken = {2 * g.gate + (g.parent != c.ridge_cofacets[g.gate][0]) for g in d.gates}
+        new = sum(2 * g.gate + (g.parent != c.ridge_cofacets[g.gate][0]) not in taken
+                  for g in other.gates)
+        assert 0 < new < len(other.gates)
+        for key in calls:
+            calls[key] = 0
+        extend_frame(build_chart(c, other, m))
+        # chart rows read 3 squared lengths per step, frame rows 4 x 2
+        assert calls["rows"] == new * (3 + 4 * 2)
+        assert calls["solve"] == 1
+
+    @pytest.mark.parametrize("name", ["sphere_tet", "torus7", "sphere3_pent"])
+    def test_new_metric_refills_the_table(self, census, name):
+        c = census[name]
+        m = Metric.from_complex(c)
+        d = sf.decompose(c, root=0, strategy="random", seed=2)
+        extend_frame(build_chart(c, d, m))
+        # same lengths scaled by 1.5, then an unrelated realizable metric:
+        # every frame must follow the new lengths, not the table's old rows
+        for lengths in ({e: 1.5 * x for e, x in m.edge_lengths.items()},
+                        {e: 1.0 + 0.01 * (hash(e) % 7) for e in m.edge_lengths}):
+            other = Metric(lengths)
+            other.validate(c)
+            chart = build_chart(c, d, other)
+            assert c._step_geometry.metric is other
+            TestFrameField._assert_matches_reference(chart)
+            for step in d.gates:
+                ov = chart._gate_maps[step.child][0]
+                n = c.dimension
+                centroid = [0.0 if k == ov else 1.0 / n for k in range(n + 1)]
+                vertex = [float(k == ov) for k in range(n + 1)]
+                want = other.dist(c.top_simplices[step.child], vertex, centroid)
+                assert chart._heights[step.child] == want
+
+    def test_chart_keeps_its_own_metric_rows(self, census):
+        # a chart built before another metric replaced the complex's table
+        # still extends its frame by its own metric
+        c = census["torus7"]
+        d = sf.decompose(c, root=0, strategy="dfs")
+        m = Metric.from_complex(c)
+        chart = build_chart(c, d, m)
+        build_chart(c, d, Metric({e: 2.0 * x for e, x in m.edge_lengths.items()}))
+        assert c._step_geometry.metric is not m
+        TestFrameField._assert_matches_reference(chart)
+
+    def test_flat_facet_names_first_gate_on_a_filled_table(self, census):
+        # every case of test_flat_facet_names_first_gate, in both orders,
+        # on one metric whose table the earlier cases have filled
+        cases = TestFrameField.FLAT_TET_CASES
+        for order in (cases, cases[::-1]):
+            c = census["sphere_tet"]
+            m = Metric(TestFrameField.FLAT_TET)
+            for root, strategy, message in order:
+                chart = build_chart(c, sf.decompose(c, root=root, strategy=strategy), m)
+                with pytest.raises(InvalidGeometryError) as err:
+                    extend_frame(chart)
+                assert str(err.value) == message
+
+    def test_missing_edge_named_on_a_filled_table(self, census):
+        # each tree names the first missing edge of its own growth order,
+        # whatever other trees filled the table before it
+        c = census["torus7"]
+        lengths = dict(Metric.from_complex(c).edge_lengths)
+        del lengths[(0, 1)]
+        del lengths[(2, 4)]
+        trees = [sf.decompose(c, root=root, strategy=strategy, seed=seed)
+                 for root in (0, 5) for strategy in ("bfs", "dfs", "random")
+                 for seed in range(2)]
+
+        def message(d, metric):
+            with pytest.raises(InvalidComplexError) as err:
+                extend_frame(build_chart(c, d, metric))
+            return str(err.value)
+
+        fresh = [message(d, Metric(lengths)) for d in trees]
+        assert set(fresh) == {"metric misses edge (0, 1)", "metric misses edge (2, 4)"}
+        shared = Metric(lengths)
+        assert [message(d, shared) for d in trees] == fresh
+        assert [message(d, shared) for d in trees[::-1]] == fresh[::-1]
+
+    def test_chart_and_frame_of_a_point(self):
+        # no gate, so no step to fill: the table must not divide by n = 0
+        c = SimplicialComplex(0, [(0,)])
+        m = Metric.from_complex(c)
+        for _ in range(2):
+            chart = build_chart(c, sf.decompose(c), m)
+            assert math.isnan(chart._heights[0])
+            frame = extend_frame(chart)
+            assert frame.transitions == {} and frame.matrices[0].shape == (0, 0)
 
 
 class TestConstantTensor:

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import spineforge as sf
+from spineforge import spine as spine_module
 from spineforge.homology import homology_groups, verify_theorem2
 from spineforge.simplicial import InvalidComplexError, SimplicialComplex
 from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, decompose,
@@ -264,6 +265,40 @@ class TestSharedSteps:
                 ours, theirs = generators[-2].widths, generators[-1].widths
                 assert len(ours) == len(theirs) >= len(d.gates)
                 assert ours == theirs
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_frontier_pops_per_decompose(self, grids, monkeypatch, strategy):
+        # each ridge enters the frontier once, so every strategy takes 432
+        # entries off it for 287 gates: the 145 stale ones are the spine's
+        # ridges, popped after both sides were painted.  A random pop draws
+        # like randrange, stale or not, so dropping the stale draws would
+        # change the trees; seed 0 makes 701 getrandbits calls.
+        c = grids["torus12"]
+        taken, widths = [], []
+
+        class Frontier(list):
+            def pop(self):             # dfs and random take an entry here
+                taken.append(strategy)
+                return super().pop()
+
+            def __getitem__(self, k):  # bfs reads the entry at its head
+                if strategy == "bfs":
+                    taken.append(strategy)
+                return super().__getitem__(k)
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                widths.append(k)
+                return super().getrandbits(k)
+
+        want = reference_decompose(c, root=0, strategy=strategy, seed=0)
+        monkeypatch.setattr(spine_module, "list", Frontier, raising=False)
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        d = decompose(c, root=0, strategy=strategy, seed=0)
+        assert d == want
+        assert (len(taken), len(d.gates), len(d.spine)) == (432, 287, 145)
+        assert len(c.ridge_cofacets) == 432
+        assert len(widths) == (701 if strategy == "random" else 0)
 
 
 @pytest.fixture(scope="module")
