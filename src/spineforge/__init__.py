@@ -9,9 +9,8 @@ from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef, Segment,
 from .fields import (FrameField, HoleRegion, TensorField, black_hole_region,
                      constant_tensor, continuity_report, deform_tensor,
                      extend_frame)
-from .homology import (BoundaryMatrix, HomologyProfile, boundary_matrix,
-                       homology_groups, punctured_complex, smith_normal_form,
-                       verify_theorem2)
+from .homology import (HomologyProfile, homology_groups, punctured_complex,
+                       smith_normal_form, verify_theorem2)
 from .simplicial import (InvalidComplexError, Metric, SimplicialComplex,
                          ValidationReport, read_tri, validate_closed_manifold,
                          write_tri)

@@ -1,10 +1,11 @@
 """Integer simplicial homology from face lists.
 
-Degree 1 needs no elimination.  Every column of the boundary map d1 has one
-+1 and one -1, so d1 is the incidence matrix of the 1-skeleton, which is
-totally unimodular: its rank is V minus the number of components and every
-invariant factor is 1 (Kaczynski-Mischaikow-Mrozek, Computational Homology,
-2004).  Union-find counts the components.
+Degrees 0 and 1 need no elimination.  Every column of the boundary map d1
+has one +1 and one -1, so d1 is the incidence matrix of the 1-skeleton,
+which is totally unimodular: its rank is V minus the number of components
+and every invariant factor is 1 (Kaczynski-Mischaikow-Mrozek, Computational
+Homology, 2004).  One union-find pass over the facets, on int vertex labels,
+gives both V and the component count.
 
 Each higher boundary map is built as sparse integer columns straight from
 the face index.  Pivots on +-1 entries are eliminated first, shortest row
@@ -15,9 +16,11 @@ step runs on Python integers, so ranks and torsion are exact at any size.
 Unit-pivot elimination follows Dumas-Heckenbach-Saunders-Welker (2003) and
 Kaczynski-Mrozek-Slusarek (1998).
 
-The spine's homology is read from the input complex's own faces and face
-ids: its closure faces are the faces of its ridges, and ``face_index`` keys
-their boundary rows, so no complex is built for it.
+The spine's homology is read off its ridge ids: the ridges are ``c``'s own
+vertex tuples, so the union-find runs on ``c``'s labels, and only for a
+spine of dimension 2 or more are its middle faces listed, keyed by
+``c.face_index`` for their boundary rows.  No complex is built for it, and
+on a surface no face beyond the ridges is listed.
 """
 
 from __future__ import annotations
@@ -29,19 +32,7 @@ from itertools import combinations
 from math import gcd
 
 from .simplicial import InvalidComplexError, SimplicialComplex, component_count
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Matrix of the degree-k boundary map; rows (k-1)-faces, columns k-faces."""
-
-    degree: int
-    entries: tuple   # row tuples of ints in {-1, 0, +1}
-
-    @property
-    def shape(self):
-        rows = len(self.entries)
-        return (rows, len(self.entries[0]) if rows else 0)
+from .spine import spine_ridges
 
 
 def _columns(faces, index) -> list:
@@ -50,18 +41,6 @@ def _columns(faces, index) -> list:
     face."""
     return [{index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
              for i in range(len(face))} for face in faces]
-
-
-def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
-    """Dense form of the degree-k boundary map (see _columns)."""
-    if k < 1 or k > c.dimension:
-        raise InvalidComplexError(f"degree {k} out of range 1..{c.dimension}")
-    columns = _columns(c.faces[k], c.face_index[k - 1])
-    mat = [[0] * len(columns) for _ in c.faces[k - 1]]
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            mat[i][j] = v
-    return BoundaryMatrix(k, tuple(tuple(r) for r in mat))
 
 
 def smith_normal_form(mat) -> tuple:
@@ -231,27 +210,28 @@ class HomologyProfile:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _profile(faces, index) -> HomologyProfile:
-    """Homology of the pure complex whose k-faces are ``faces[k]`` (sorted
-    vertex tuples, every face of a face present); ``index[k]`` maps each
-    k-face to its row key in the degree-(k+1) boundary.  Degree 1 by
-    union-find (see the module docstring), higher degrees by
-    invariant_factors."""
-    n = len(faces) - 1
-    ranks = [0] * (n + 2)
+def _profile(facets, middle, labels, index) -> HomologyProfile:
+    """Homology of the pure n-complex with ``facets``, sorted (n+1)-vertex
+    tuples over the labels 0..labels-1, and k-faces ``middle[k - 1]`` for
+    0 < k < n; ``index[k]`` maps each k-face to its row key in the
+    degree-(k+1) boundary.  Degrees 0 and 1 by one union-find (see the module
+    docstring), higher degrees by invariant_factors."""
+    n = len(facets[0]) - 1
+    verts, parts = component_count(facets, [-1] * labels)
+    cells = (*middle, facets)                   # the k-faces, k = 1..n
+    sizes = (verts, *map(len, cells))[:n + 1]   # n = 0: the facets are the vertices
+    ranks = [0, verts - parts] + [0] * n        # n = 0: verts == parts, rank d1 is 0
     torsion = [()] * (n + 1)
-    if n >= 1:
-        ranks[1] = len(faces[0]) - component_count(faces[1])
     for k in range(2, n + 1):
-        invariants = invariant_factors(_columns(faces[k], index[k - 1]))
+        invariants = invariant_factors(_columns(cells[k - 1], index[k - 1]))
         ranks[k] = len(invariants)
         torsion[k - 1] = tuple(d for d in invariants if d > 1)
-    return HomologyProfile(tuple((len(faces[k]) - ranks[k] - ranks[k + 1], torsion[k])
+    return HomologyProfile(tuple((sizes[k] - ranks[k] - ranks[k + 1], torsion[k])
                                  for k in range(n + 1)))
 
 
 def homology_groups(c: SimplicialComplex) -> HomologyProfile:
-    return _profile(c.faces, c.face_index)
+    return _profile(c.faces[-1], c.faces[1:-1], c.vertex_count, c.face_index)
 
 
 def punctured_complex(c: SimplicialComplex, t: int) -> SimplicialComplex:
@@ -295,30 +275,20 @@ class Theorem2Report:
         }
 
 
-def _spine_faces(c: SimplicialComplex, d) -> list:
-    """Closure faces of the spine by degree 0..n-1, in ``c``'s own vertex
-    labels, so that ``c.face_index`` keys their boundary rows."""
-    if not d.spine:
-        raise InvalidComplexError("decomposition has an empty spine")
-    m = c.dimension - 1
-    ridge_faces = c.faces[m]
-    ridges = {ridge_faces[rid] for rid in d.spine}
-    if len(ridges) != len(d.spine):
-        raise InvalidComplexError("decomposition repeats a spine ridge")
-    return [{f for r in ridges for f in combinations(r, k + 1)}
-            for k in range(m)] + [ridges]
-
-
 def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
     """Compare the spine's homology with that of ``c`` minus the open root
     facet.  The latter depends on (c, root) only, so it is computed once per
     root and kept on the complex; only the spine is recomputed per call,
-    straight from ``c``'s faces."""
-    spine_profile = _profile(_spine_faces(c, d), c.face_index)
+    straight from its ridge ids in ``c``'s own labels.  Its middle faces are
+    listed only when it has any (n >= 3)."""
+    ridges = spine_ridges(c, d)
+    middle = [{f for r in ridges for f in combinations(r, k + 1)}
+              for k in range(1, c.dimension - 1)]
+    spine = _profile(ridges, middle, c.vertex_count, c.face_index)
     punct_profile = c._punctured_homology.get(d.root)
     if punct_profile is None:
         punct_profile = homology_groups(punctured_complex(c, d.root))
         c._punctured_homology[d.root] = punct_profile
     degrees = range(c.dimension + 1)
-    equal = tuple(spine_profile.group(k) == punct_profile.group(k) for k in degrees)
-    return Theorem2Report(spine_profile, punct_profile, equal)
+    equal = tuple(spine.group(k) == punct_profile.group(k) for k in degrees)
+    return Theorem2Report(spine, punct_profile, equal)

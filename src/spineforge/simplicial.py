@@ -167,7 +167,8 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     # as disconnection, so every facet enters as its own singleton.
     dual_connected = component_count(chain(
         ((i,) for i in range(len(c.top_simplices))),
-        (cof for cof in c.ridge_cofacets if len(cof) == 2))) == 1
+        (cof for cof in c.ridge_cofacets if len(cof) == 2)),
+        [-1] * len(c.top_simplices))[1] == 1
 
     # In n = 1 a vertex is a ridge.  In n = 2 a link vertex w of v has as many
     # link edges as the edge vw has cofacets, so one pass over the facets
@@ -184,10 +185,11 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
             links[a].append((b, d))
             links[b].append((a, d))
             links[d].append((a, b))
+        table = [-1] * c.vertex_count   # one table for every link: linear in all
         for v, link in enumerate(links):
             if v in irregular:
                 link_violations.append((v, "link is not 2-regular"))
-            elif component_count(link) != 1:
+            elif component_count(link, table)[1] != 1:
                 link_violations.append((v, "link splits into several cycles"))
 
     report = ValidationReport(ridge_violations, dual_connected,
@@ -196,28 +198,35 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     return report
 
 
-def component_count(simplices) -> int:
-    """Connected components of the union of ``simplices`` (vertex tuples in
-    any labels), each simplex joining its own vertices; by union-find with
-    path halving."""
-    parent = {}
+def component_count(simplices, parent) -> tuple:
+    """(vertices, components) of the union of ``simplices``, vertex tuples
+    over int labels, each simplex joining its own vertices; by union-find
+    with path halving (Tarjan, 1975).
+
+    ``parent`` is the caller's table over the labels, -1 at every label on
+    entry; the labels touched are reset to -1 before returning, so that one
+    table serves many calls at the cost of the simplices alone."""
+    seen = []
     count = 0
     for s in simplices:
-        root = None
+        root = -1
         for v in s:
-            r = parent.get(v)
-            if r is None:
+            r = parent[v]
+            if r < 0:
                 parent[v] = r = v
+                seen.append(v)
                 count += 1
             else:
                 while parent[r] != r:
                     parent[r] = r = parent[parent[r]]
-            if root is None:
+            if root < 0:
                 root = r
             elif r != root:
                 parent[r] = root
                 count -= 1
-    return count
+    for v in seen:
+        parent[v] = -1
+    return len(seen), count
 
 
 def facet_rows(c: SimplicialComplex) -> np.ndarray:

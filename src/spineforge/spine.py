@@ -139,8 +139,9 @@ class Subcomplex:
 
 def spine_subcomplex(c: SimplicialComplex, d: Decomposition) -> Subcomplex:
     """Closure of the spine ridges as a standalone complex of dimension n-1,
-    relabelled to dense vertices.  ``verify_theorem2`` does not need it: it
-    reads the spine's homology off ``c``'s own faces."""
+    relabelled to dense vertices.  ``verify_theorem2`` and ``spine_connected``
+    do not need it: they read the spine off its ridge ids, ``c.faces`` and
+    ``c.face_index``, in ``c``'s own vertex labels."""
     ridge_faces = c.faces[c.dimension - 1]
     verts = sorted({v for rid in d.spine for v in ridge_faces[rid]})
     back = tuple(verts)
@@ -149,12 +150,24 @@ def spine_subcomplex(c: SimplicialComplex, d: Decomposition) -> Subcomplex:
     return Subcomplex(SimplicialComplex(c.dimension - 1, tops), back)
 
 
-def spine_connected(c: SimplicialComplex, d: Decomposition) -> bool:
-    """A nonempty complex is connected iff its 1-skeleton is."""
-    if not d.spine:
+def spine_ridges(c: SimplicialComplex, d: Decomposition) -> list:
+    """The spine's ridges as ``c``'s vertex tuples, in ridge-id order, after
+    checking that its ids are nonempty, in range and distinct."""
+    ids = sorted(d.spine)   # one pass when sorted, as decompose leaves them
+    if not ids:
         raise InvalidComplexError("decomposition has an empty spine")
     ridge_faces = c.faces[c.dimension - 1]
-    return component_count(ridge_faces[rid] for rid in d.spine) == 1
+    if ids[0] < 0 or ids[-1] >= len(ridge_faces):
+        raise InvalidComplexError(f"no ridge with id {ids[0] if ids[0] < 0 else ids[-1]} "
+                                  f"(ridge ids run 0..{len(ridge_faces) - 1})")
+    if len(set(ids)) != len(ids):
+        raise InvalidComplexError("decomposition repeats a spine ridge")
+    return [ridge_faces[rid] for rid in ids]
+
+
+def spine_connected(c: SimplicialComplex, d: Decomposition) -> bool:
+    """A nonempty complex is connected iff the union of its facets is."""
+    return component_count(spine_ridges(c, d), [-1] * c.vertex_count)[1] == 1
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import spineforge as sf
 from spineforge import cli
-from spineforge.homology import (BoundaryMatrix, boundary_matrix,
-                                 homology_groups, invariant_factors,
+from spineforge.homology import (homology_groups, invariant_factors,
                                  punctured_complex, smith_normal_form,
                                  verify_theorem2)
 from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
@@ -19,7 +18,8 @@ from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
 from spineforge.spine import Decomposition, spine_subcomplex
 
 from grids import grid_surface
-from helpers import euler_characteristic, face_id
+from helpers import (BoundaryMatrix, boundary_matrix, euler_characteristic, face_id,
+                     reference_spine_profile)
 
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix):
@@ -442,12 +442,39 @@ class TestFaceListProfile:
             assert report.spine.groups == homology_groups(spine_subcomplex(c, d).complex).groups
             assert report.ok
 
+    @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
+    def test_spine_equals_reference_on_12x12_grids(self, klein):
+        c = grid_surface(12, klein=klein)
+        for strategy, seed in STRATEGIES_AND_SEEDS:
+            d = sf.decompose(c, root=seed, strategy=strategy, seed=seed)
+            reference = reference_spine_profile(c, d)
+            assert verify_theorem2(c, d).spine == reference, (strategy, seed)
+            assert sf.spine_connected(c, d) == (reference.betti[0] == 1)
+
     def test_empty_or_repeated_spine_rejected(self, census):
         c = census["torus7"]
         d = sf.decompose(c)
         for spine in ((), d.spine[:1] * 2 + d.spine[1:]):
-            with pytest.raises(InvalidComplexError):
-                verify_theorem2(c, dataclasses.replace(d, spine=spine))
+            for check in (verify_theorem2, sf.spine_connected):
+                with pytest.raises(InvalidComplexError):
+                    check(c, dataclasses.replace(d, spine=spine))
+
+    @pytest.mark.parametrize("check", [verify_theorem2, sf.spine_connected],
+                             ids=["verify_theorem2", "spine_connected"])
+    def test_negative_spine_id_rejected(self, census, check):
+        # -1 would index the last ridge
+        c = census["torus7"]
+        d = sf.decompose(c)
+        with pytest.raises(InvalidComplexError, match=r"no ridge with id -1 \(ridge ids run 0\.\.20\)"):
+            check(c, dataclasses.replace(d, spine=(-1,) + d.spine[1:]))
+
+    @pytest.mark.parametrize("check", [verify_theorem2, sf.spine_connected],
+                             ids=["verify_theorem2", "spine_connected"])
+    def test_spine_id_past_the_ridges_rejected(self, census, check):
+        c = census["torus7"]
+        d = sf.decompose(c)
+        with pytest.raises(InvalidComplexError, match=r"no ridge with id 21 \(ridge ids run 0\.\.20\)"):
+            check(c, dataclasses.replace(d, spine=d.spine[:-1] + (21,)))
 
 
 def closure(c, ridges):
@@ -501,7 +528,8 @@ class TestSpineFaultInjection:
 
 class TestSpineComponentCount:
     """``verify`` reads spine connectivity off ``betti[0]`` of the spine
-    profile; it must agree with ``spine_connected`` wherever both run."""
+    profile; it must agree with ``spine_connected`` wherever both run, and
+    the profile must equal the one first read off closure-face sets."""
 
     @staticmethod
     def _spines(c, d):
@@ -521,7 +549,9 @@ class TestSpineComponentCount:
             d = sf.decompose(c, strategy=strategy, seed=seed)
             for spine in self._spines(c, d):
                 e = dataclasses.replace(d, spine=spine)
-                assert (verify_theorem2(c, e).spine.betti[0] == 1) == \
+                profile = verify_theorem2(c, e).spine
+                assert profile == reference_spine_profile(c, e), (strategy, seed, spine)
+                assert (profile.betti[0] == 1) == \
                     sf.spine_connected(c, e), (strategy, seed, spine)
 
     @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
@@ -531,8 +561,9 @@ class TestSpineComponentCount:
             d = sf.decompose(c, strategy="random", seed=seed)
             for spine in self._spines(c, d):
                 e = dataclasses.replace(d, spine=spine)
-                assert (verify_theorem2(c, e).spine.betti[0] == 1) == \
-                    sf.spine_connected(c, e)
+                profile = verify_theorem2(c, e).spine
+                assert profile == reference_spine_profile(c, e)
+                assert (profile.betti[0] == 1) == sf.spine_connected(c, e)
 
     def test_disconnected_spine_is_reported(self, census, monkeypatch):
         # two spine edges with no common vertex: two components, so both the
@@ -575,3 +606,30 @@ class TestSpineBuildsNoComplex:
         assert all(verify_theorem2(c, d).ok for d in decompositions)
         assert built == [2]                                 # the punctured complex
         assert eliminated == [len(c.top_simplices) - 1]     # its boundary d2
+
+    def test_one_union_find_pass_per_call_and_no_face_listing(self, monkeypatch):
+        c = grid_surface(8)
+        decompositions = [sf.decompose(c, strategy="random", seed=seed)
+                          for seed in range(20)]
+        verify_theorem2(c, decompositions[0])   # the punctured homology, once per root
+        listed, passes = [], []
+        count = sf.simplicial.component_count
+
+        def counting_combinations(*args):
+            listed.append(args)
+            return combinations(*args)
+
+        def counting_count(simplices, table):
+            passes.append(len(table))
+            return count(simplices, table)
+
+        monkeypatch.setattr(sf.homology, "combinations", counting_combinations)
+        monkeypatch.setattr(sf.homology, "component_count", counting_count)
+        monkeypatch.setattr(sf.spine, "component_count", counting_count)
+        for d in decompositions:
+            assert verify_theorem2(c, d).ok
+            assert passes == [c.vertex_count]
+            assert sf.spine_connected(c, d)
+            assert passes == [c.vertex_count] * 2
+            passes.clear()
+        assert listed == []

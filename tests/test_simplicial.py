@@ -16,7 +16,7 @@ from spineforge.simplicial import (GEOMETRIC_TOL, InvalidComplexError, Metric,
 from spineforge.spine import _gate_table
 
 from grids import coordinate_torus, grid_surface
-from helpers import euler_characteristic, face_id
+from helpers import euler_characteristic, face_id, reference_component_count
 
 
 def brute_cofacets(tops, face):
@@ -537,7 +537,7 @@ def reference_star_validation(c):
     ridge check: a star per vertex and a degree dict per link."""
     ridge_violations = tuple(
         (rid, len(cof)) for rid, cof in enumerate(c.ridge_cofacets) if len(cof) != 2)
-    dual_connected = sf.simplicial.component_count(
+    dual_connected = reference_component_count(
         [(i,) for i in range(len(c.top_simplices))]
         + [cof for cof in c.ridge_cofacets if len(cof) == 2]) == 1
     stars = [[] for _ in range(c.vertex_count)]
@@ -558,7 +558,7 @@ def reference_star_validation(c):
                 deg[b] = deg.get(b, 0) + 1
             if any(d != 2 for d in deg.values()):
                 link_violations.append((v, "link is not 2-regular"))
-            elif sf.simplicial.component_count(link_edges) != 1:
+            elif reference_component_count(link_edges) != 1:
                 link_violations.append((v, "link splits into several cycles"))
     return ValidationReport(ridge_violations, dual_connected,
                             tuple(link_violations), c.dimension <= 2)
@@ -734,13 +734,29 @@ class TestOnePassLoad:
         calls = []
         count = sf.simplicial.component_count
 
-        def counted(simplices):
+        def counted(simplices, table):
             calls.append(1)
-            return count(simplices)
+            return count(simplices, table)
         monkeypatch.setattr(sf.simplicial, "component_count", counted)
         c = grid_surface(k)
         assert sf.validate_closed_manifold(c).ok
         assert len(calls) == c.vertex_count + 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda labels: st.tuples(
+        st.just(labels), st.booleans(),
+        st.lists(st.lists(st.integers(0, labels - 1), max_size=4), max_size=20))))
+    def test_union_find_equals_dict_version(self, case):
+        # with every label first as its own singleton, as the dual graph check
+        # feeds its facets, isolated labels count as components
+        labels, singletons, simplices = case
+        if singletons:
+            simplices = [(v,) for v in range(labels)] + simplices
+        table = [-1] * labels
+        want = (len({v for s in simplices for v in s}), reference_component_count(simplices))
+        for _ in range(2):   # the table is reset, so it serves the next call as it is
+            assert simplicial.component_count(simplices, table) == want
+            assert table == [-1] * labels
 
 
 def _edge_scan(c, pick):
