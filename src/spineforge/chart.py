@@ -24,11 +24,16 @@ A segment is one tuple from the walk to ``BrokenLine.segments``: the walk
 computes (top, start, end, length), with ``start`` and ``end`` barycentric
 tuples of facet ``top``, and a line keeps them as ``Segment`` named tuples.
 Points are built only where a caller asks for one: a line's ``endpoint`` and
-the one point ``point_at_arc`` returns.  ``BrokenLine.rows_at`` looks up many
-arcs at once and returns facet ids and barycentric tuples, no points;
-``point_at_arc`` is that lookup for one arc plus a ``PointRef``.  The walk's
-tuples are points of their facets by construction, which the tests check, so
-they are not validated on every walk.
+the one point ``point_at_arc`` returns.  ``rows_on_lines`` looks up every arc
+of many lines at once and returns a facet id array and a barycentric row
+array, no points: Python bisects each arc's segment out of its line's
+segment ends, and the interpolation runs as one NumPy pass over the picked
+segments, so the lookup is linear in arcs, not in segments.
+``point_at_arc`` stays scalar, as one arc does not repay NumPy's overhead;
+both take their segments from one rule (``BrokenLine._arc_picks``) and
+interpolate with the same expression, so they give the same bits.  The
+walk's tuples are points of their facets by construction, which the tests
+check, so they are not validated on every walk.
 
 A walk step is a few list reads, one index gather and the chord arithmetic.
 The chart keeps two flat lists: ``_parent[f]``, the parent of facet f's
@@ -145,34 +150,68 @@ class BrokenLine:
         # raised peak RSS with the number of lines built
         return tuple([*accumulate(seg.length for seg in self.segments)])
 
-    def rows_at(self, arcs):
-        """(facets, rows): the facet id and barycentric tuple of the point at
-        each arc, the start of the line for arcs <= 0 and its endpoint for
-        arcs >= ``length``.  Rows are not validated; ``point_at_arc`` is the
-        one-arc lookup that builds a checked ``PointRef``."""
+    def _arc_picks(self, arcs):
+        """The one arc -> segment rule, as (segments, offsets): for each arc,
+        the segment the point at that arc lies on and the arc at which that
+        segment starts.  An arc <= 0 picks a zero-length segment at the
+        line's start and an arc >= ``length`` one at its endpoint; any other
+        arc the first segment ending at or past it (bisection over
+        ``segment_ends``), the last when rounding leaves it past them all.
+        A point lies at weight ``w = (arc - offset) / seg.length`` along its
+        segment (1.0 on a zero-length one), and is ``seg.end`` for w >= 1."""
         segments, ends, length = self.segments, self.segment_ends, self.length
         last = len(ends) - 1
-        tops, rows = [], []
+        picked, offsets = [], []
         for s in arcs:
             if s <= 0.0:
-                seg = segments[0]
-                tops.append(seg.top)
-                rows.append(seg.start)
-                continue
-            if s >= length:
-                tops.append(self.endpoint.top)
-                rows.append(self.endpoint.bary)
-                continue
-            i = min(bisect_left(ends, s), last)
-            seg = segments[i]
-            w = (s - (ends[i - 1] if i else 0.0)) / seg.length if seg.length > 0 else 1.0
-            tops.append(seg.top)
-            rows.append(seg.end if w >= 1.0 else _lerp(seg.start, seg.end, w))
-        return tops, rows
+                first = segments[0]
+                picked.append(Segment(first.top, first.start, first.start, 0.0))
+                offsets.append(0.0)
+            elif s >= length:
+                end = self.endpoint
+                picked.append(Segment(end.top, end.bary, end.bary, 0.0))
+                offsets.append(0.0)
+            else:
+                i = bisect_left(ends, s)
+                if i > last:
+                    i = last
+                picked.append(segments[i])
+                offsets.append(ends[i - 1] if i else 0.0)
+        return picked, offsets
 
     def point_at_arc(self, s: float) -> PointRef:
-        (top,), (bary,) = self.rows_at((s,))
-        return PointRef(top, bary)
+        """The validated point at arc s, by ``_arc_picks``' rule; many arcs
+        at once, as rows and no points, are ``rows_on_lines``."""
+        (seg,), (offset,) = self._arc_picks((s,))
+        w = (s - offset) / seg.length if seg.length > 0 else 1.0
+        return PointRef(seg.top, seg.end if w >= 1.0 else _lerp(seg.start, seg.end, w))
+
+
+def rows_on_lines(requests):
+    """(tops, rows) for every arc of every (line, arcs) request, in request
+    order: an int array of facet ids and a float array of barycentric rows,
+    the rows ``point_at_arc`` gives bit for bit, unvalidated.
+
+    Python only picks each arc's segment (``BrokenLine._arc_picks``); the
+    picked segments' ends are read into one array, and the weights and the
+    interpolation start + w * (end - start) run as one NumPy pass over them,
+    so the cost is linear in arcs whatever the lines' lengths."""
+    arcs, picked, offsets = [], [], []
+    for line, line_arcs in requests:
+        arcs += line_arcs
+        segments, starts_at = line._arc_picks(line_arcs)
+        picked += segments
+        offsets += starts_at
+    if not picked:
+        return np.empty(0, np.intp), np.empty((0, 0))
+    tops, starts, ends, lengths = zip(*picked)
+    k, width = len(picked), len(starts[0])
+    start, end = np.fromiter(chain.from_iterable(starts + ends), float,
+                             2 * k * width).reshape(2, k, width)
+    lengths = np.array(lengths)
+    w = np.divide(np.subtract(arcs, offsets), lengths, out=np.ones(k),
+                  where=lengths > 0.0)[:, None]
+    return np.array(tops, np.intp), np.where(w >= 1.0, end, start + w * (end - start))
 
 
 def stretch(s: float, s1: float, s2: float) -> float:

@@ -17,18 +17,22 @@ heights off Gram determinants.
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
 splits at s0 = s_total - eps and only the rule is kept.  Fields are read in
-one stack per run: ``TensorField.evaluate_lines`` takes the arcs of many
-lines and returns the blocks stacked in request order, and each line's
-``rows_at`` gives the facets and barycentric rows of its arcs in one lookup,
-building no point.  The deformed field is one rule on many lines: the
-constant block K(c0) on each white prefix (arc < s0), with no lookup, and
-K read once at the mapped arcs of every eps-tail, whose end maps to the
-line's end, so K(z) on the spine is that rule's limit.  A point is
-located and read by the same rule, unless it is c0 or on the spine closure.
-A stacked result is checked (shape, finiteness) once; K(c0) is checked at
-build and handed out read-only.  A linear field stores its value at every
-vertex and combines each row's vertex values by its barycentrics, with one
-formula for a point and for a batch, so the two agree bit for bit.
+stacks: ``TensorField.evaluate_lines`` takes the arcs of many lines and
+returns the blocks stacked in request order, and ``evaluate_points`` takes
+many points.  A line read finds the facets and barycentric rows of all its
+arcs in one lookup (``chart.rows_on_lines``), building no point.  The
+deformed field is one rule on many lines: one NumPy pass over all arcs
+picks the eps-tail arcs (not arc < s0) and maps them, the white prefixes
+keep the constant block K(c0) with no lookup, and K is read once at the
+mapped arcs, whose line ends map to the line's end, so K(z) on the spine is
+that rule's limit.  Its point rule reads points of the spine closure
+through K in one batch and c0 as K(c0), and locates every other point and
+reads them all with one call of the line rule.  A stacked result is
+checked (shape, finiteness) once; K(c0) is checked at build and handed out
+read-only.  A linear field stores its value at every vertex and combines
+each row's vertex values by its barycentrics, with one formula for a point
+and for a batch, so the two agree bit for bit.  A built-in field's single
+point read is its point rule on that one point.
 
 The seam report and the sample rows read the same sampled lines: the chart
 keeps its last draw, keyed by count and seed, so a run that asks for both
@@ -49,7 +53,7 @@ import numpy as np
 
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
-from .chart import BrokenLine, CellChart, ChartDomainError, PointRef
+from .chart import BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines
 from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, facet_rows
 
 
@@ -223,7 +227,9 @@ class TensorField:
     the blocks stacked in request order; ``evaluate_along`` reads one line.
     A field with a ``line_rule`` makes the stack in one batch, checked
     (shape, finiteness) once; any other field falls back to ``evaluate`` at
-    ``line.point_at_arc`` of each arc."""
+    ``line.point_at_arc`` of each arc.  ``evaluate_points`` is the same for
+    many points, through an optional ``point_rule``; a built-in field's
+    ``components`` is its point rule on one point."""
 
     rank: tuple
     frame: FrameField
@@ -231,12 +237,23 @@ class TensorField:
     label: str = ""
     source: object = None       # original field, when this one was derived
     line_rule: object = None    # [(BrokenLine, arcs), ...] -> array (total arcs, n, ...), or None
+    point_rule: object = None   # [PointRef, ...] -> array (points, n, ...), or None
 
     def __post_init__(self):
         self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
 
     def evaluate(self, pt: PointRef) -> np.ndarray:
         return self._checked(self.components(pt), pt)
+
+    def evaluate_points(self, pts) -> np.ndarray:
+        """``evaluate`` of each point, one stack in order.  A non-finite row
+        raises naming its own point."""
+        shape = (len(pts),) + self._shape
+        if not shape[0]:
+            return np.empty(shape)
+        if self.point_rule is None:
+            return np.stack([self.evaluate(pt) for pt in pts])
+        return self._checked_stack(self.point_rule(pts), shape, lambda k: pts[k])
 
     def evaluate_along(self, line: BrokenLine, arcs) -> np.ndarray:
         """The field at each arc s(y) of ``line``, stacked: row k equals
@@ -252,15 +269,11 @@ class TensorField:
         if self.line_rule is None:
             return np.stack([self.evaluate(line.point_at_arc(s))
                              for line, arcs in requests for s in arcs])
-        arr = np.asarray(self.line_rule(requests), dtype=float)
-        if arr.shape != shape:
-            raise FieldDomainError(f"component stack has shape {arr.shape}, expected {shape}")
-        if not np.isfinite(arr).all():
-            k = int(np.isfinite(arr.reshape(shape[0], -1)).all(axis=1).argmin())
+
+        def where(k):
             line, arc = [(line, arc) for line, arcs in requests for arc in arcs][k]
-            raise FieldDomainError(
-                f"non-finite components at arc {arc} of the line to {line.endpoint}")
-        return arr
+            return f"arc {arc} of the line to {line.endpoint}"
+        return self._checked_stack(self.line_rule(requests), shape, where)
 
     def _checked(self, block, where) -> np.ndarray:
         arr = np.asarray(block, dtype=float)
@@ -271,11 +284,29 @@ class TensorField:
             raise FieldDomainError(f"non-finite components at {where}")
         return arr
 
+    @staticmethod
+    def _checked_stack(stack, shape, where) -> np.ndarray:
+        """The stack as a float array, checked once: its shape, then that
+        every row is finite; ``where(k)`` names row k in the error."""
+        arr = np.asarray(stack, dtype=float)
+        if arr.shape != shape:
+            raise FieldDomainError(f"component stack has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            k = int(np.isfinite(arr.reshape(shape[0], -1)).all(axis=1).argmin())
+            raise FieldDomainError(f"non-finite components at {where(k)}")
+        return arr
+
+
+def _one_point(point_rule):
+    """The single-point ``components`` of a batched point rule: its stack on
+    the one point, as an array even for a scalar field."""
+    return lambda pt: point_rule((pt,))[0, ...]
+
 
 def constant_tensor(components, frame: FrameField, rank) -> TensorField:
     """Field whose frame components equal the given block at every white point.
 
-    The block is a read-only copy: every read hands out the same array."""
+    The block is a read-only copy: every read hands out a view of it."""
     r, s = rank
     n = frame.dimension
     arr = np.array(components, dtype=float)
@@ -285,9 +316,14 @@ def constant_tensor(components, frame: FrameField, rank) -> TensorField:
             f"expected {n ** (r + s)}")
     arr = arr.reshape((n,) * (r + s))
     arr.setflags(write=False)
-    return TensorField((r, s), frame, lambda pt: arr, label="constant",
+
+    def on_points(pts):
+        return np.broadcast_to(arr, (len(pts),) + arr.shape)
+
+    return TensorField((r, s), frame, _one_point(on_points), label="constant",
                        line_rule=lambda requests: np.broadcast_to(
-                           arr, (sum(len(arcs) for _, arcs in requests),) + arr.shape))
+                           arr, (sum(len(arcs) for _, arcs in requests),) + arr.shape),
+                       point_rule=on_points)
 
 
 # -- hole region ---------------------------------------------------------------
@@ -301,9 +337,15 @@ class HoleRegion:
 
     def split(self, line: BrokenLine):
         """(s0, s1) with s0 + s1 = line length exactly; the tail of length
-        s1 = eps (up to one rounding of the complement) is the black part."""
+        s1 = eps (up to one rounding of the complement) is the black part.
+        A radius that rounds away against the line's length leaves it no
+        tail (s1 = 0) and raises."""
         s0 = line.length - self.eps
-        return s0, line.length - s0
+        s1 = line.length - s0
+        if not s1 > 0.0:
+            raise HoleDomainError(f"hole radius {self.eps} rounds away against a line "
+                                  f"of length {line.length}, leaving it no tail")
+        return s0, s1
 
     def report(self):
         return {
@@ -352,43 +394,58 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorF
     line's tail the pullback of K along the affine reparametrization
     s(x) = (s(y) - s0)/s1 * (s0 + s1), and K(z) on the spine.
 
-    One rule on many lines serves both paths.  Arcs in a white prefix
-    (arc < s0) take K(c0) without a lookup; the tail arcs of every line are
-    mapped and K reads them in one ``evaluate_lines``.  K(z) is that rule
-    at the line's end: s1 = L - s0 makes the end map to L, where the line's
-    rows give z.  A point is K(z) on the spine closure and K(c0) at c0,
-    which no single line owns; any other point is located and read by the
-    line rule.  K(c0) is read-only and handed out by reference."""
+    One rule on many lines serves both paths.  One NumPy pass over all arcs
+    picks the tail arcs (not arc < s0), which a white prefix's K(c0) leaves
+    out, and maps them; K reads them in one ``evaluate_lines``.  K(z) is
+    that rule at the line's end: s1 = L - s0 makes the end map to L, where
+    the line's rows give z.  The point rule reads points on the spine
+    closure through K in one batch and K(c0) at c0, which no single line
+    owns; it locates every other point and reads them all with one call of
+    the line rule.  K(c0) is read-only, and a read of c0 alone hands out a
+    view of it."""
     base = np.array(K.evaluate(chart.c0), copy=True)
     base.setflags(write=False)
 
     def on_lines(requests):
-        rows, reads, at = [], [], 0
-        for line, arcs in requests:
-            s0, s1 = hole.split(line)
-            tail = [k for k, arc in enumerate(arcs) if not arc < s0]
-            rows += [at + k for k in tail]
-            reads.append((line, [(arcs[k] - s0) / s1 * line.length for k in tail]))
-            at += len(arcs)
-        out = np.empty((at,) + base.shape)
+        counts = [len(arcs) for _, arcs in requests]
+        bounds = np.cumsum([0] + counts)
+        arcs = np.fromiter(chain.from_iterable(arcs for _, arcs in requests), float, bounds[-1])
+        s0, s1, length = np.repeat(
+            np.array([hole.split(line) + (line.length,) for line, _ in requests]).T,
+            counts, axis=1)
+        tail = np.flatnonzero(~(arcs < s0))
+        out = np.empty((len(arcs),) + base.shape)
         out[...] = base
-        if rows:
-            out[rows] = K.evaluate_lines(reads)
+        if len(tail):
+            mapped = ((arcs - s0) / s1 * length)[tail].tolist()
+            cuts = np.searchsorted(tail, bounds).tolist()   # each line's tail arcs
+            out[tail] = K.evaluate_lines([(line, mapped[a:b]) for (line, _), a, b
+                                          in zip(requests, cuts, cuts[1:])])
         return out
 
-    def comp(pt: PointRef):
-        if chart.spine_face_of(pt) is not None:
-            return K.evaluate(pt)
-        if chart.is_c0(pt):
-            return base
-        try:
-            line, arc = chart.locate(pt)
-        except ChartDomainError as exc:
-            raise FieldDomainError(f"point lies on no broken line: {exc}")
-        return on_lines([(line, (arc,))])[0]
+    def on_points(pts):
+        black, white, reads = [], [], []
+        for k, pt in enumerate(pts):
+            if chart.spine_face_of(pt) is not None:
+                black.append(k)
+            elif not chart.is_c0(pt):
+                try:
+                    line, arc = chart.locate(pt)
+                except ChartDomainError as exc:
+                    raise FieldDomainError(f"point lies on no broken line: {exc}")
+                white.append(k)
+                reads.append((line, (arc,)))
+        out = np.broadcast_to(base, (len(pts),) + base.shape)
+        if black or white:
+            out = out.copy()
+            if black:
+                out[black] = K.evaluate_points([pts[k] for k in black])
+            if white:
+                out[white] = on_lines(reads)
+        return out
 
-    return TensorField(K.rank, K.frame, comp, label=f"deformed({K.label})",
-                       source=K, line_rule=on_lines)
+    return TensorField(K.rank, K.frame, _one_point(on_points), label=f"deformed({K.label})",
+                       source=K, line_rule=on_lines, point_rule=on_points)
 
 
 class ContinuityProbe(NamedTuple):
@@ -426,14 +483,9 @@ class ContinuityReport:
         }
 
 
-def _jump(a: np.ndarray, b: np.ndarray) -> float:
-    if a is b:
-        return 0.0
-    return float(np.abs(a - b).max()) if a.shape else float(abs(a - b))
-
-
 def _jumps(a: np.ndarray, b: np.ndarray) -> list:
-    """``_jump`` of each pair of rows of two stacks."""
+    """The largest component difference of each pair of rows of two stacks
+    (b may be one block, which each row of a is compared with)."""
     return np.abs(a - b).max(axis=tuple(range(1, a.ndim))).tolist()
 
 
@@ -470,16 +522,17 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field.
 
-    One pass over the sampled lines sets their probe arcs and makes each
-    line's two point-path reads: the hole-boundary seam itself, whose
-    ``locate`` checks the point function against the line rule, and the
-    spine point z.  Then the deformed field is read once at every line's
-    probes, the input field once at their gate probes, and each jump is a
-    row of one stacked difference.  Fewer than one sample raises, since a
-    report over no line checks nothing."""
+    One pass over the sampled lines sets their probe arcs and each line's
+    two point-path probes: the hole-boundary seam itself, whose ``locate``
+    checks the point function against the line rule, and the spine point
+    z.  The deformed field is read once at all those points, interleaved
+    (seam, z, next seam, ...), once at every line's probe arcs, and the
+    input field once at their gate probes; each jump is a row of one
+    stacked difference.  Fewer than one sample raises, since a report over
+    no line checks nothing."""
     _require_positive(samples=samples)
     base = kbar.evaluate(chart.c0)
-    plans, probe_reads, gate_reads, spine = [], [], [], []
+    plans, probe_reads, gate_reads, points = [], [], [], []
     ka, kb, ia, ib = [], [], [], []     # the rows each jump takes, deformed and input field
     at = read_at = 0
     for index, (line, _) in enumerate(_sampled_lines(chart, samples, seed)):
@@ -500,18 +553,20 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                             [line.length - step] + sides))
         gate_reads.append((line, sides))
         # inside against outside the hole boundary, near z against z (the
-        # point-path rows after the probe rows), after against before a gate
+        # point rows after the probe rows), after against before a gate
         g, near = len(gates), at + 2 * PROBE_LEVELS
         ka += [*range(at, at + PROBE_LEVELS), near, *range(near + 1 + g, near + 1 + 2 * g)]
         kb += [*range(at + PROBE_LEVELS, near), index - samples, *range(near + 1, near + 1 + g)]
         ia += range(read_at + g, read_at + 2 * g)
         ib += range(read_at, read_at + g)
         at, read_at = near + 1 + 2 * g, read_at + 2 * g
-        at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
-        spine.append(kbar.evaluate(line.endpoint))
-        plans.append((line.length, s0, step, deltas, gates, at_seam))
+        points += (line.point_at_arc(s0), line.endpoint)
+        plans.append((line.length, s0, step, deltas, gates))
 
-    read = np.concatenate([kbar.evaluate_lines(probe_reads), np.stack(spine)])
+    # the seam points and the spine points z, interleaved, in one point read
+    at_points = kbar.evaluate_points(points)
+    at_seams = _jumps(at_points[::2], base)
+    read = np.concatenate([kbar.evaluate_lines(probe_reads), at_points[1::2]])
     left, right = [read[ka]], [read[kb]]
     if kbar.source is not None:
         read = kbar.source.evaluate_lines(gate_reads)
@@ -520,7 +575,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     jumps = _jumps(np.concatenate(left), np.concatenate(right))
     inputs, jumps = iter(jumps[len(ka):]), iter(jumps)
     probes = []
-    for index, (length, s0, step, deltas, gates, at_seam) in enumerate(plans):
+    for index, ((length, s0, step, deltas, gates), at_seam) in enumerate(zip(plans, at_seams)):
         probes.append(ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
         probes += [ContinuityProbe(index, "hole-boundary", s0, d, next(jumps), 0.0)
                    for d in deltas]
@@ -530,7 +585,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     # each max folds from 0.0 in probe order, so a NaN jump never enters it
     gate_probes = [p for p in probes if p.seam == "gate"]
     return ContinuityReport(
-        tuple(probes), max([0.0] + [plan[-1] for plan in plans]),
+        tuple(probes), max([0.0] + at_seams),
         max([0.0] + [p.jump for p in probes if p.seam == "spine-limit"]),
         max([0.0] + [p.jump for p in gate_probes]),
         max([0.0] + [p.input_jump for p in gate_probes]),
@@ -641,12 +696,12 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
     def combine(tops, bary_rows):
         """One formula for the point path and the line path, so the two agree
         bit for bit: each row's combination, as a stack of row @ matrix."""
-        return np.matmul(np.array(bary_rows)[:, None, :],
+        return np.matmul(np.asarray(bary_rows)[:, None, :],
                          per_top[tops]).reshape((len(tops),) + shape)
 
-    def on_lines(requests):
-        tops, rows = zip(*[line.rows_at(arcs) for line, arcs in requests])
-        return combine([*chain.from_iterable(tops)], [*chain.from_iterable(rows)])
+    def on_points(pts):
+        return combine([pt.top for pt in pts], [pt.bary for pt in pts])
 
-    return TensorField(spec.rank, frame, lambda pt: combine([pt.top], [pt.bary])[0],
-                       label="linear", line_rule=on_lines)
+    return TensorField(spec.rank, frame, _one_point(on_points), label="linear",
+                       line_rule=lambda requests: combine(*rows_on_lines(requests)),
+                       point_rule=on_points)

@@ -143,11 +143,21 @@ def spine_subcomplex(c: SimplicialComplex, d: Decomposition) -> Subcomplex:
     do not need it: they read the spine off its ridge ids, ``c.faces`` and
     ``c.face_index``, in ``c``'s own vertex labels."""
     ridge_faces = c.faces[c.dimension - 1]
+    _check_ridge_ids(ridge_faces, d.spine)
     verts = sorted({v for rid in d.spine for v in ridge_faces[rid]})
     back = tuple(verts)
     fwd = {v: i for i, v in enumerate(verts)}
     tops = [tuple(fwd[v] for v in ridge_faces[rid]) for rid in d.spine]
     return Subcomplex(SimplicialComplex(c.dimension - 1, tops), back)
+
+
+def _check_ridge_ids(ridge_faces, ids):
+    """The standalone oracles' own range check of spine ids, with
+    ``spine_ridges``' message, so that they do not depend on it."""
+    bad = next((rid for rid in ids if not 0 <= rid < len(ridge_faces)), None)
+    if bad is not None:
+        raise InvalidComplexError(f"no ridge with id {bad} "
+                                  f"(ridge ids run 0..{len(ridge_faces) - 1})")
 
 
 def spine_ridges(c: SimplicialComplex, d: Decomposition) -> list:
@@ -195,6 +205,7 @@ def verify_cell_partition(c: SimplicialComplex, d: Decomposition) -> PartitionRe
     The two must partition the whole face list."""
     n = c.dimension
     ridge_faces = c.faces[n - 1]
+    _check_ridge_ids(ridge_faces, d.spine)
     spine_closure = [set() for _ in range(n)]
     for rid in d.spine:
         face = ridge_faces[rid]

@@ -4,14 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spineforge as sf
 from spineforge.chart import (BlackPointError, BrokenLine, CellChart, ChartDomainError,
                               PointRef, Segment, ambient_position, broken_line_to,
                               build_chart, forward_map, geometric_tol, inverse_map,
-                              point_gap, retract, retraction_samples,
+                              point_gap, retract, retraction_samples, rows_on_lines,
                               sample_interior, stretch)
 from spineforge.simplicial import (GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError, Metric,
                                    SimplicialComplex)
@@ -392,11 +392,10 @@ class TestBrokenLines:
             for s in arcs:
                 assert line.point_at_arc(s) == self._scan_point_at_arc(line, s), s
             # the many-arc lookup is the same arithmetic, without the points
-            tops, rows = line.rows_at(arcs)
+            tops, rows = rows_on_lines([(line, arcs)])
             assert len(tops) == len(rows) == len(arcs)
-            for s, top, row in zip(arcs, tops, rows):
-                assert PointRef(top, row) == self._scan_point_at_arc(line, s), s
-                assert type(row) is tuple
+            for s, top, row in zip(arcs, tops.tolist(), rows.tolist()):
+                assert PointRef(top, tuple(row)) == self._scan_point_at_arc(line, s), s
 
     @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
     @pytest.mark.parametrize("name", ALL + ["torus12", "klein12"])
@@ -449,6 +448,63 @@ class TestBrokenLines:
         za = PointRef(a, tuple(0.5 if v in face else 0.0 for v in c.top_simplices[a]))
         line_b = broken_line_to(chart, za, side=b)
         assert line_b.segments[-1].top == b
+
+
+@pytest.fixture(scope="module")
+def lookup_lines(census):
+    """Sampled lines of each census chart and of the 12 x 12 grid, under each
+    strategy, one list per chart: lines of 1 to about 270 segments."""
+    charts = []
+    for name in ALL + ["grid12"]:
+        c = grid_surface(12) if name == "grid12" else census[name]
+        for strategy in ("bfs", "dfs", "random"):
+            d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+            chart = build_chart(c, d, Metric.from_complex(c))
+            rng = random.Random(13)
+            points = [sample_interior(c, rng, rng.randrange(len(c.top_simplices)))
+                      for _ in range(4)]
+            charts.append([chart.locate(pt)[0] for pt in points])
+    return charts
+
+
+def _lookup_arc(line, kind, pick, side):
+    """An arc of one kind: a fraction of the line (kind 0), a segment end or
+    a neighbour of one (1), at or below 0 (2), at or past the length (3)."""
+    ends = line.segment_ends
+    if kind == 0:
+        return line.length * pick / 64.0
+    if kind == 1:
+        acc = ends[pick % len(ends)]
+        return acc if side == 0 else math.nextafter(acc, side * math.inf)
+    if kind == 2:
+        return (0.0, -0.0, math.nextafter(0.0, -1.0), -line.length, -math.inf)[pick % 5]
+    return (line.length, math.nextafter(line.length, math.inf), 2.0 * line.length,
+            math.inf, ends[-1])[pick % 5]
+
+
+class TestRowLookup:
+    """``rows_on_lines`` against the scan oracle and ``point_at_arc``, bit
+    for bit, tops included, on requests of mixed sizes."""
+
+    arc = st.tuples(st.integers(0, 3), st.integers(-16, 80), st.sampled_from([-1, 0, 1]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(chart=st.integers(0, 17),
+           requests=st.lists(st.tuples(st.integers(0, 3), st.lists(arc, max_size=12)),
+                             max_size=6))
+    @example(chart=0, requests=[])
+    @example(chart=17, requests=[(0, []), (1, [(3, 0, 0)]), (2, [])])
+    def test_matches_scan_and_point_at_arc(self, lookup_lines, chart, requests):
+        lines = lookup_lines[chart]
+        requests = [(lines[i], [_lookup_arc(lines[i], *a) for a in arcs]) for i, arcs in requests]
+        tops, rows = rows_on_lines(requests)
+        wanted = [(line, s) for line, arcs in requests for s in arcs]
+        assert len(tops) == len(rows) == len(wanted)
+        for (line, s), top, row in zip(wanted, tops.tolist(), rows.tolist()):
+            scan = TestBrokenLines._scan_point_at_arc(line, s)
+            point = line.point_at_arc(s)
+            assert top == scan.top == point.top, s
+            assert bits(row) == bits(scan.bary) == bits(point.bary), s
 
 
 class TestTableWalk:

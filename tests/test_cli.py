@@ -175,6 +175,17 @@ class TestDeform:
         assert out == ""
         assert "hole radius must be positive, got nan" in err
 
+    def test_eps_fraction_below_length_rounding_rejected(self, capsys, tmp_path):
+        # a radius that rounds away against a line's length leaves no tail:
+        # an error (exit 2), not an uncaught division by zero
+        fld = tmp_path / "c.fld"
+        fld.write_text(CONSTANT_FLD)
+        code, out, err = run(capsys, "deform", "--census", "sphere_tet",
+                             "--field", str(fld), "--eps-frac", "1e-20")
+        assert code == 2
+        assert out == ""
+        assert "leaving it no tail" in err
+
     def test_csv_samples_written(self, capsys, tmp_path):
         fld = tmp_path / "c.fld"
         fld.write_text(CONSTANT_FLD)

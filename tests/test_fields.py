@@ -530,6 +530,16 @@ class TestHoleRegion:
         assert s1 == pytest.approx(1e-9, rel=1e-9)
         assert s0 / line.length > 0.999
 
+    def test_radius_below_the_length_rounding_rejected(self, charts):
+        # s0 = L - eps rounds back to L: no tail, where a division by s1 = 0
+        # would follow
+        chart = charts["sphere_tet"]
+        line, _ = chart.locate(sample_interior(chart.complex, random.Random(8), 2))
+        hole = black_hole_region(chart, 1e-20)
+        assert line.length - hole.eps == line.length
+        with pytest.raises(HoleDomainError, match="leaving it no tail"):
+            hole.split(line)
+
     def test_radius_at_maximum_rejected(self, charts):
         chart = charts["sphere_tet"]
         eps_max = root_facet_clearance(chart)
@@ -892,14 +902,14 @@ class TestArcEvaluation:
         K, _ = _linear_field(chart, rank=(1, 1))
         hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
         Kbar = deform_tensor(K, chart, hole)
-        rows_at = sf.chart.BrokenLine.rows_at
+        rows_on_lines = sf.fields.rows_on_lines
         calls = []
 
-        def counted(line, arcs):
-            calls.append(len(arcs))
-            return rows_at(line, arcs)
+        def counted(requests):
+            calls.append(sum(len(arcs) for _, arcs in requests))
+            return rows_on_lines(requests)
 
-        monkeypatch.setattr(sf.chart.BrokenLine, "rows_at", counted)
+        monkeypatch.setattr(sf.fields, "rows_on_lines", counted)
         for line in _sampled_lines(chart, 6, seed=43):
             s0, s1 = hole.split(line)
             arcs = [s0 * k / 4 for k in range(4)] + [s0 + s1 * k / 8 for k in range(9)]
@@ -1018,20 +1028,114 @@ class TestBatchReads:
         Kbar = deform_tensor(K, chart, hole)
         calls = []
         evaluate = sf.fields.TensorField.evaluate
+        evaluate_points = sf.fields.TensorField.evaluate_points
 
         def counted(field, pt):
-            calls.append(field.label)
+            calls.append(("evaluate", field.label))
             return evaluate(field, pt)
 
+        def counted_points(field, pts):
+            calls.append(("evaluate_points", field.label))
+            return evaluate_points(field, pts)
+
         monkeypatch.setattr(sf.fields.TensorField, "evaluate", counted)
-        per_line = {}
-        for seed in range(12):
-            calls.clear()
-            rep = continuity_report(Kbar, chart, hole, samples=1, seed=seed)
-            gates = sum(p.seam == "gate" for p in rep.probes)
-            per_line.setdefault(len(calls), set()).add(gates)
-        assert len(per_line) == 1, per_line
-        assert len(next(iter(per_line.values()))) > 3
+        monkeypatch.setattr(sf.fields.TensorField, "evaluate_points", counted_points)
+        per_report = {}
+        for samples in (1, 3):
+            for seed in range(12):
+                calls.clear()
+                rep = continuity_report(Kbar, chart, hole, samples=samples, seed=seed)
+                gates = sum(p.seam == "gate" for p in rep.probes)
+                per_report.setdefault(tuple(calls), set()).add((samples, gates))
+        # K̄(c0), then one batched point read of K̄ whose spine points are
+        # one batched point read of K, whatever the sample or gate count
+        assert list(per_report) == [(("evaluate", "deformed(linear)"),
+                                     ("evaluate_points", "deformed(linear)"),
+                                     ("evaluate_points", "linear"))], per_report
+        assert len(next(iter(per_report.values()))) > 6
+
+
+class TestPointReads:
+    """``evaluate_points`` against one ``evaluate`` per point, bit for bit,
+    on white points, seam points, spine points and c0 together."""
+
+    @staticmethod
+    def _points(chart, hole):
+        rng = random.Random(47)
+        c = chart.complex
+        pts = [chart.c0]
+        for line in _sampled_lines(chart, 4, seed=53):
+            s0, _ = hole.split(line)
+            pts += [line.point_at_arc(s0), line.endpoint,
+                    line.point_at_arc(0.5 * line.length), chart.c0]
+        pts += [sample_interior(c, rng, rng.randrange(len(c.top_simplices))) for _ in range(6)]
+        return pts
+
+    @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_batch_equals_single(self, census, name, strategy, rank):
+        c = coordinate_torus(12) if name == "torus12" else census[name]
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        frame = extend_frame(chart)
+        n = c.dimension
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        plain = _plain_field(frame, rank)
+        constant = constant_tensor(np.arange(2.0, 2.0 + n ** sum(rank)), frame, rank)
+        source = _linear_field(chart, rank=rank)[0] if c.vertex_coords else plain
+        pts = self._points(chart, hole)
+        for field in (plain, constant, source, deform_tensor(source, chart, hole),
+                      deform_tensor(plain, chart, hole), deform_tensor(constant, chart, hole)):
+            batch = field.evaluate_points(pts)
+            assert batch.shape == (len(pts),) + (n,) * sum(rank)
+            for pt, row in zip(pts, batch):
+                assert np.array_equal(row, field.evaluate(pt)), (field.label, pt)
+                assert row.tobytes() == field.evaluate_points([pt])[0].tobytes()
+            assert field.evaluate_points([]).shape == (0,) + (n,) * sum(rank)
+
+    def test_deformed_point_read_relocates(self, census, monkeypatch):
+        # every white point but c0 is located again, c0 and the spine points
+        # are not, and the located points read K through one line-rule call
+        chart = _chart(census, "torus7", "random")
+        K, _ = _linear_field(chart, rank=(1, 1))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        Kbar = deform_tensor(K, chart, hole)
+        pts = self._points(chart, hole)
+        white = [pt for pt in pts if chart.spine_face_of(pt) is None and not chart.is_c0(pt)]
+        located, reads = [], []
+        locate, rule = chart.locate, K.line_rule
+        monkeypatch.setattr(chart, "locate", lambda pt: located.append(pt) or locate(pt))
+        monkeypatch.setattr(K, "line_rule", lambda requests: reads.append(requests) or
+                            rule(requests))
+        rows = Kbar.evaluate_points(pts)
+        assert located == white
+        assert len(reads) == 1 and len(reads[0]) <= len(white)
+        for pt, row in zip(pts, rows):
+            if pt in white:
+                line, arc = locate(pt)
+                assert np.array_equal(row, Kbar.evaluate_along(line, (arc,))[0])
+
+    @pytest.mark.parametrize("stack, message", [
+        (lambda pts: np.array([[math.nan, 0.0] if k == 2 else [1.0, 2.0]
+                               for k in range(len(pts))]), "non-finite components at {}"),
+        (lambda pts: np.zeros((len(pts), 3)), "component stack has shape"),
+    ], ids=["non-finite", "shape"])
+    def test_bad_stack_names_its_point(self, charts, stack, message):
+        chart = charts["sphere_tet"]
+        frame = extend_frame(chart)
+        pts = [line.endpoint for line in _sampled_lines(chart, 4, seed=59)]
+        field = sf.fields.TensorField((1, 0), frame, lambda pt: np.zeros(2), point_rule=stack)
+        with pytest.raises(FieldDomainError) as err:
+            field.evaluate_points(pts)
+        assert str(err.value).startswith(message.format(pts[2]))
+
+
+def _jump(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest component difference of two blocks, 0.0 for one block."""
+    if a is b:
+        return 0.0
+    return float(np.abs(a - b).max()) if a.shape else float(abs(a - b))
 
 
 def reference_continuity_report(kbar, chart, hole, samples, seed=0):
@@ -1067,13 +1171,13 @@ def reference_continuity_report(kbar, chart, hole, samples, seed=0):
         at = 2 * levels + 1
         before_vals, after_vals = values[at:at + len(gates)], values[at + len(gates):]
 
-        at_seam = fields._jump(kbar.evaluate(line.point_at_arc(s0)), base)
+        at_seam = _jump(kbar.evaluate(line.point_at_arc(s0)), base)
         boundary_seam = max(boundary_seam, at_seam)
         probes.append(fields.ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
         for delta, jump in zip(deltas, fields._jumps(inner, outer)):
             probes.append(fields.ContinuityProbe(index, "hole-boundary", s0, delta, jump, 0.0))
 
-        sj = fields._jump(near, kbar.evaluate(line.endpoint))
+        sj = _jump(near, kbar.evaluate(line.endpoint))
         spine_limit = max(spine_limit, sj)
         probes.append(fields.ContinuityProbe(index, "spine-limit", line.length, step, sj, 0.0))
 
@@ -1139,31 +1243,36 @@ class TestStackedReads:
 
     @staticmethod
     def _counted_rules(monkeypatch, K, Kbar):
-        """Record (field, arcs, inside a deformed-field read) of each rule call."""
+        """Record (field, rule, rows read, inside a deformed-field read) of
+        each line-rule and point-rule call."""
         calls, reading = [], []
-        kbar_rule, k_rule = Kbar.line_rule, K.line_rule
 
-        def kbar_counted(requests):
-            calls.append(("Kbar", sum(len(arcs) for _, arcs in requests), False))
-            reading.append(True)
-            try:
-                return kbar_rule(requests)
-            finally:
-                reading.pop()
+        def counted(name, rule, kind, size):
+            def spy(requests):
+                calls.append((name, kind, size(requests), bool(reading)))
+                if name == "Kbar":
+                    reading.append(True)
+                try:
+                    return rule(requests)
+                finally:
+                    if name == "Kbar":
+                        reading.pop()
+            return spy
 
-        def k_counted(requests):
-            calls.append(("K", sum(len(arcs) for _, arcs in requests), bool(reading)))
-            return k_rule(requests)
-
-        monkeypatch.setattr(Kbar, "line_rule", kbar_counted)
-        monkeypatch.setattr(K, "line_rule", k_counted)
+        for name, field in (("Kbar", Kbar), ("K", K)):
+            monkeypatch.setattr(field, "line_rule", counted(
+                name, field.line_rule, "lines", lambda r: sum(len(arcs) for _, arcs in r)))
+            monkeypatch.setattr(field, "point_rule", counted(
+                name, field.point_rule, "points", len))
         return calls
 
     @pytest.mark.parametrize("samples", [1, 5, 20])
     def test_one_read_per_field(self, monkeypatch, samples):
-        # the report reads the deformed field once, whose tails read K once
-        # inside it, and K once at the gate probes; the seam point of each
-        # line reads through the point path with one arc at most
+        # the report reads the deformed field at the seam points and the
+        # spine points z in one point read, whose z read K in one point
+        # read and whose located seam points read K in one line read; then
+        # the deformed field once at every probe, whose tails read K once
+        # inside it, and K once at the gate probes
         c = coordinate_torus(12)
         chart = build_chart(c, sf.decompose(c, root=0, strategy="dfs", seed=0),
                             Metric.from_complex(c))
@@ -1172,16 +1281,23 @@ class TestStackedReads:
         Kbar = deform_tensor(K, chart, hole)
         calls = self._counted_rules(monkeypatch, K, Kbar)
         rep = continuity_report(Kbar, chart, hole, samples=samples, seed=0)
-        assert any(p.seam == "gate" for p in rep.probes)
-        multi = [(field, nested) for field, arcs, nested in calls if arcs > 1]
-        assert multi == [("Kbar", False), ("K", True), ("K", False)]
+        gates = sum(p.seam == "gate" for p in rep.probes)
+        assert gates
+        probes = samples * (2 * sf.fields.PROBE_LEVELS + 1) + 2 * gates
+        assert [(field, kind, nested) for field, kind, _, nested in calls] == [
+            ("Kbar", "points", False), ("K", "points", True), ("K", "lines", True),
+            ("Kbar", "lines", False), ("K", "lines", True), ("K", "lines", False)]
+        assert [calls[k][2] for k in (0, 1, 3, 5)] == [2 * samples, samples, probes, 2 * gates]
+        # a located seam point whose arc rounds below s0 reads K(c0), not K
+        assert 0 < calls[2][2] <= samples
         calls.clear()
         rows = deformation_samples(Kbar, chart, hole, lines=samples, per_line=16, seed=0)
         # the sample rows read no point: the one deformed-field read of all
         # rows and the one K read of its tails are every rule call
         assert len(rows) == samples * 17
-        assert [(field, nested) for field, _, nested in calls] == [("Kbar", False), ("K", True)]
-        assert calls[0][1] == samples * 17
+        assert [(field, kind, nested) for field, kind, _, nested in calls] == [
+            ("Kbar", "lines", False), ("K", "lines", True)]
+        assert calls[0][2] == samples * 17
 
     def test_non_finite_row_names_its_line_and_arc(self, census):
         # a rule that is NaN in one facet: the error names the first bad row
@@ -1192,17 +1308,19 @@ class TestStackedReads:
         frame = extend_frame(chart)
         lines = [line for line, _ in sf.fields._sampled_lines(chart, 6, 2)]
         requests = [(line, [line.length * k / 16 for k in range(17)]) for line in lines]
-        first = {line.rows_at(arcs)[0][0] for line, arcs in requests[:1]}
-        bad = next(top for line, arcs in requests[1:] for top in line.rows_at(arcs)[0]
-                   if top not in first)
+        def tops(reads):
+            return sf.chart.rows_on_lines(reads)[0].tolist()
+
+        first = set(tops(requests[:1]))
+        bad = next(top for top in tops(requests[1:]) if top not in first)
 
         def rule(reads):
-            tops = [top for line, arcs in reads for top in line.rows_at(arcs)[0]]
-            return np.array([[math.nan, 0.0] if top == bad else [1.0, 2.0] for top in tops])
+            return np.array([[math.nan, 0.0] if top == bad else [1.0, 2.0]
+                             for top in tops(reads)])
 
         K = sf.fields.TensorField((1, 0), frame, lambda pt: np.zeros(2), line_rule=rule)
         line, arc = next((line, arc) for line, arcs in requests
-                         for arc, top in zip(arcs, line.rows_at(arcs)[0]) if top == bad)
+                         for arc, top in zip(arcs, tops([(line, arcs)])) if top == bad)
         assert line is not lines[0]
         with pytest.raises(FieldDomainError) as err:
             K.evaluate_lines(requests)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import deque
@@ -362,6 +363,24 @@ class TestSpineSubcomplex:
             d = decompose(c, strategy="random", seed=seed)
             sub = spine_subcomplex(c, d)
             assert homology_groups(sub.complex).betti == (1, 1)
+
+
+def _with_spine_id(c, rid):
+    """A decomposition of c whose last spine id is replaced by rid."""
+    d = decompose(c, strategy="random", seed=1)
+    return dataclasses.replace(d, spine=d.spine[:-1] + (rid,))
+
+
+@pytest.mark.parametrize("oracle", [spine_subcomplex, verify_cell_partition])
+@pytest.mark.parametrize("rid", [-1, "R"])
+def test_oracles_reject_out_of_range_spine_ids(census, oracle, rid):
+    # -1 would wrap to the last ridge and R would raise a bare IndexError
+    c = census["torus7"]
+    ridges = len(c.faces[c.dimension - 1])
+    rid = ridges if rid == "R" else rid
+    with pytest.raises(InvalidComplexError,
+                       match=rf"^no ridge with id {rid} \(ridge ids run 0\.\.{ridges - 1}\)$"):
+        oracle(c, _with_spine_id(c, rid))
 
 
 class TestSpineConnected:
