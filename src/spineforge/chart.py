@@ -363,8 +363,8 @@ class CellChart:
         # the root's squared edge lengths, (i, j, square) in Metric.sq_dist's
         # pair order and as it takes them (NaN for an edge the metric lacks)
         root = tops[self.root]
-        self._root_squares = [(i, j, metric.edge_lengths.get((root[i], root[j]), math.nan) ** 2)
-                              for i, j in combinations(range(n + 1), 2)]
+        self._root_squares = [(i, j, l * l) for i, j in combinations(range(n + 1), 2)
+                              for l in [metric.edge_lengths.get((root[i], root[j]), math.nan)]]
         self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
         # every face of a spine ridge, the ridge itself included, keyed by
@@ -665,9 +665,12 @@ def point_gap(chart: CellChart, a: PointRef, b: PointRef) -> float:
 
 
 def sample_interior(c: SimplicialComplex, rng: random.Random, top: int) -> PointRef:
-    """Uniform-ish interior point of one facet (normalized exponentials)."""
+    """Uniform-ish interior point of one facet (normalized exponentials),
+    their total added left to right."""
     raw = [-math.log(rng.random()) for _ in range(c.dimension + 1)]
-    s = sum(raw)
+    s = 0.0
+    for x in raw:
+        s += x
     return PointRef(top, tuple(x / s for x in raw))
 
 

@@ -30,9 +30,10 @@ through K in one batch and c0 as K(c0), and locates every other point and
 reads them all with one call of the line rule.  A stacked result is
 checked (shape, finiteness) once; K(c0) is checked at build and handed out
 read-only.  A linear field stores its value at every vertex and combines
-each row's vertex values by its barycentrics, with one formula for a point
-and for a batch, so the two agree bit for bit.  A built-in field's single
-point read is its point rule on that one point.
+each row's vertex values by its barycentrics in index order
+(``simplicial.ordered_matmul``), with one formula for a point and for a
+batch, so the two agree bit for bit under any BLAS kernel.  A built-in
+field's single point read is its point rule on that one point.
 
 The seam report and the sample rows read the same sampled lines: the chart
 keeps its last draw, keyed by count and seed, so a run that asks for both
@@ -54,7 +55,8 @@ import numpy as np
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines
-from .simplicial import DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, facet_rows
+from .simplicial import (DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, facet_rows,
+                         ordered_matmul)
 
 
 class InvalidGeometryError(ValueError):
@@ -92,7 +94,7 @@ def extend_frame(chart: CellChart) -> FrameField:
     frame row of the complex's step table (``chart.StepGeometry``): a tree
     computes, in one stacked pass, only its steps not yet in the table
     (``_fill_frame_rows``), and gathers the rest.  Per tree, the frames are
-    chained by pointer doubling, one stacked product per round.  The
+    chained by pointer doubling, one ``ordered_matmul`` per round.  The
     products associate differently from a chain in growth order, so a frame
     can differ from that chain's by rounding (3e-14 on the 12×12 torus); the
     transitions do not change.  The first gate in growth order whose step
@@ -125,7 +127,7 @@ def extend_frame(chart: CellChart) -> FrameField:
         above = up[up]
         if (above == up).all():
             break
-        frames = frames @ frames[up]
+        frames = ordered_matmul(frames, frames[up])
         up = above
     chained = frames[children]
     matrices = {chart.root: np.eye(n)}
@@ -173,8 +175,8 @@ def _fill_frame_rows(geometry, keys, steps):
     gate = pv[rows[:, None], gate_slots[w_slot]]
     ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
     # squared lengths from each of (gate..., w, a) to each gate vertex
-    lengths = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :])
-    nan = np.isnan(lengths).reshape(len(keys), -1)
+    sq = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :], squared=True)
+    nan = np.isnan(sq).reshape(len(keys), -1)
     missing = geometry.missing[keys] = nan.any(axis=1)
     if missing.any():
         # the first missing edge of each such step, in (end, gate vertex) order
@@ -184,9 +186,8 @@ def _fill_frame_rows(geometry, keys, steps):
         geometry.missing_edge[keys[k]] = np.sort(edge, axis=1)
         geometry.framed[keys[k]] = True
         keep = ~missing
-        keys, lengths, w_slot, a_slot = keys[keep], lengths[keep], w_slot[keep], a_slot[keep]
+        keys, sq, w_slot, a_slot = keys[keep], sq[keep], w_slot[keep], a_slot[keep]
         rows = np.arange(len(keys))
-    sq = lengths ** 2
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
     off = sq[:, n:]
@@ -631,7 +632,7 @@ def parse_fld(text: str) -> FieldSpec:
         raise FieldDomainError("field file must start with 'type r s'")
     number, head = lines[0]
     toks = head.split()
-    if not head.startswith("type") or len(toks) != 3:
+    if toks[0] != "type" or len(toks) != 3:
         raise FieldDomainError(
             f"line {number}: field file must start with 'type r s', got {head!r}")
     try:
@@ -689,15 +690,15 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
     slopes = np.array([r[1:] for r in rows])
     # the affine map at every vertex, gathered per facet: a point's value is
     # the barycentric combination of its facet's rows
-    at_vertex = offsets + np.array(chart.complex.vertex_coords) @ slopes.T
+    at_vertex = offsets + ordered_matmul(np.array(chart.complex.vertex_coords), slopes.T)
     per_top = at_vertex[facet_rows(chart.complex)]
     shape = (n,) * order
 
     def combine(tops, bary_rows):
         """One formula for the point path and the line path, so the two agree
-        bit for bit: each row's combination, as a stack of row @ matrix."""
-        return np.matmul(np.asarray(bary_rows)[:, None, :],
-                         per_top[tops]).reshape((len(tops),) + shape)
+        bit for bit: each row's combination, as a stack of row times matrix."""
+        return ordered_matmul(np.asarray(bary_rows)[:, None, :],
+                       per_top[tops]).reshape((len(tops),) + shape)
 
     def on_points(pts):
         return combine([pt.top for pt in pts], [pt.bary for pt in pts])

@@ -10,7 +10,6 @@ treated as immutable afterwards; they are safe to share across threads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -237,25 +236,14 @@ def facet_rows(c: SimplicialComplex) -> np.ndarray:
                        width * len(c.top_simplices)).reshape(-1, width)
 
 
-# CPython's ``sum`` adds floats with Neumaier's compensation since 3.12 and
-# left to right before it
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
-
-
-def _float_sums(terms: np.ndarray) -> np.ndarray:
-    """``sum`` of each row of a 2-d float array, bit for bit as the builtin
-    adds the row's floats to its start 0 on this interpreter."""
-    total = terms[:, 0] + 0.0
-    comp = np.zeros(len(terms))
-    # an infinite sum is the builtin's too, and it drops a NaN compensation
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, terms.shape[1]):
-            x = terms[:, k]
-            t = total + x
-            if _COMPENSATED_SUM:
-                comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
-            total = t
-        return np.where((comp != 0.0) & np.isfinite(comp), total + comp, total)
+def ordered_matmul(a, b) -> np.ndarray:
+    """The matrix product over the last two axes of ``a`` and ``b`` (which
+    broadcast over the rest), each entry's products added in index order by
+    elementwise IEEE operations: the same bits under any BLAS kernel."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 class Metric:
@@ -264,6 +252,11 @@ class Metric:
     Segment lengths inside a simplex come from the flat simplex those edge
     lengths determine: for barycentric difference c with sum 0,
     |sum c_i v_i|^2 = -sum_{i<j} c_i c_j d_ij^2.
+
+    Every length and squared length follows one rule of IEEE operations: a
+    square is ``x * x`` and a sum adds its terms left to right (as in
+    ``ordered_matmul``), so the bits depend on no BLAS kernel, interpreter
+    ``sum`` or libm ``pow``.
 
     ``lengths_at`` gathers many edges at once from a sorted edge table,
     built on first use; the lengths must not change after that.
@@ -287,10 +280,8 @@ class Metric:
         """Euclidean lengths when coordinates exist, unit lengths otherwise.
 
         All edges are taken in one stacked pass, and each length has the
-        bits of ``math.sqrt(sum((a - b) ** 2 for a, b in zip(pu, pv)))``:
-        each term is squared by Python's ``**`` (numpy's square and
-        ``np.power`` differ from it on some inputs) and the terms are summed
-        as ``sum`` sums them (``_float_sums``)."""
+        bits of the per-edge rule: each coordinate difference squared as
+        ``d * d``, the squares added left to right, then ``math.sqrt``."""
         if c.dimension < 1:
             return cls({})
         edges = c.faces[1]
@@ -301,8 +292,8 @@ class Metric:
             coords = np.array(c.vertex_coords)
             with np.errstate(over="ignore"):    # an infinite length is refused below
                 diff = coords[ends[:, 0]] - coords[ends[:, 1]]
-            terms = np.array([x ** 2 for x in diff.ravel().tolist()]).reshape(diff.shape)
-            m = cls(dict(zip(edges, np.sqrt(_float_sums(terms)).tolist())))
+                squares = ordered_matmul(diff[:, None, :], diff[:, :, None])
+            m = cls(dict(zip(edges, np.sqrt(squares.ravel()).tolist())))
         m.validate(c)
         return m
 
@@ -336,12 +327,13 @@ class Metric:
         every proper face is realizable, as ``validate`` has checked by then,
         it is negative exactly when no Euclidean k-simplex has these lengths.
         """
-        base, rest = verts[0], verts[1:]
-        gram = [[(self.length(base, u) ** 2 + self.length(base, v) ** 2
-                  - (self.length(u, v) ** 2 if u != v else 0.0)) / 2.0 for v in rest]
-                for u in rest]
+        k = len(verts) - 1
+        sq = [[self.length(u, v) * self.length(u, v) if u != v else 0.0 for v in verts]
+              for u in verts]
+        gram = [[(sq[0][i] + sq[0][j] - sq[i][j]) / 2.0 for j in range(1, k + 1)]
+                for i in range(1, k + 1)]
         longest = max(self.length(u, v) for u, v in combinations(verts, 2))
-        return float(np.linalg.det(gram)), longest ** (2 * len(rest))
+        return float(np.linalg.det(gram)), longest ** (2 * k)
 
     def length(self, u, v) -> float:
         return self.edge_lengths[(min(u, v), max(u, v))]
@@ -350,7 +342,7 @@ class Metric:
     def _edge_table(self):
         """(base, codes, lengths, squares): the edges as sorted codes
         u * base + v (u < v), and each one's length and square, the square
-        taken as ``sq_dist`` takes it (Python's ``** 2``)."""
+        taken as ``sq_dist`` takes it (``l * l``)."""
         table = self.edge_lengths
         pairs = np.fromiter(chain.from_iterable(table), np.int64, 2 * len(table)).reshape(-1, 2)
         base = int(pairs.max(initial=0)) + 1
@@ -358,7 +350,7 @@ class Metric:
         # a metric built from a complex lists its edges sorted; only sort otherwise
         order = slice(None) if (codes[1:] > codes[:-1]).all() else np.argsort(codes)
         lengths = np.fromiter(table.values(), float, len(table))[order]
-        squares = np.fromiter((l ** 2 for l in table.values()), float, len(table))[order]
+        squares = lengths * lengths
         return base, codes[order], lengths, squares
 
     def lengths_at(self, u, v, squared=False) -> np.ndarray:
@@ -389,7 +381,8 @@ class Metric:
             for j in range(i + 1, len(verts)):
                 if diff[j] == 0.0:
                     continue
-                s -= diff[i] * diff[j] * self.length(verts[i], verts[j]) ** 2
+                l = self.length(verts[i], verts[j])
+                s -= diff[i] * diff[j] * (l * l)
         return max(s, 0.0)
 
     def dist(self, verts, a, b) -> float:

@@ -283,12 +283,14 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("text,culprit,number", [
         ("type a 0\nconstant\n1.0 0.0\n", "type a 0", 1),
+        # a first token that only starts with "type" is no type line
+        ("# a field\ntypes 1 1\nconstant\n1 2 3 4\n", "types 1 1", 2),
         ("type 1 0\nconstant\n1.0 zz\n", "1.0 zz", 3),
         ("type 1 0\nconstant\n1.0 nan\n", "1.0 nan", 3),
         ("type 1 0\nconstant\ninf 0.0\n", "inf 0.0", 3),
         ("type 1 0\nlinear\n0.1 0.2 -0.1 0.05\n0.3 -inf 0.1 0.2\n",
          "0.3 -inf 0.1 0.2", 4),
-    ], ids=["tensor-type", "component", "nan-component", "inf-component",
+    ], ids=["tensor-type", "type-keyword", "component", "nan-component", "inf-component",
             "minus-inf-component"])
     def test_fld(self, capsys, tmp_path, text, culprit, number):
         path = tmp_path / "bad.fld"
