@@ -15,6 +15,6 @@ from .simplicial import (InvalidComplexError, Metric, SimplicialComplex,
                          ValidationReport, read_tri, validate_closed_manifold,
                          write_tri)
 from .spine import (Decomposition, GateStep, decompose, spine_connected,
-                    spine_subcomplex, verify_cell_partition)
+                    spine_subcomplex)
 
 __version__ = "0.1.0"

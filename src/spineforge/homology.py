@@ -20,7 +20,9 @@ The spine's homology is read off its ridge ids: the ridges are ``c``'s own
 vertex tuples, so the union-find runs on ``c``'s labels, and only for a
 spine of dimension 2 or more are its middle faces listed, keyed by
 ``c.face_index`` for their boundary rows.  No complex is built for it, and
-on a surface no face beyond the ridges is listed.
+on a surface no face beyond the ridges is listed.  M minus the open root
+facet is read off ``c``'s own face lists too, with the root left out of the
+facets; no complex is built for it either.
 """
 
 from __future__ import annotations
@@ -253,6 +255,27 @@ def punctured_complex(c: SimplicialComplex, t: int) -> SimplicialComplex:
     return pc
 
 
+def _punctured_profile(c: SimplicialComplex, t: int) -> HomologyProfile:
+    """Homology of ``c`` minus its open facet ``t``, off ``c``'s own face
+    lists.  Once every ridge of ``t`` lies in another facet, so does every
+    proper face of ``t``: the lists are then exactly those of
+    ``punctured_complex(c, t)``, and so is the profile."""
+    if len(c.top_simplices) < 2:
+        raise InvalidComplexError("cannot puncture a single-facet complex")
+    if not 0 <= t < len(c.top_simplices):
+        raise InvalidComplexError(f"no facet with id {t}")
+    removed = c.top_simplices[t]
+    n = c.dimension
+    for f in combinations(removed, n) if n else ():
+        if len(c.ridge_cofacets[c.face_index[n - 1][f]]) < 2:
+            raise InvalidComplexError(
+                f"puncturing facet {removed} would drop its face {f}; "
+                "complex is not a closed manifold")
+    facets, i = c.faces[n], c.face_index[n][removed]
+    return _profile(facets[:i] + facets[i + 1:], c.faces[1:-1], c.vertex_count,
+                    c.face_index)
+
+
 @dataclass(frozen=True)
 class Theorem2Report:
     """Degreewise comparison of spine homology against the once-punctured
@@ -280,15 +303,14 @@ def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
     facet.  The latter depends on (c, root) only, so it is computed once per
     root and kept on the complex; only the spine is recomputed per call,
     straight from its ridge ids in ``c``'s own labels.  Its middle faces are
-    listed only when it has any (n >= 3)."""
+    listed only when it has any (n >= 3).  Neither builds a complex."""
     ridges = spine_ridges(c, d)
     middle = [{f for r in ridges for f in combinations(r, k + 1)}
               for k in range(1, c.dimension - 1)]
     spine = _profile(ridges, middle, c.vertex_count, c.face_index)
     punct_profile = c._punctured_homology.get(d.root)
     if punct_profile is None:
-        punct_profile = homology_groups(punctured_complex(c, d.root))
-        c._punctured_homology[d.root] = punct_profile
+        punct_profile = c._punctured_homology[d.root] = _punctured_profile(c, d.root)
     degrees = range(c.dimension + 1)
     equal = tuple(spine.group(k) == punct_profile.group(k) for k in degrees)
     return Theorem2Report(spine, punct_profile, equal)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 from .simplicial import (InvalidComplexError, SimplicialComplex, component_count,
@@ -143,21 +142,16 @@ def spine_subcomplex(c: SimplicialComplex, d: Decomposition) -> Subcomplex:
     do not need it: they read the spine off its ridge ids, ``c.faces`` and
     ``c.face_index``, in ``c``'s own vertex labels."""
     ridge_faces = c.faces[c.dimension - 1]
-    _check_ridge_ids(ridge_faces, d.spine)
+    # its own id check, with spine_ridges' message, so as not to depend on it
+    bad = next((rid for rid in d.spine if not 0 <= rid < len(ridge_faces)), None)
+    if bad is not None:
+        raise InvalidComplexError(f"no ridge with id {bad} "
+                                  f"(ridge ids run 0..{len(ridge_faces) - 1})")
     verts = sorted({v for rid in d.spine for v in ridge_faces[rid]})
     back = tuple(verts)
     fwd = {v: i for i, v in enumerate(verts)}
     tops = [tuple(fwd[v] for v in ridge_faces[rid]) for rid in d.spine]
     return Subcomplex(SimplicialComplex(c.dimension - 1, tops), back)
-
-
-def _check_ridge_ids(ridge_faces, ids):
-    """The standalone oracles' own range check of spine ids, with
-    ``spine_ridges``' message, so that they do not depend on it."""
-    bad = next((rid for rid in ids if not 0 <= rid < len(ridge_faces)), None)
-    if bad is not None:
-        raise InvalidComplexError(f"no ridge with id {bad} "
-                                  f"(ridge ids run 0..{len(ridge_faces) - 1})")
 
 
 def spine_ridges(c: SimplicialComplex, d: Decomposition) -> list:
@@ -178,63 +172,3 @@ def spine_ridges(c: SimplicialComplex, d: Decomposition) -> list:
 def spine_connected(c: SimplicialComplex, d: Decomposition) -> bool:
     """A nonempty complex is connected iff the union of its facets is."""
     return component_count(spine_ridges(c, d), [-1] * c.vertex_count)[1] == 1
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Census of the white (cell-side) and black (spine closure) faces."""
-
-    white_by_dim: tuple     # per k: tuple of face ids
-    black_by_dim: tuple
-    discrepancies: tuple    # (k, face id, reason)
-
-    @property
-    def ok(self):
-        return not self.discrepancies
-
-    def counts(self):
-        return {
-            "white": tuple(len(w) for w in self.white_by_dim),
-            "black": tuple(len(b) for b in self.black_by_dim),
-        }
-
-
-def verify_cell_partition(c: SimplicialComplex, d: Decomposition) -> PartitionReport:
-    """White means: facet interiors, gate interiors, and interiors of lower
-    faces not contained in the spine closure.  Black is the spine closure.
-    The two must partition the whole face list."""
-    n = c.dimension
-    ridge_faces = c.faces[n - 1]
-    _check_ridge_ids(ridge_faces, d.spine)
-    spine_closure = [set() for _ in range(n)]
-    for rid in d.spine:
-        face = ridge_faces[rid]
-        for k in range(n):
-            for sub in combinations(face, k + 1):
-                spine_closure[k].add(c.face_index[k][sub])
-    gate_ids = set(d.gate_ids())
-
-    white, black = [], []
-    discrepancies = []
-    for k in range(n + 1):
-        w, b = [], []
-        for fid in range(len(c.faces[k])):
-            if k == n:
-                w.append(fid)
-            elif k == n - 1:
-                in_spine = fid in spine_closure[k]
-                if fid in gate_ids:
-                    w.append(fid)
-                    if in_spine:
-                        discrepancies.append((k, fid, "gate inside spine closure"))
-                elif in_spine:
-                    b.append(fid)
-                else:
-                    discrepancies.append((k, fid, "ridge neither gate nor spine"))
-            else:
-                (b if fid in spine_closure[k] else w).append(fid)
-        white.append(tuple(w))
-        black.append(tuple(b))
-        if sorted(w + b) != list(range(len(c.faces[k]))):
-            discrepancies.append((k, -1, "faces not partitioned"))
-    return PartitionReport(tuple(white), tuple(black), tuple(discrepancies))

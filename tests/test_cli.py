@@ -60,11 +60,15 @@ class TestDecompose:
         assert json.loads(out)["summary"]["spine"] == 6
 
     def test_invalid_complex_rejected(self, capsys, tmp_path):
-        path = tmp_path / "open.tri"
-        path.write_text("dim 2\n0 1 2\n0 1 3\n")
-        code, _, err = run(capsys, "decompose", str(path))
-        assert code == 2
-        assert "cofacets" in err
+        tet = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        two_tets = "".join(f"{a + k} {b + k} {c + k}\n" for k in (0, 4) for a, b, c in tet)
+        for text, message in [("dim 2\n0 1 2\n0 1 3\n", "cofacets"),
+                              ("dim 2\n" + two_tets, "error: dual graph is disconnected\n")]:
+            path = tmp_path / "bad.tri"
+            path.write_text(text)
+            code, out, err = run(capsys, "decompose", str(path))
+            assert (code, out) == (2, "")
+            assert message in err
 
     def test_both_sources_rejected(self, capsys, tmp_path):
         path = tmp_path / "x.tri"
@@ -113,7 +117,7 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
 
-    @pytest.mark.parametrize("runs", ["0", "-1"])
+    @pytest.mark.parametrize("runs", ["0", "-1", "x"])
     def test_no_runs_rejected(self, capsys, runs):
         # a verification over no seeds checks nothing and must not report ok
         with pytest.raises(SystemExit) as exc:
@@ -121,7 +125,8 @@ class TestVerify:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert "--runs: must be at least 1" in captured.err
+        message = "not an integer: 'x'" if runs == "x" else "must be at least 1"
+        assert f"--runs: {message}" in captured.err
 
 
 class TestDeform:

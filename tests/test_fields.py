@@ -1116,6 +1116,23 @@ class TestPointReads:
                 line, arc = locate(pt)
                 assert np.array_equal(row, Kbar.evaluate_along(line, (arc,))[0])
 
+    def test_white_point_locate_declines_is_a_field_error(self, census):
+        # the barycenter of facet 8 on the bfs chart of torus7 is white, but
+        # locate declines it; the deformed field's read says why, in one
+        # batch and alone
+        chart = _chart(census, "torus7", "bfs")
+        K = constant_tensor(np.array([1.5, -2.25]), extend_frame(chart), (1, 0))
+        Kbar = deform_tensor(K, chart, black_hole_region(chart, 0.05))
+        pt = PointRef(8, (1 / 3, 1 / 3, 1 / 3))
+        assert chart.spine_face_of(pt) is None and not chart.is_c0(pt)
+        with pytest.raises(ChartDomainError, match="^interval family of facet 12 degenerates"):
+            chart.locate(pt)
+        for read in (lambda: Kbar.evaluate_points([chart.c0, pt]), lambda: Kbar.evaluate(pt)):
+            with pytest.raises(FieldDomainError) as err:
+                read()
+            assert str(err.value).startswith(
+                "point lies on no broken line: interval family of facet 12 degenerates")
+
     @pytest.mark.parametrize("stack, message", [
         (lambda pts: np.array([[math.nan, 0.0] if k == 2 else [1.0, 2.0]
                                for k in range(len(pts))]), "non-finite components at {}"),

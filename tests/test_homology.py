@@ -335,21 +335,22 @@ class TestGroundTruthAtScale:
 
 @pytest.fixture
 def puncture_calls(monkeypatch):
-    """Count the punctured complexes verify_theorem2 builds."""
+    """Count the punctured profiles verify_theorem2 reads off face lists."""
     calls = []
-    original = sf.homology.punctured_complex
+    original = sf.homology._punctured_profile
 
     def counting(c, t):
         calls.append(t)
         return original(c, t)
 
-    monkeypatch.setattr(sf.homology, "punctured_complex", counting)
+    monkeypatch.setattr(sf.homology, "_punctured_profile", counting)
     return calls
 
 
 class TestPuncturedHomologyCache:
-    """The punctured homology depends on (complex, root) only: verify builds
-    it once per root and recomputes only the spine per seed."""
+    """The punctured homology depends on (complex, root) only: verify reads
+    it off the input's face lists once per root and recomputes only the
+    spine per seed."""
 
     @pytest.mark.parametrize("klein", [False, True], ids=["torus", "klein"])
     def test_built_once_per_root(self, puncture_calls, klein):
@@ -374,6 +375,21 @@ class TestPuncturedHomologyCache:
         assert sorted(c._punctured_homology) == [0, 5]
 
     @pytest.mark.parametrize("name", sf.census_names())
+    def test_builds_no_complex(self, monkeypatch, name):
+        c = sf.build_census(name)
+        ds = [sf.decompose(c, root=t, strategy="random", seed=t)
+              for t in range(len(c.top_simplices))]
+        built = []
+        init = SimplicialComplex.__init__
+        monkeypatch.setattr(SimplicialComplex, "__init__",
+                            lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+        assert all(verify_theorem2(c, d).ok for d in ds)
+        assert cli.run_verification(c, 1, "random", range(5)) == []
+        assert built == []
+        punctured_complex(c, 0)   # the spy sees a build where there is one
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("name", sf.census_names())
     def test_cached_equals_fresh(self, name):
         c = sf.build_census(name)
         for t in range(len(c.top_simplices)):
@@ -385,17 +401,23 @@ class TestPuncturedHomologyCache:
                 assert report.ok, report.to_json_obj()
 
     @pytest.mark.parametrize("case", ["root-out-of-range", "single-facet",
-                                      "non-manifold-puncture"])
+                                      "non-manifold-puncture", "open-ridge"])
     def test_errors_are_not_cached(self, puncture_calls, case):
         if case == "root-out-of-range":
             c = grid_surface(4)
             d = dataclasses.replace(sf.decompose(c), root=len(c.top_simplices))
         else:
-            tops = [(0, 1, 2)] if case == "single-facet" else [(0, 1, 2), (2, 3, 4)]
+            tops = {"single-facet": [(0, 1, 2)],
+                    "non-manifold-puncture": [(0, 1, 2), (2, 3, 4)],
+                    # the ridge (1, 2) of facet 0 lies in no other facet
+                    "open-ridge": [(0, 1, 2), (0, 1, 3), (0, 2, 3)]}[case]
             c = SimplicialComplex(2, tops)
             d = Decomposition(0, (), tuple(range(len(c.faces[1]))), "bfs", 0)
+        match = r"would drop its face \(1, 2\); " if case == "open-ridge" else None
+        with pytest.raises(InvalidComplexError, match=match):
+            punctured_complex(c, d.root)
         for _ in range(3):
-            with pytest.raises(InvalidComplexError):
+            with pytest.raises(InvalidComplexError, match=match):
                 verify_theorem2(c, d)
         assert puncture_calls == [d.root] * 3
         assert c._punctured_homology == {}
@@ -604,7 +626,7 @@ class TestSpineBuildsNoComplex:
         monkeypatch.setattr(SimplicialComplex, "__init__", counting_init)
         monkeypatch.setattr(sf.homology, "invariant_factors", counting_factors)
         assert all(verify_theorem2(c, d).ok for d in decompositions)
-        assert built == [2]                                 # the punctured complex
+        assert built == []                                  # M° is read off c's faces
         assert eliminated == [len(c.top_simplices) - 1]     # its boundary d2
 
     def test_one_union_find_pass_per_call_and_no_face_listing(self, monkeypatch):

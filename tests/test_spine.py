@@ -11,7 +11,7 @@ from spineforge import spine as spine_module
 from spineforge.homology import homology_groups, verify_theorem2
 from spineforge.simplicial import InvalidComplexError, SimplicialComplex
 from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, decompose,
-                              spine_connected, spine_subcomplex, verify_cell_partition)
+                              spine_connected, spine_subcomplex)
 
 from grids import grid_surface
 
@@ -22,6 +22,15 @@ EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
 def dual_edges(c):
     """(ridge id, facet a, facet b) per ridge of a closed complex, by id."""
     return [(rid, a, b) for rid, (a, b) in enumerate(c.ridge_cofacets)]
+
+
+def partition_counts(c, d):
+    """White (cell side) and black (spine closure) face counts per degree,
+    after checking that the ridges split into gates and spine.  Black below
+    degree n is the spine closure's f-vector, white the rest of ``c``'s."""
+    assert sorted(d.gate_ids() + d.spine) == list(range(len(c.faces[c.dimension - 1])))
+    black = spine_subcomplex(c, d).complex.f_vector + (0,)
+    return {"white": tuple(a - b for a, b in zip(c.f_vector, black)), "black": black}
 
 
 def all_spanning_trees(c):
@@ -324,11 +333,7 @@ class TestSphereTetExhaustive:
             assert sub.complex.vertex_count == 4
             assert homology_groups(sub.complex).betti == (1, 0)
             assert spine_connected(c, d)
-            report = verify_cell_partition(c, d)
-            assert report.ok
-            counts = report.counts()
-            assert counts["white"] == (0, 3, 4)
-            assert counts["black"] == (4, 3, 0)
+            assert partition_counts(c, d) == {"white": (0, 3, 4), "black": (4, 3, 0)}
             assert verify_theorem2(c, d).ok
 
     def test_decompose_output_is_one_of_the_trees(self, census, trees):
@@ -371,7 +376,7 @@ def _with_spine_id(c, rid):
     return dataclasses.replace(d, spine=d.spine[:-1] + (rid,))
 
 
-@pytest.mark.parametrize("oracle", [spine_subcomplex, verify_cell_partition])
+@pytest.mark.parametrize("oracle", [spine_subcomplex])
 @pytest.mark.parametrize("rid", [-1, "R"])
 def test_oracles_reject_out_of_range_spine_ids(census, oracle, rid):
     # -1 would wrap to the last ridge and R would raise a bare IndexError
@@ -406,22 +411,16 @@ class TestSpineConnected:
 class TestCellPartition:
     def test_circle3_counts(self, census):
         c = census["circle3"]
-        report = verify_cell_partition(c, decompose(c))
-        assert report.ok
         # white: 3 open edges + 2 gate vertices; black: the spine vertex
-        assert report.counts() == {"white": (2, 3), "black": (1, 0)}
+        assert partition_counts(c, decompose(c)) == {"white": (2, 3), "black": (1, 0)}
 
     def test_torus7_all_vertices_black(self, census):
         c = census["torus7"]
         for seed in range(10):
             d = decompose(c, strategy="random", seed=seed)
-            report = verify_cell_partition(c, d)
-            assert report.ok
-            assert report.counts()["black"][0] == 7
+            assert partition_counts(c, d)["black"][0] == 7
 
     def test_sphere3_pent(self, census):
         c = census["sphere3_pent"]
-        report = verify_cell_partition(c, decompose(c))
-        assert report.ok
         # all vertices and edges lie in the spine closure
-        assert report.counts()["black"][:2] == (5, 10)
+        assert partition_counts(c, decompose(c))["black"][:2] == (5, 10)
