@@ -80,7 +80,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, combinations
 from operator import itemgetter
 from typing import NamedTuple
@@ -134,6 +134,10 @@ class Segment(NamedTuple):
     length: float
 
 
+_as_segment = partial(tuple.__new__, Segment)   # a walk tuple as a Segment, unchecked
+_length = itemgetter(3)                          # a segment's or walk tuple's length
+
+
 @dataclass(frozen=True)
 class BrokenLine:
     """Polygonal path from c0 to a spine point z, one segment per facet."""
@@ -148,7 +152,7 @@ class BrokenLine:
         The last one may differ from ``length``, which is an exact sum."""
         # from a list: tuple() of an unsized iterator grows by resizing, which
         # raised peak RSS with the number of lines built
-        return tuple([*accumulate(seg.length for seg in self.segments)])
+        return tuple([*accumulate(map(_length, self.segments))])
 
     def _arc_picks(self, arcs):
         """The one arc -> segment rule, as (segments, offsets): for each arc,
@@ -367,16 +371,11 @@ class CellChart:
                               for l in [metric.edge_lengths.get((root[i], root[j]), math.nan)]]
         self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
-        # every face of a spine ridge, the ridge itself included, keyed by
-        # the complex's own face tuple, so the chart holds no copy of one
-        faces, index = complex.faces, complex.face_index
-        closure = {}
+        # spine membership by ridge id; a face below a ridge is matched to
+        # its spine ridge only when a point asks (``spine_face_of``)
+        self._spine = [False] * len(complex.ridge_cofacets)
         for rid in decomposition.spine:
-            for k in range(n):
-                for sub in combinations(faces[n - 1][rid], k + 1):
-                    if sub not in closure:
-                        closure[faces[k][index[k][sub]]] = rid
-        self.spine_closure = closure
+            self._spine[rid] = True
 
     # -- low-level geometry ------------------------------------------------
 
@@ -503,8 +502,8 @@ class CellChart:
             if child is None:
                 verts = self._verts(top)
                 face = verts[:exit_local] + verts[exit_local + 1:]
-                if face not in self.spine_closure:
-                    rid = self.complex.face_index[n1 - 2][face]
+                rid = self.complex.face_index[n1 - 2][face]
+                if not self._spine[rid]:
                     raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
                 return
             # q lies on child's entry gate
@@ -512,16 +511,33 @@ class CellChart:
             p, q, _, length, exit_local = self._chord(top, maps[top][2](q))
             yield top, p, q, length
 
+    def _summed_ray(self, top, c0, b, length):
+        """The root ray (top, c0, b, length) of a line, with its exit b
+        divided by b's sum, added left to right, when that sum is more than
+        MEMBERSHIP_TOL off 1.  Within about 1e-4 of c0, ``_ray``'s large
+        t_max leaves it off, and every point of the line would carry the
+        error.  ``forward_map`` and ``inverse_map`` read ``_ray`` as it is:
+        near c0 they stay in the root, where the error is scaled down."""
+        total = 0.0
+        for x in b:
+            total += x
+        if abs(total - 1.0) <= MEMBERSHIP_TOL:
+            return top, c0, b, length
+        b = tuple([x / total for x in b])
+        return top, c0, b, self._root_dist(c0, b)
+
     def _line_through(self, pt: PointRef):
         """Broken line through pt (white, or black for broken_line_to) and
         pt's arc from c0."""
         segments, arc, exit_local = self._ascend(pt.top, pt.bary)
-        arc += math.fsum(seg[3] for seg in segments[:-1])
+        if pt.top == self.root:
+            segments[0] = self._summed_ray(*segments[0])
+        arc += math.fsum(map(_length, segments[:-1]))
         top, _, q, _ = segments[-1]
         segments.extend(self._descend(top, q, exit_local))
-        segments = tuple([Segment(*seg) for seg in segments])   # see segment_ends
+        segments = tuple([*map(_as_segment, segments)])   # see segment_ends
         top, _, z, _ = segments[-1]
-        total = math.fsum(seg.length for seg in segments)
+        total = math.fsum(map(_length, segments))
         if total != total:    # a NaN height: the metric lacks an edge of that facet
             top = next(seg.top for seg in segments if seg.length != seg.length)
             raise InvalidComplexError(f"metric misses an edge of facet {self._verts(top)}")
@@ -533,12 +549,19 @@ class CellChart:
             max(abs(x - self.c0.bary[0]) for x in pt.bary) < MEMBERSHIP_TOL
 
     def spine_face_of(self, pt: PointRef):
-        """Spine ridge whose closure carries pt, or None when pt is white."""
+        """Spine ridge whose closure carries pt, or None when pt is white.
+        A ridge is read off the spine mask; a lower face takes the first
+        ridge of ``decomposition.spine``, in its order, that contains it."""
         verts = self._verts(pt.top)
-        carrier = tuple(v for v, x in zip(verts, pt.bary) if x > MEMBERSHIP_TOL)
-        if len(carrier) == len(verts):
+        carrier = tuple([v for v, x in zip(verts, pt.bary) if x > MEMBERSHIP_TOL])
+        n = len(verts) - 1
+        if len(carrier) > n:
             return None
-        return self.spine_closure.get(carrier)
+        if len(carrier) == n:
+            rid = self.complex.face_index[n - 1][carrier]
+            return rid if self._spine[rid] else None
+        ridges, inside = self.complex.faces[n - 1], set(carrier).issubset
+        return next((rid for rid in self.decomposition.spine if inside(ridges[rid])), None)
 
     def locate(self, pt: PointRef):
         """Broken line through a white point and the point's arc from c0."""

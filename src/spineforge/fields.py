@@ -12,7 +12,10 @@ in the complex's step table, from edge lengths in one stacked pass over the
 steps a tree adds to it, without embedding any facet (the lengths come from
 ``Metric.lengths_at``, the gather the chart's heights use too); per tree it
 only gathers and chains them.  ``root_facet_clearance`` reads the root's
-heights off Gram determinants.
+heights off Gram determinants, once per metric and root facet, and a linear
+field's vertex table is built once per complex and component rows: no tree
+changes either, so each is kept, with the metric and with the complex, for
+their lifetimes.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -365,16 +368,21 @@ def root_facet_clearance(chart: CellChart) -> float:
 
     The barycenter sits at 1/(n+1) of each vertex's height over its opposite
     face, and that height is sqrt(G(root) / G(face)) for the Gram
-    determinants G of ``Metric._gram_det`` (a single vertex has G = 1)."""
-    gram_det = chart.metric._gram_det
-    n = chart.complex.dimension
+    determinants G of ``Metric._gram_det`` (a single vertex has G = 1).  No
+    tree changes it, so the metric keeps it per root facet, keyed by the
+    facet's vertices; a degenerate root raises on every call."""
+    metric = chart.metric
     verts = chart.complex.top_simplices[chart.root]
-    whole = gram_det(verts)[0]
-    faces = [gram_det(verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
-             for o in range(n + 1)]
-    if not min(whole, *faces) > 0.0:
-        raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
-    return math.sqrt(whole / max(faces)) / (n + 1)
+    clearance = metric._clearances.get(verts)
+    if clearance is None:
+        n = len(verts) - 1
+        whole = metric._gram_det(verts)[0]
+        faces = [metric._gram_det(verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
+                 for o in range(n + 1)]
+        if not min(whole, *faces) > 0.0:
+            raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
+        clearance = metric._clearances[verts] = math.sqrt(whole / max(faces)) / (n + 1)
+    return clearance
 
 
 def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
@@ -665,6 +673,23 @@ def read_fld(path) -> FieldSpec:
         return parse_fld(fh.read())
 
 
+def _vertex_table(c, rows) -> np.ndarray:
+    """The affine map of a linear spec's component rows at every vertex of
+    ``c``, gathered per facet (a point's value is the barycentric
+    combination of its facet's rows).  No tree changes it, so the complex
+    keeps it, read-only, keyed by the rows."""
+    key = tuple(map(tuple, rows))
+    table = c._vertex_tables.get(key)
+    if table is None:
+        offsets = np.array([r[0] for r in key])
+        slopes = np.array([r[1:] for r in key])
+        at_vertex = offsets + ordered_matmul(np.array(c.vertex_coords), slopes.T)
+        table = at_vertex[facet_rows(c)]
+        table.setflags(write=False)
+        c._vertex_tables[key] = table
+    return table
+
+
 def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> TensorField:
     n = frame.dimension
     order = spec.rank[0] + spec.rank[1]
@@ -680,18 +705,11 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
     if len(spec.values) != count:
         raise FieldDomainError(
             f"linear field needs {count} component rows, got {len(spec.values)}")
-    rows = []
     for row in spec.values:
         if len(row) != d + 1:
             raise FieldDomainError(
                 f"linear component row needs 1+{d} coefficients, got {len(row)}")
-        rows.append(row)
-    offsets = np.array([r[0] for r in rows])
-    slopes = np.array([r[1:] for r in rows])
-    # the affine map at every vertex, gathered per facet: a point's value is
-    # the barycentric combination of its facet's rows
-    at_vertex = offsets + ordered_matmul(np.array(chart.complex.vertex_coords), slopes.T)
-    per_top = at_vertex[facet_rows(chart.complex)]
+    per_top = _vertex_table(chart.complex, spec.values)
     shape = (n,) * order
 
     def combine(tops, bary_rows):

@@ -127,6 +127,7 @@ class SimplicialComplex:
 
         self._gate_table = None         # spine's per-facet gate steps
         self._step_geometry = None      # chart's per-step geometry under one metric
+        self._vertex_tables = {}        # a linear field's rows -> fields._vertex_table
         self._validation_cache = None
         self._punctured_homology = {}   # root facet id -> HomologyProfile
 
@@ -259,7 +260,8 @@ class Metric:
     ``sum`` or libm ``pow``.
 
     ``lengths_at`` gathers many edges at once from a sorted edge table,
-    built on first use; the lengths must not change after that.
+    built on first use, and ``fields.root_facet_clearance`` keeps its value
+    per root facet; the lengths must not change after either.
     """
 
     def __init__(self, edge_lengths):
@@ -274,6 +276,7 @@ class Metric:
             key = e if type(e) is tuple and u < v else (min(u, v), max(u, v))
             lengths[key] = float(l)
         self.edge_lengths = lengths
+        self._clearances = {}   # root facet's vertices -> fields.root_facet_clearance
 
     @classmethod
     def from_complex(cls, c: SimplicialComplex) -> "Metric":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import compress, repeat, starmap
 from typing import NamedTuple
 
 from .simplicial import (InvalidComplexError, SimplicialComplex, component_count,
@@ -95,38 +96,54 @@ def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",
     if not 0 <= root < len(table):
         raise InvalidComplexError(f"no facet with id {root}")
 
-    getrandbits = random.Random(seed).getrandbits if strategy == "random" else None
     painted = [False] * len(table)
     painted[root] = True
-    is_gate = [False] * len(c.ridge_cofacets)
+    is_spine = [True] * len(c.ridge_cofacets)
     frontier = list(table[root])
-    head = 0      # bfs reads the frontier in order; dfs and random pop it
     gates = []
-    while head < len(frontier):
-        if strategy == "bfs":
-            step = frontier[head]
-            head += 1
-        elif strategy == "dfs":
-            step = frontier.pop()
-        else:   # randrange(size) minus its argument checks: CPython's same draw
-            size = len(frontier)
+    if strategy == "random":
+        # randrange(size) minus its argument checks: CPython's same draw
+        getrandbits = random.Random(seed).getrandbits
+        append, pop = frontier.append, frontier.pop
+        size = len(frontier)
+        while size:
             k = size.bit_length()
             r = getrandbits(k)
             while r >= size:
                 r = getrandbits(k)
-            step, frontier[r] = frontier[r], frontier[-1]
-            frontier.pop()
-        child = step[2]
-        if painted[child]:
-            continue
-        painted[child] = True
-        gates.append(step)
-        is_gate[step[1]] = True
-        for out in table[child]:
-            if not painted[out[2]]:
-                frontier.append(out)
-    # is_gate is indexed by ridge id, so the spine's ids come out sorted
-    spine = tuple([rid for rid, gate in enumerate(is_gate) if not gate])
+            size -= 1
+            step = frontier[r]
+            frontier[r] = frontier[size]
+            pop()
+            child = step[2]
+            if painted[child]:
+                continue
+            painted[child] = True
+            gates.append(step)
+            is_spine[step[1]] = False
+            for out in table[child]:
+                if not painted[out[2]]:
+                    append(out)
+                    size += 1
+    else:
+        # each ridge enters the frontier once, pushed by whichever of its
+        # two facets is painted first, so both take exactly one entry per
+        # ridge: bfs reads the frontier in order, dfs pops it
+        takes = (starmap(frontier.pop, repeat((), len(is_spine))) if strategy == "dfs"
+                 else map(frontier.__getitem__, range(len(is_spine))))
+        append = frontier.append
+        for step in takes:
+            child = step[2]
+            if painted[child]:
+                continue
+            painted[child] = True
+            gates.append(step)
+            is_spine[step[1]] = False
+            for out in table[child]:
+                if not painted[out[2]]:
+                    append(out)
+    # is_spine is indexed by ridge id, so the spine's ids come out sorted
+    spine = tuple(compress(range(len(is_spine)), is_spine))
     return Decomposition(root, tuple(gates), spine, strategy, seed)
 
 

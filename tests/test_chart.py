@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -961,6 +962,145 @@ class TestReferenceWalk:
         lengths = dict(m.edge_lengths)
         del lengths[(1, 5)]
         self.check(build_chart(c, d, Metric(lengths)), 6, 20)
+
+
+def reference_spine_closure(c, d):
+    """Every face of every spine ridge, the ridge itself included, mapped to
+    the first ridge of ``d.spine``, in its order, that contains it: the dict
+    each chart built before the spine mask replaced it."""
+    n = c.dimension
+    faces, index = c.faces, c.face_index
+    closure = {}
+    for rid in d.spine:
+        for k in range(n):
+            for sub in combinations(faces[n - 1][rid], k + 1):
+                if sub not in closure:
+                    closure[faces[k][index[k][sub]]] = rid
+    return closure
+
+
+def reference_face_chart(chart):
+    """A copy of ``chart`` whose ``spine_face_of`` and walk end check read
+    the closure dict, as they did before the spine mask."""
+    c = chart.complex
+    n1 = c.dimension + 1
+    closure = reference_spine_closure(c, chart.decomposition)
+    ref = copy.copy(chart)
+
+    def spine_face_of(pt):
+        verts = c.top_simplices[pt.top]
+        carrier = tuple(v for v, x in zip(verts, pt.bary) if x > MEMBERSHIP_TOL)
+        if len(carrier) == len(verts):
+            return None
+        return closure.get(carrier)
+
+    def descend(top, q, exit_local):
+        while True:
+            child = chart._down[top * n1 + exit_local]
+            if child is None:
+                verts = c.top_simplices[top]
+                face = verts[:exit_local] + verts[exit_local + 1:]
+                if face not in closure:
+                    rid = c.face_index[n1 - 2][face]
+                    raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
+                return
+            top = child
+            p, q, _, length, exit_local = chart._chord(top, chart._gate_maps[top][2](q))
+            yield top, p, q, length
+
+    ref.spine_face_of, ref._descend = spine_face_of, descend
+    return ref
+
+
+def face_points(c):
+    """The barycenter of every face of every facet, the facet itself
+    included: points on each vertex, edge, ..., ridge and inside."""
+    n1 = c.dimension + 1
+    for top in range(len(c.top_simplices)):
+        for k in range(1, n1 + 1):
+            for slots in combinations(range(n1), k):
+                yield PointRef(top, tuple(1.0 / k if i in slots else 0.0 for i in range(n1)))
+
+
+class TestSpineFaceOracle:
+    """``spine_face_of``, ``locate`` and ``inverse_map`` on the spine mask
+    against the closure dict it replaced: the same ridge ids, the same
+    ``BlackPointError`` texts and the same "neither gate nor spine"."""
+
+    @staticmethod
+    def check(chart):
+        ref = reference_face_chart(chart)
+        black = 0
+        for p in face_points(chart.complex):
+            rid = chart.spine_face_of(p)
+            assert rid == ref.spine_face_of(p), p
+            black += rid is not None
+            assert outcome(chart.locate, p) == outcome(ref.locate, p), p
+            assert outcome(inverse_map, chart, p) == outcome(inverse_map, ref, p), p
+        return black
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", [*sf.census_names(), "torus12", "klein12"])
+    def test_matches_the_closure_dict(self, census, name, strategy):
+        c = named_complex(census, name)
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=1),
+                            Metric.from_complex(c))
+        assert self.check(chart) > 0
+
+    @pytest.mark.parametrize("name", ["sphere3_pent", "torus7", "torus12"])
+    def test_hand_built_spines(self, census, name):
+        # a lower face takes the first spine ridge in the decomposition's own
+        # order, so reversed and shuffled spines pick other ridges; without a
+        # spine, or with half of it, lines end at ridges that are neither
+        c = named_complex(census, name)
+        m = Metric.from_complex(c)
+        d = sf.decompose(c, root=0, strategy="random", seed=4)
+        shuffled = list(d.spine)
+        random.Random(4).shuffle(shuffled)
+        for spine in (d.spine[::-1], tuple(shuffled), (), d.spine[::2]):
+            self.check(build_chart(c, dataclasses.replace(d, spine=spine), m))
+
+    def test_unsorted_spine_picks_its_first_ridge(self, census):
+        c = census["sphere3_pent"]
+        d = sf.decompose(c, root=0, strategy="bfs", seed=0)
+        m = Metric.from_complex(c)
+        ridges = c.faces[c.dimension - 1]
+        # a vertex of the first and of the last spine ridge, in a facet
+        vertex = next(v for v in ridges[d.spine[0]] if v in ridges[d.spine[-1]])
+        top = next(t for t, verts in enumerate(c.top_simplices) if vertex in verts)
+        p = PointRef(top, tuple(1.0 if v == vertex else 0.0 for v in c.top_simplices[top]))
+        picks = [build_chart(c, dataclasses.replace(d, spine=spine), m).spine_face_of(p)
+                 for spine in (d.spine, d.spine[::-1])]
+        assert picks == [d.spine[0], d.spine[-1]]
+
+
+class TestNearC0:
+    """A root point within about 1e-4 of c0 has a ray whose exit ``_ray``
+    leaves up to 1.1e-12 off a unit sum; ``locate`` divides it by its sum."""
+
+    def test_locate_beside_c0(self, charts):
+        chart = charts["circle3"]
+        p = PointRef(0, (0.5000249757173356, 0.49997502428266444))
+        line, arc = chart.locate(p)
+        assert abs(sum(line.segments[0].end) - 1.0) <= MEMBERSHIP_TOL
+        assert 0.0 < arc < line.segments[0].length
+        assert line.point_at_arc(arc).top == 0
+
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_every_point_beside_c0_is_located(self, census, name):
+        c = named_complex(census, name)
+        n1 = c.dimension + 1
+        chart = build_chart(c, sf.decompose(c, root=0, strategy="bfs"), Metric.from_complex(c))
+        rng = random.Random(11)
+        for _ in range(300):
+            raw = [rng.random() - 0.5 for _ in range(n1)]
+            mean = sum(raw) / n1
+            scale = 10.0 ** rng.uniform(-9, -3)
+            p = PointRef(0, tuple(1.0 / n1 + scale * (x - mean) for x in raw))
+            if chart.is_c0(p):
+                continue
+            line, arc = chart.locate(p)
+            assert point_gap(chart, line.point_at_arc(arc), p) <= GEOMETRIC_TOL
 
 
 class TestWalkSteps:

@@ -5,6 +5,7 @@ threads share a complex."""
 import builtins
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -14,7 +15,8 @@ import pytest
 
 import spineforge as sf
 from spineforge import build_chart, cli, decompose, extend_frame
-from spineforge.chart import retraction_samples
+from spineforge.chart import PointRef, retraction_samples, sample_interior
+from spineforge.fields import field_from_spec, parse_fld, root_facet_clearance
 from spineforge.simplicial import Metric, write_tri
 
 from grids import coordinate_torus
@@ -119,19 +121,30 @@ def test_outputs_do_not_follow_the_interpreter_sum(torus12, monkeypatch, capsys,
 
 def _tree(c, metric, seed):
     """Everything a chart and frame of one random tree give, as bytes or
-    exact values."""
+    exact values, with the root's clearance, which the metric keeps, reads
+    of a linear field, whose vertex table the complex keeps, and the spine
+    ridge of points on the faces of every seventh facet."""
     chart = build_chart(c, decompose(c, strategy="random", seed=seed), metric)
     frame = extend_frame(chart)
+    rng = random.Random(seed)
+    points = [sample_interior(c, rng, rng.randrange(len(c.top_simplices))) for _ in range(20)]
+    field = field_from_spec(parse_fld(LINEAR_FLD), chart, frame)
+    faces = [PointRef(top, bary) for top in range(0, len(c.top_simplices), 7)
+             for bary in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+                          (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5))]
     return ([h.hex() for h in chart._heights], chart._parent, chart._down,
             [(k, v.tobytes()) for table in (frame.matrices, frame.transitions)
              for k, v in sorted(table.items())],
-            retraction_samples(chart, 5, 4, seed))
+            retraction_samples(chart, 5, 4, seed),
+            root_facet_clearance(chart).hex(), field.evaluate_points(points).tobytes(),
+            [chart.spine_face_of(p) for p in faces])
 
 
 def test_threads_sharing_one_complex_build_what_fresh_ones_build():
-    # the complex fills its gate and step tables lazily, so the first trees
-    # on a new complex race to fill them; every tree must still be the one
-    # built serially on a fresh complex and metric
+    # the complex fills its gate, step and vertex tables lazily, and the
+    # metric its clearances, so the first trees on a new complex race to fill
+    # them; every tree must still be the one built serially on a fresh
+    # complex and metric
     seeds = range(8)
     serial = []
     for seed in seeds:
