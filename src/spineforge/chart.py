@@ -54,24 +54,23 @@ quadratic form of the chord's ends to rounding (1.5e-14 relative), so CLI
 float outputs differ in their low-order digits from that evaluation;
 repeated runs are byte-identical.
 
-The index maps, the off-gate slots and h depend on the gate step and the
-metric, never on the tree, so they live in one table per complex
-(``StepGeometry``), keyed by directed ridge and by the metric object.  A
-chart computes, in one stacked pass over the metric's edge table that
-gives ``Metric.dist``'s bits, only its steps that no earlier chart of that
-complex and metric took, and gathers its lists from the table with index
-arrays; ``fields.extend_frame`` keeps the frame transitions in the same
-table.  A single chart does the work it always did, and a later tree on the
-same complex and metric mostly gathers.
+The off-gate slots, the index maps and h depend on the gate step and the
+metric, never on the tree, so they live in one table per complex and
+metric object (``StepGeometry``), built whole on the first request: each
+ridge's off-ridge slot in both cofacets, and the height of every facet
+over the face opposite each of its vertices, in one stacked pass over the
+metric's edge table that gives ``Metric.dist``'s bits.  A chart gathers its
+lists from the table with index arrays; ``fields.extend_frame`` keeps the
+frame transitions in the same table.
 
 All point evaluations are lazy walks over the decomposition's ``GateStep``s,
 which the chart reads as they are; nothing is meshed globally.  Charts are
 immutable after construction, apart from the last line draw of
 ``fields._sampled_lines``, one entry keyed by count and seed that any writer
-replaces whole with lines equal for equal keys.  Until another metric
-replaces it, the complex's step table only grows, by rows equal for equal
-keys, each written before it is marked filled.  Evaluations are pure, so
-they can run concurrently.
+replaces whole with lines equal for equal keys.  The step table is complete
+before the complex publishes it, and its frame rows, which the first frame
+fills whole, equal for equal keys, are written before they are marked
+filled.  Evaluations are pure, so they can run concurrently.
 """
 
 from __future__ import annotations
@@ -235,37 +234,47 @@ def _lerp(a, b, w):
 
 class StepGeometry:
     """The geometry of a complex's gate steps under one metric, which no
-    tree changes.  Rows are keyed by directed ridge ``2*rid + side``, side 0
-    when the step's parent is ``ridge_cofacets[rid][0]``; a gate ridge has
-    two cofacets, as ``decompose`` checks.
+    tree changes, built whole on the first request for the pair.
 
-    A chart row holds the child's and the parent's off-gate slots (ov,
-    off), the shared (ov, up, down) index maps and the child's height.  A
-    frame row, which ``fields.extend_frame`` fills, holds the transition
-    (identity where the step is flat), the flat-parent, flat-child and
-    missing-edge flags and the first missing edge.  Rows are filled on first
-    use: a tree computes, in one stacked pass, only its steps not yet in the
-    table.  A fill writes equal values for equal keys and marks its rows
-    only after writing them, so charts of one complex can be built
-    concurrently.  The complex keeps one table (``step_geometry``)."""
+    ``slots[rid, side]`` is the local slot of the vertex off ridge rid in
+    its cofacet ``cofacets[rid, side]``; a step out of that cofacet has the
+    directed-ridge key ``2*rid + side``, the parent's off-gate slot
+    ``slots[rid, side]`` and the child's ``slots[rid, 1 - side]``.
+    ``height[f, k]`` is the distance from facet f's vertex k to the centroid
+    of the face opposite it: a step's height is its child's at the child's
+    off-gate slot, whichever parent it came from.  The frame rows, one per
+    directed ridge, hold each step's transition (identity where the step is
+    flat), its flat-parent, flat-child and missing-edge flags and its first
+    missing edge; ``fields.extend_frame`` fills them all the first time a
+    chart asks and sets ``framed`` once they are written.  The complex
+    keeps one table (``step_geometry``), published complete."""
 
     def __init__(self, c: SimplicialComplex, metric: Metric):
         n = self.dimension = c.dimension
-        rows = 2 * len(c.ridge_cofacets)
         self.metric = metric
-        self.tops = facet_rows(c)
-        # each ridge's first cofacet: the parent of its side-0 step
-        self.first = np.fromiter((cof[0] for cof in c.ridge_cofacets), np.intp,
-                                 len(c.ridge_cofacets))
-        # a row is read only once it is marked, so only the marks start set;
-        # the rest stays unwritten, and a caller that extends no frame never
-        # touches the frame rows' memory
-        self.charted = np.zeros(rows, bool)
-        self.ov = np.empty(rows, np.int8)
-        self.off = np.empty(rows, np.int8)
-        self.maps = np.empty(rows, object)
-        self.height = np.empty(rows)
-        self.framed = np.zeros(rows, bool)
+        tops = self.tops = facet_rows(c)
+        # each ridge's first and last cofacet: its two, on a closed complex
+        pairs = chain.from_iterable(map(itemgetter(0, -1), c.ridge_cofacets))
+        self.cofacets = np.fromiter(pairs, np.intp, 2 * len(c.ridge_cofacets)).reshape(-1, 2)
+        # the one slot of each cofacet that the other does not share
+        both = tops[self.cofacets]
+        self.slots = (both[..., :, None] != both[:, ::-1, None, :]).all(axis=3).argmax(axis=2)
+        # |vertex k - centroid of its opposite face| sums ``Metric.sq_dist``'s
+        # terms in its pair order from the squares it uses, so it equals
+        # ``Metric.dist`` of the two points bit for bit; a facet whose edge
+        # the metric lacks gets NaN, and a line through it raises.  Row k of
+        # diff is the barycentric difference, 1 on slot k and -1/n on the
+        # others (a point, n = 0, has no pair to sum).
+        diff = np.where(np.eye(n + 1, dtype=bool), 1.0, 0.0 - 1.0 / max(n, 1))
+        s = np.zeros(tops.shape)
+        for i, j in combinations(range(n + 1), 2):
+            sq = metric.lengths_at(tops[:, i], tops[:, j], squared=True)
+            s -= diff[:, i] * diff[:, j] * sq[:, None]
+        self.height = np.sqrt(np.maximum(s, 0.0))
+        # the frame rows stay unwritten, and their memory untouched, until a
+        # frame is extended
+        rows = self.slots.size
+        self.framed = False
         self.transition = np.empty((rows, n, n))
         self.flat_parent = np.empty(rows, bool)
         self.flat_child = np.empty(rows, bool)
@@ -277,44 +286,14 @@ class StepGeometry:
         # the k-th slot other than ov in the child and other than off in the
         # parent.  The two off-gate slots read each other's, which is 0.0 at
         # every point where a walk crosses.
-        self._shared_maps = np.empty((n + 1, n + 1), object)
+        self.shared_maps = np.empty((n + 1, n + 1), object)
         for ov, off in np.ndindex(n + 1, n + 1):
             shared_child = [k for k in range(n + 1) if k != ov]
             shared_parent = [k for k in range(n + 1) if k != off]
             up, down = [ov] * (n + 1), [off] * (n + 1)
             for k_child, k_parent in zip(shared_child, shared_parent):
                 up[k_parent], down[k_child] = k_child, k_parent
-            self._shared_maps[ov, off] = (ov, itemgetter(*up), itemgetter(*down))
-
-    def chart_rows(self, steps: np.ndarray) -> np.ndarray:
-        """The row key of each (parent, gate, child) row of ``steps``, with
-        every chart row of them filled."""
-        keys = 2 * steps[:, 1] + (steps[:, 0] != self.first[steps[:, 1]])
-        new = ~self.charted[keys]
-        if new.any():
-            self._fill_chart(keys[new], steps[new])
-        return keys
-
-    def _fill_chart(self, keys, steps):
-        """Chart rows of the given steps, in one stacked pass.  The height
-        |off-gate vertex - gate centroid| sums ``Metric.sq_dist``'s terms in
-        its pair order from the squares it uses (the barycentric difference
-        is 1 on the off-gate slot and -1/n on the others), so it equals
-        ``Metric.dist`` of the two points bit for bit; a facet whose edge the
-        metric lacks gets NaN, and a line through it raises."""
-        n = self.dimension
-        pv, cv = self.tops[steps[:, 0]], self.tops[steps[:, 2]]
-        # the one slot each of parent and child does not share with the other
-        off = (pv[:, :, None] != cv[:, None, :]).all(axis=2).argmax(axis=1)
-        ov = (cv[:, :, None] != pv[:, None, :]).all(axis=2).argmax(axis=1)
-        diff = [np.where(ov == i, 1.0, 0.0 - 1.0 / n) for i in range(n + 1)]
-        s = np.zeros(len(keys))
-        for i, j in combinations(range(n + 1), 2):
-            s -= diff[i] * diff[j] * self.metric.lengths_at(cv[:, i], cv[:, j], squared=True)
-        self.ov[keys], self.off[keys] = ov, off
-        self.maps[keys] = self._shared_maps[ov, off]
-        self.height[keys] = np.sqrt(np.maximum(s, 0.0))
-        self.charted[keys] = True
+            self.shared_maps[ov, off] = (ov, itemgetter(*up), itemgetter(*down))
 
 
 def step_geometry(c: SimplicialComplex, metric: Metric) -> StepGeometry:
@@ -351,17 +330,19 @@ class CellChart:
         geometry = self._geometry = step_geometry(complex, metric)
         steps = self._steps = np.fromiter(chain.from_iterable(gates), np.intp,
                                           3 * len(gates)).reshape(-1, 3)
-        keys = self._step_keys = geometry.chart_rows(steps)
-        children = steps[:, 2]
+        ridges, children = steps[:, 1], steps[:, 2]
+        keys = self._step_keys = 2 * ridges + (steps[:, 0] != geometry.cofacets[ridges, 0])
+        slots = geometry.slots.ravel()
+        ov, off = slots[keys ^ 1], slots[keys]
         gate_maps = np.full(len(tops), None, object)
-        gate_maps[children] = geometry.maps[keys]
+        gate_maps[children] = geometry.shared_maps[ov, off]
         heights = np.full(len(tops), np.nan)
-        heights[children] = geometry.height[keys]
+        heights[children] = geometry.height[children, ov]
         self._gate_maps, self._heights = gate_maps.tolist(), heights.tolist()
         # filled from the steps' own ints, which a list from an array would copy
         self._parent = [None] * len(tops)
         self._down = [None] * (len(tops) * (n + 1))
-        for (parent, _, child), off in zip(gates, geometry.off[keys].tolist()):
+        for (parent, _, child), off in zip(gates, off.tolist()):
             self._parent[child] = parent
             self._down[parent * (n + 1) + off] = child
         # the root's squared edge lengths, (i, j, square) in Metric.sq_dist's

@@ -7,9 +7,9 @@ parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
 child's interval family.  A transition depends only on its gate step and
-the metric, so ``extend_frame`` computes each once per complex and metric,
-in the complex's step table, from edge lengths in one stacked pass over the
-steps a tree adds to it, without embedding any facet (the lengths come from
+the metric, so the first ``extend_frame`` on a complex and metric computes
+every step's transition, in the complex's step table, from edge lengths in
+one stacked pass, without embedding any facet (the lengths come from
 ``Metric.lengths_at``, the gather the chart's heights use too); per tree it
 only gathers and chains them.  ``root_facet_clearance`` reads the root's
 heights off Gram determinants, once per metric and root facet, and a linear
@@ -94,23 +94,22 @@ def extend_frame(chart: CellChart) -> FrameField:
     the child's affine basis, constant along the child's interval family.
 
     A transition depends only on its gate step and the metric, so it is a
-    frame row of the complex's step table (``chart.StepGeometry``): a tree
-    computes, in one stacked pass, only its steps not yet in the table
-    (``_fill_frame_rows``), and gathers the rest.  Per tree, the frames are
-    chained by pointer doubling, one ``ordered_matmul`` per round.  The
-    products associate differently from a chain in growth order, so a frame
-    can differ from that chain's by rounding (3e-14 on the 12×12 torus); the
-    transitions do not change.  The first gate in growth order whose step
-    misses a metric edge raises InvalidComplexError naming the edge; then
-    the first with a flat parent, a child flat onto its gate or a singular
-    frame raises InvalidGeometryError."""
+    frame row of the complex's step table (``chart.StepGeometry``): the
+    first frame on a complex and metric fills every row in one stacked pass
+    (``_fill_frame_rows``), and each tree gathers its own.  Per tree, the
+    frames are chained by pointer doubling, one ``ordered_matmul`` per
+    round.  The products associate differently from a chain in growth order,
+    so a frame can differ from that chain's by rounding (3e-14 on the 12×12
+    torus); the transitions do not change.  The first gate in growth order
+    whose step misses a metric edge raises InvalidComplexError naming the
+    edge; then the first with a flat parent, a child flat onto its gate or a
+    singular frame raises InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
     gates = chart.decomposition.gates
     geometry, steps, keys = chart._geometry, chart._steps, chart._step_keys
-    new = ~geometry.framed[keys]
-    if new.any():
-        _fill_frame_rows(geometry, keys[new], steps[new])
+    if not geometry.framed and len(gates):    # a point has no step, so no row
+        _fill_frame_rows(geometry)
     missing = geometry.missing[keys]
     if missing.any():
         u, v = geometry.missing_edge[keys[missing.argmax()]].tolist()
@@ -151,9 +150,9 @@ def extend_frame(chart: CellChart) -> FrameField:
     return FrameField(matrices, dict(zip(steps[:, 1].tolist(), trans)))
 
 
-def _fill_frame_rows(geometry, keys, steps):
-    """Frame rows of the given (parent, gate, child) steps, whose chart rows
-    are filled, from edge lengths in one stacked pass.
+def _fill_frame_rows(geometry):
+    """Every frame row of the table, one per directed ridge, from edge
+    lengths in one stacked pass.
 
     The gate's Gram matrix gives the feet and heights of the parent's far
     vertex w and the child's apex a over the gate; as the two lie on opposite
@@ -164,32 +163,33 @@ def _fill_frame_rows(geometry, keys, steps):
     step whose edges the metric lacks gets only its flag and its first
     missing edge."""
     n = geometry.dimension
-    pv, cv = geometry.tops[steps[:, 0]], geometry.tops[steps[:, 2]]
+    # row 2*rid + side steps out of cofacet side of ridge rid into the other
+    cofacets, slots = geometry.cofacets, geometry.slots
+    pv, cv = geometry.tops[cofacets.ravel()], geometry.tops[cofacets[:, ::-1].ravel()]
     # local slot of the parent's far vertex w and of the child's apex a: the
     # one vertex each does not share with the other
-    w_slot, a_slot = geometry.off[keys], geometry.ov[keys]
+    w_slot, a_slot = slots.ravel(), slots[:, ::-1].ravel()
     # per off-gate slot o: the gate's local slots, and each local slot's index
     # in the ring (gate..., off-gate vertex)
-    slots = np.arange(n + 1)[:, None]
-    gate_slots = np.arange(n) + (np.arange(n) >= slots)
-    ring_index = np.arange(n + 1) - (np.arange(n + 1) > slots)
+    local = np.arange(n + 1)[:, None]
+    gate_slots = np.arange(n) + (np.arange(n) >= local)
+    ring_index = np.arange(n + 1) - (np.arange(n + 1) > local)
     np.fill_diagonal(ring_index, n)
-    rows = np.arange(len(keys))
+    keys = rows = np.arange(len(w_slot))
     gate = pv[rows[:, None], gate_slots[w_slot]]
     ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
     # squared lengths from each of (gate..., w, a) to each gate vertex
     sq = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :], squared=True)
-    nan = np.isnan(sq).reshape(len(keys), -1)
-    missing = geometry.missing[keys] = nan.any(axis=1)
+    nan = np.isnan(sq).reshape(len(rows), -1)
+    missing = geometry.missing[:] = nan.any(axis=1)
     if missing.any():
         # the first missing edge of each such step, in (end, gate vertex) order
         k = np.flatnonzero(missing)
         i, j = np.divmod(nan[k].argmax(axis=1), n)
         edge = np.stack([ends[k, i], gate[k, j]], axis=1)
-        geometry.missing_edge[keys[k]] = np.sort(edge, axis=1)
-        geometry.framed[keys[k]] = True
-        keep = ~missing
-        keys, sq, w_slot, a_slot = keys[keep], sq[keep], w_slot[keep], a_slot[keep]
+        geometry.missing_edge[k] = np.sort(edge, axis=1)
+        keys = np.flatnonzero(~missing)
+        sq, w_slot, a_slot = sq[keys], w_slot[keys], a_slot[keys]
         rows = np.arange(len(keys))
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
@@ -217,7 +217,7 @@ def _fill_frame_rows(geometry, keys, steps):
     trans[~usable] = np.eye(n)
     geometry.transition[keys] = trans
     geometry.flat_parent[keys], geometry.flat_child[keys] = flat_parent, flat_child
-    geometry.framed[keys] = True
+    geometry.framed = True
 
 
 # -- tensor fields -------------------------------------------------------------

@@ -28,7 +28,6 @@ facets; no complex is built for it either.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -207,9 +206,6 @@ class HomologyProfile:
     def to_json_obj(self):
         return [{"k": k, "betti": b, "torsion": list(t)}
                 for k, (b, t) in enumerate(self.groups)]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def _profile(facets, middle, labels, index) -> HomologyProfile:

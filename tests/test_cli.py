@@ -336,6 +336,36 @@ class TestExportOff:
         code, _, _ = run(capsys, "export-off", "complex", str(path))
         assert code == 2
 
+    def test_dim4_with_coords_exits_two(self, capsys, tmp_path):
+        tops = list(combinations(range(6), 5))
+        coords = [tuple(float(i == k) for i in range(5)) for k in range(5)] + [(-1.0,) * 5]
+        path = tmp_path / "s4.tri"
+        write_tri(SimplicialComplex(4, tops, vertex_coords=coords), path)
+        code, _, err = run(capsys, "export-off", "complex", str(path))
+        assert code == 2
+        assert "OFF export supports dimension <= 3, got 4" in err
+
+    @pytest.mark.parametrize("subject, message", [
+        ("complex", "OFF is 3-D; coordinates have dimension 4"),
+        ("spine", "OFF is 3-D; coordinates have dimension 4"),
+        ("retraction", "OFF is 3-D; point has higher dimension"),
+        ("grid", "OFF is 3-D; point has higher dimension"),
+    ])
+    def test_four_dimensional_coords_exit_two(self, capsys, tmp_path, subject, message):
+        c = sf.build_census("sphere_tet")
+        path = tmp_path / "tet4.tri"
+        write_tri(SimplicialComplex(2, c.top_simplices,
+                                    vertex_coords=[p + (0.5,) for p in c.vertex_coords]), path)
+        code, out, err = run(capsys, "export-off", subject, str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("subject", ["retraction", "grid"])
+    def test_point_cloud_without_coords_exits_two(self, capsys, subject):
+        code, out, err = run(capsys, "export-off", subject, "--census", "rp2_6")
+        assert (code, out) == (2, "")
+        assert "complex carries no vertex coordinates" in err
+
     def test_retraction_point_cloud(self, capsys):
         code, out, _ = run(capsys, "export-off", "retraction", "--census",
                            "sphere_tet", "--samples", "4")

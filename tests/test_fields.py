@@ -223,6 +223,20 @@ class TestFrameField:
         for rec in chart.decomposition.gates:
             assert gate_frame_agreement(chart, frame, rec) <= 1e-9
 
+    def test_singular_frame_named(self, census):
+        # a unit tetrahedron on a base 1e-13 wide: no step is flat, but the
+        # root's area over a side's is about 8.7e-14, the chained frame's
+        # determinant, which is below DEGENERACY_TOL
+        c = census["sphere_tet"]
+        s = 1e-13
+        m = Metric({(0, 1): s, (0, 2): s, (1, 2): s, (0, 3): 1.0, (1, 3): 1.0, (2, 3): 1.0})
+        m.validate(c)
+        chart = build_chart(c, sf.decompose(c), m)
+        assert c.top_simplices[chart.root] == (0, 1, 2)
+        with pytest.raises(InvalidGeometryError,
+                           match=r"^frame transition into facet 1 is singular$"):
+            extend_frame(chart)
+
     def test_one_transition_per_gate(self, charts):
         chart = charts["torus7"]
         frame = extend_frame(chart)
@@ -342,9 +356,9 @@ class TestFrameField:
 
 
 class TestStepGeometry:
-    """The complex's per-step table: filled on first use, reused by every
-    later tree on the same metric, replaced by another metric, and never the
-    source of an error that names a gate of another tree."""
+    """The complex's per-step table: built whole for a metric, reused by
+    every later tree on it, replaced by another metric, and never the source
+    of an error that names a gate of another tree."""
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -381,18 +395,13 @@ class TestStepGeometry:
                           (second.transitions, first.transitions)):
             assert list(got) == list(want)
             assert all(np.array_equal(got[k], want[k]) for k in want)
-        # and another tree computes only the steps no earlier tree took
+        # and a tree with another root and strategy, whose steps the first
+        # tree did not all take, computes nothing either: the table is whole
         other = sf.decompose(c, root=5, strategy="dfs", seed=0)
-        taken = {2 * g.gate + (g.parent != c.ridge_cofacets[g.gate][0]) for g in d.gates}
-        new = sum(2 * g.gate + (g.parent != c.ridge_cofacets[g.gate][0]) not in taken
-                  for g in other.gates)
-        assert 0 < new < len(other.gates)
-        for key in calls:
-            calls[key] = 0
+        taken = {(g.parent, g.child) for g in d.gates}
+        assert not {(g.parent, g.child) for g in other.gates} <= taken
         extend_frame(build_chart(c, other, m))
-        # chart rows read 3 squared lengths per step, frame rows 4 x 2
-        assert calls["rows"] == new * (3 + 4 * 2)
-        assert calls["solve"] == 1
+        assert calls == {"lengths_at": 0, "rows": 0, "solve": 0}
 
     @pytest.mark.parametrize("name", ["sphere_tet", "torus7", "sphere3_pent"])
     def test_new_metric_refills_the_table(self, census, name):
@@ -416,6 +425,14 @@ class TestStepGeometry:
                 vertex = [float(k == ov) for k in range(n + 1)]
                 want = other.dist(c.top_simplices[step.child], vertex, centroid)
                 assert chart._heights[step.child] == want
+            # and the table's height at every (facet, slot), the entry slots
+            # of this tree's steps or not
+            for f, verts in enumerate(c.top_simplices):
+                for k in range(n + 1):
+                    centroid = [0.0 if i == k else 1.0 / n for i in range(n + 1)]
+                    vertex = [float(i == k) for i in range(n + 1)]
+                    want = other.dist(verts, vertex, centroid)
+                    assert c._step_geometry.height[f, k] == want
 
     def test_chart_keeps_its_own_metric_rows(self, census):
         # a chart built before another metric replaced the complex's table
@@ -1592,6 +1609,24 @@ class TestFieldFiles:
             parse_fld("type 1 0\ncubic\n1\n")
         with pytest.raises(FieldDomainError):
             parse_fld("type -1 0\nconstant\n1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "field file must start with 'type r s'"),
+        ("# comments only\n\n", "field file must start with 'type r s'"),
+        ("type 1 0\n", "second line must be 'constant' or 'linear'"),
+    ], ids=["empty", "comments-only", "lone-type-line"])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(FieldDomainError) as err:
+            parse_fld(text)
+        assert str(err.value) == message
+
+    def test_linear_needs_exact_row_count(self, charts):
+        chart = charts["sphere_tet"]
+        frame = extend_frame(chart)
+        spec = parse_fld("type 1 0\nlinear\n0.5 1 0 0\n")
+        with pytest.raises(FieldDomainError,
+                           match=r"^linear field needs 2 component rows, got 1$"):
+            field_from_spec(spec, chart, frame)
 
     def test_constant_needs_exact_count(self, charts):
         chart = charts["sphere_tet"]

@@ -158,6 +158,13 @@ class TestConstruction:
                               vertex_coords=[(0.0, 0.0), (value, 1.0), (1.0, 0.0)])
         assert info.value.coords
 
+    def test_rejects_mixed_coordinate_rows(self):
+        with pytest.raises(InvalidComplexError,
+                           match=r"^coordinate rows have mixed lengths$") as info:
+            SimplicialComplex(1, [(0, 1), (1, 2), (0, 2)],
+                              vertex_coords=[(0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0)])
+        assert info.value.coords
+
     def test_face_ids_are_lexicographic(self, census):
         c = census["sphere_tet"]
         for k, faces in enumerate(c.faces):
