@@ -306,6 +306,22 @@ def step_geometry(c: SimplicialComplex, metric: Metric) -> StepGeometry:
     return geometry
 
 
+def vertex_ridges(c: SimplicialComplex) -> tuple:
+    """Per vertex, the ids of the ridges that hold it, in id order: built
+    whole on the first request, by one stable sort of the ridges' vertex
+    slots, and kept on the complex; the load does not pay for it."""
+    table = c._vertex_ridges
+    if table is None:
+        n = c.dimension
+        ridges = c.faces[n - 1]
+        owners = np.fromiter(chain.from_iterable(ridges), np.intp, n * len(ridges))
+        order = np.argsort(owners, kind="stable")
+        ids = tuple((order // n).tolist())
+        ends = np.cumsum(np.bincount(owners, minlength=c.vertex_count)).tolist()
+        table = c._vertex_ridges = tuple(map(ids.__getitem__, map(slice, [0] + ends, ends)))
+    return table
+
+
 class CellChart:
     """Cell coordinates extended across the decomposition's ``GateStep``s,
     one coordinate extension per gate, in growth order."""
@@ -352,11 +368,13 @@ class CellChart:
                               for l in [metric.edge_lengths.get((root[i], root[j]), math.nan)]]
         self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
 
-        # spine membership by ridge id; a face below a ridge is matched to
+        # each spine ridge's first position in ``decomposition.spine`` by
+        # ridge id, None off the spine; a face below a ridge is matched to
         # its spine ridge only when a point asks (``spine_face_of``)
-        self._spine = [False] * len(complex.ridge_cofacets)
-        for rid in decomposition.spine:
-            self._spine[rid] = True
+        spine = decomposition.spine
+        self._spine = [None] * len(complex.ridge_cofacets)
+        for pos in range(len(spine) - 1, -1, -1):
+            self._spine[spine[pos]] = pos
 
     # -- low-level geometry ------------------------------------------------
 
@@ -484,7 +502,7 @@ class CellChart:
                 verts = self._verts(top)
                 face = verts[:exit_local] + verts[exit_local + 1:]
                 rid = self.complex.face_index[n1 - 2][face]
-                if not self._spine[rid]:
+                if self._spine[rid] is None:
                     raise InvalidComplexError(f"ridge {rid} is neither gate nor spine")
                 return
             # q lies on child's entry gate
@@ -531,18 +549,22 @@ class CellChart:
 
     def spine_face_of(self, pt: PointRef):
         """Spine ridge whose closure carries pt, or None when pt is white.
-        A ridge is read off the spine mask; a lower face takes the first
-        ridge of ``decomposition.spine``, in its order, that contains it."""
+        A ridge is read off the spine positions; a lower face takes the
+        first ridge of ``decomposition.spine``, in its order, that contains
+        it, looked for among the ridges at the face's first vertex only."""
         verts = self._verts(pt.top)
         carrier = tuple([v for v, x in zip(verts, pt.bary) if x > MEMBERSHIP_TOL])
         n = len(verts) - 1
         if len(carrier) > n:
             return None
+        positions = self._spine
         if len(carrier) == n:
             rid = self.complex.face_index[n - 1][carrier]
-            return rid if self._spine[rid] else None
+            return rid if positions[rid] is not None else None
         ridges, inside = self.complex.faces[n - 1], set(carrier).issubset
-        return next((rid for rid in self.decomposition.spine if inside(ridges[rid])), None)
+        found = [positions[rid] for rid in vertex_ridges(self.complex)[carrier[0]]
+                 if positions[rid] is not None and inside(ridges[rid])]
+        return self.decomposition.spine[min(found)] if found else None
 
     def locate(self, pt: PointRef):
         """Broken line through a white point and the point's arc from c0."""

@@ -5,6 +5,11 @@ vertices.  Every lower face is derived from the top list and given a stable
 id, its position in the lexicographic order of sorted vertex tuples, so that
 reports and serializations are reproducible.  Instances are built once and
 treated as immutable afterwards; they are safe to share across threads.
+
+Loading is a few bulk passes over NumPy arrays, each linear in the facets
+plus one sort; ``parse_tri``, the constructor and
+``validate_closed_manifold`` each state theirs.  No row is read on its own
+except to name the one at fault once a bulk check has failed.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -50,83 +56,87 @@ class SimplicialComplex:
 
     ``faces[k]`` lists every k-face as a sorted vertex tuple in lexicographic
     order; ``face_index[k]`` inverts that listing.  ``ridge_cofacets`` maps
-    each (n-1)-face id to the facets containing it, in facet order; one pass
-    over the facets gives both the ridges and their cofacets.
+    each (n-1)-face id to the facets containing it, in facet order.
+
+    The facets are read in bulk passes over one int array (``_facet_array``):
+    one conversion checks the row lengths, the sorted rows show repeated
+    vertices, one lexicographic sort of the rows shows duplicates and gives
+    ``faces[n]``, and one count checks the labels are dense.  One
+    lexicographic sort of every facet's ridges gives ``faces[n-1]`` and
+    ``ridge_cofacets``; the middle faces of n >= 3 take one sort per
+    dimension.  Each pass is linear in the facets plus its sort.  A row at
+    fault is named by ``_scanned_facets``, which reads the rows one at a
+    time only once a bulk check has failed.
     """
 
     def __init__(self, dimension, top_simplices, vertex_coords=None):
         if dimension < 0:
             raise InvalidComplexError("dimension must be non-negative")
-        self.dimension = int(dimension)
+        n = self.dimension = int(dimension)
 
-        tops = []
-        seen = set()
-        for i, s in enumerate(top_simplices):
-            t = tuple(sorted(map(int, s)))
-            if len(t) != self.dimension + 1:
-                raise InvalidComplexError(
-                    f"facet {t} has {len(t)} vertices, expected {self.dimension + 1}",
-                    facet=i)
-            if len(set(t)) != len(t):
-                raise InvalidComplexError(f"facet {t} repeats a vertex", facet=i)
-            if t in seen:
-                raise InvalidComplexError(f"duplicate facet {t}", facet=i)
-            seen.add(t)
-            tops.append(t)
-        if not tops:
-            raise InvalidComplexError("complex needs at least one facet")
-        self.top_simplices = tuple(tops)
-
-        verts = sorted({v for t in tops for v in t})
-        if verts[0] < 0 or verts != list(range(len(verts))):
+        facets, order = _facet_array(n, top_simplices)
+        flat = facets.ravel()
+        verts = int(flat.max()) + 1
+        # dense labels: none below 0, none past the id count, every one used
+        if flat.min() < 0 or verts > flat.size or not np.bincount(flat).all():
             raise InvalidComplexError("vertices must be dense integers 0..V-1")
-        self.vertex_count = len(verts)
+        self.vertex_count = verts
+        # every vertex and facet id the lattice holds is one of these ints
+        ints = int_objects(max(verts, len(facets)))
+        self.top_simplices = tops = _row_tuples(ints[facets])
 
-        n = self.dimension
         # vertices are dense, so the 0-faces need no pass over the facets
-        faces = [tuple([(v,) for v in verts])] if n >= 2 else []
+        faces = [tuple(zip(ints[:verts].tolist()))] if n >= 2 else []
         for k in range(1, n - 1):
-            fs = set()
-            for t in tops:
-                fs.update(combinations(t, k + 1))
-            faces.append(tuple(sorted(fs)))
-        # one pass lists each ridge's cofacets in facet order; its keys are
-        # the ridges, each the first tuple seen, as a set would keep it
-        cofacets = {}
-        for ti, t in enumerate(tops):
-            for f in combinations(t, n):
-                cofacets.setdefault(f, []).append(ti)
+            rows = facets[:, list(combinations(range(n + 1), k + 1))].reshape(-1, k + 1)
+            faces.append(_row_tuples(ints[_lex_groups(rows)[1]]))
         if n >= 1:
-            faces.append(tuple(sorted(cofacets)))
-            self.ridge_cofacets = tuple(map(tuple, map(cofacets.__getitem__, faces[-1])))
+            # row f*(n+1) + j is facet f without its slot j: the stable sort
+            # keeps each ridge's cofacets in facet order
+            rows = facets[:, [[k for k in range(n + 1) if k != j] for j in range(n + 1)]]
+            ridge_order, unique, first = _lex_groups(rows.reshape(-1, n))
+            faces.append(_row_tuples(ints[unique]))
+            owners = tuple(ints[ridge_order // (n + 1)].tolist())
+            starts = np.flatnonzero(first).tolist()
+            self.ridge_cofacets = tuple(map(owners.__getitem__,
+                                            map(slice, starts, starts[1:] + [len(owners)])))
         else:
             self.ridge_cofacets = ()
-        faces.append(tuple(sorted(tops)))   # the facets themselves, no copy
+        faces.append(tuple(map(tops.__getitem__, order.tolist())))   # no copy
         self.faces = tuple(faces)
-        self.face_index = tuple({f: i for i, f in enumerate(fk)} for fk in faces)
+        self.face_index = tuple(dict(zip(fk, range(len(fk)))) for fk in faces)
 
         if vertex_coords is not None:
-            coords = [tuple(float(x) for x in p) for p in vertex_coords]
-            if len(coords) != self.vertex_count:
+            try:
+                coords = np.array(vertex_coords, float)
+            except (ValueError, TypeError):
+                coords = None
+            if coords is None or coords.ndim != 2:
+                # ragged rows, iterators or a value float() refuses, which
+                # reading the rows one at a time raises on
+                rows = [tuple(map(float, p)) for p in vertex_coords]
+                coords = np.array(rows) if len(set(map(len, rows))) == 1 else None
+                count = len(rows)
+            else:
+                count = len(coords)
+            if count != verts:
                 raise InvalidComplexError(
-                    f"{len(coords)} coordinate rows for {self.vertex_count} vertices",
-                    coords=True)
-            dims = {len(p) for p in coords}
-            if len(dims) != 1:
+                    f"{count} coordinate rows for {verts} vertices", coords=True)
+            if coords is None:
                 raise InvalidComplexError("coordinate rows have mixed lengths", coords=True)
-            d = dims.pop()
-            if d < max(1, self.dimension):
+            d = coords.shape[1]
+            if d < max(1, n):
                 raise InvalidComplexError(
-                    f"ambient dimension {d} below complex dimension {self.dimension}",
-                    coords=True)
-            if not all(math.isfinite(x) for p in coords for x in p):
+                    f"ambient dimension {d} below complex dimension {n}", coords=True)
+            if not np.isfinite(coords).all():
                 raise InvalidComplexError("non-finite vertex coordinate", coords=True)
-            self.vertex_coords = tuple(coords)
+            self.vertex_coords = _row_tuples(coords)
         else:
             self.vertex_coords = None
 
         self._gate_table = None         # spine's per-facet gate steps
         self._step_geometry = None      # chart's per-step geometry under one metric
+        self._vertex_ridges = None      # chart's vertex -> ridge ids incidence
         self._vertex_tables = {}        # a linear field's rows -> fields._vertex_table
         self._validation_cache = None
         self._punctured_homology = {}   # root facet id -> HomologyProfile
@@ -138,6 +148,73 @@ class SimplicialComplex:
     def __repr__(self):
         return (f"SimplicialComplex(dim={self.dimension}, "
                 f"f={self.f_vector})")
+
+
+def _facet_array(n, rows) -> tuple:
+    """(facets, order): the facet rows as one int array, each row sorted, and
+    the lexicographic order of the rows.  One conversion checks that every
+    row has n+1 int ids; the sorted rows show repeated vertices, and equal
+    neighbours in the sort show duplicates.  When a check fails, or the rows
+    are not one int array, ``_scanned_facets`` names the first row at fault."""
+    try:
+        facets = np.sort(np.asarray(rows, np.int64), axis=1)
+    except (ValueError, TypeError, OverflowError):
+        facets = None   # ragged rows, ids that are no numbers or past int64
+    if facets is not None and facets.ndim == 2 and facets.shape[1] == n + 1 and len(facets):
+        order, _, first = _lex_groups(facets)
+        if first.all() and not (facets[:, 1:] == facets[:, :-1]).any():
+            return facets, order
+    rows = _scanned_facets(n, rows)   # raises at the first row at fault
+    if not rows:
+        raise InvalidComplexError("complex needs at least one facet")
+    try:
+        facets = np.array(rows, np.int64)
+    except OverflowError:
+        raise InvalidComplexError("vertices must be dense integers 0..V-1") from None
+    return facets, _lex_groups(facets)[0]
+
+
+def _scanned_facets(n, rows) -> list:
+    """The rows as sorted int tuples, read one at a time, raising at the first
+    with the wrong length, a repeated vertex or the vertices of an earlier
+    row; ``_facet_array`` reads them this way only to name a fault."""
+    out, seen = [], set()
+    for i, s in enumerate(rows):
+        t = tuple(sorted(map(int, s)))
+        if len(t) != n + 1:
+            raise InvalidComplexError(f"facet {t} has {len(t)} vertices, expected {n + 1}",
+                                      facet=i)
+        if len(set(t)) != len(t):
+            raise InvalidComplexError(f"facet {t} repeats a vertex", facet=i)
+        if t in seen:
+            raise InvalidComplexError(f"duplicate facet {t}", facet=i)
+        seen.add(t)
+        out.append(t)
+    return out
+
+
+def _row_tuples(a) -> tuple:
+    """The rows of a 2-D array as tuples of Python numbers, zipped from its
+    columns: no list per row."""
+    return tuple(zip(*a.T.tolist()))
+
+
+def int_objects(count) -> np.ndarray:
+    """The ints 0..count-1 as one object array, so that every table
+    gathered from it shares one Python int per id rather than making one
+    per entry, as ``tolist`` of an int array would."""
+    return np.arange(count).astype(object)
+
+
+def _lex_groups(rows) -> tuple:
+    """(order, unique, first) for an (m, w) int array: the stable
+    lexicographic order of its rows, its distinct rows in that order, and
+    the mask over the order of each row unequal to the one before it."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(ranked), bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, ranked[first], first
 
 
 @dataclass(frozen=True)
@@ -156,23 +233,29 @@ class ValidationReport:
 
 def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     """Check that every ridge has two cofacets, the dual graph is connected,
-    and (for n <= 2 only) every vertex link is a single sphere/cycle.  Link
-    degrees are read off the ridge check; only n = 2 builds its links."""
+    and (for n <= 2 only) every vertex link is a single sphere/cycle.
+
+    The ridge check reads the cofacet counts in one pass.  Dual connectivity
+    is one union-find over the cofacet pairs, which meets a facet only
+    through its ridges: the facets it never meets are isolated, each its own
+    component.  Link degrees are read off the ridge check; only n = 2 builds
+    its links, in one more pass over the facets, and counts each one's
+    cycles.  Every pass is linear in the facets."""
     if c._validation_cache is not None:
         return c._validation_cache
-    ridge_violations = tuple(
-        (rid, len(cof)) for rid, cof in enumerate(c.ridge_cofacets) if len(cof) != 2)
+    counts = np.fromiter(map(len, c.ridge_cofacets), np.intp, len(c.ridge_cofacets))
+    paired = counts == 2
+    bad = np.flatnonzero(~paired)
+    ridge_violations = tuple(zip(bad.tolist(), counts[bad].tolist()))
 
-    # Dual connectivity through properly shared ridges; isolated facets count
-    # as disconnection, so every facet enters as its own singleton.
-    dual_connected = component_count(chain(
-        ((i,) for i in range(len(c.top_simplices))),
-        (cof for cof in c.ridge_cofacets if len(cof) == 2)),
-        [-1] * len(c.top_simplices))[1] == 1
+    facet_count = len(c.top_simplices)
+    met, parts = component_count(compress(c.ridge_cofacets, paired.tolist()),
+                                 [-1] * facet_count)
+    dual_connected = parts + facet_count - met == 1
 
     # In n = 1 a vertex is a ridge.  In n = 2 a link vertex w of v has as many
-    # link edges as the edge vw has cofacets, so one pass over the facets
-    # gathers the links only to test that each is one cycle.
+    # link edges as the edge vw has cofacets, so the links are gathered only
+    # to test that each is one cycle.
     link_violations = []
     links_checked = c.dimension <= 2
     if c.dimension == 1:
@@ -180,6 +263,8 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
             link_violations.append((v, f"vertex in {count} edges, expected 2"))
     elif c.dimension == 2:
         irregular = {v for rid, _ in ridge_violations for v in c.faces[1][rid]}
+        # appended from the facets' own ints, which beats a NumPy gather
+        # that must make a new int per entry
         links = [[] for _ in range(c.vertex_count)]
         for a, b, d in c.top_simplices:
             links[a].append((b, d))
@@ -199,9 +284,10 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
 
 
 def component_count(simplices, parent) -> tuple:
-    """(vertices, components) of the union of ``simplices``, vertex tuples
-    over int labels, each simplex joining its own vertices; by union-find
-    with path halving (Tarjan, 1975).
+    """(vertices, components) of the union of ``simplices``, vertex
+    sequences over int labels, each simplex joining its own vertices; by
+    union-find with path halving (Tarjan, 1975).  A simplex's first vertex
+    gives the root its other vertices join.
 
     ``parent`` is the caller's table over the labels, -1 at every label on
     entry; the labels touched are reset to -1 before returning, so that one
@@ -209,21 +295,28 @@ def component_count(simplices, parent) -> tuple:
     seen = []
     count = 0
     for s in simplices:
-        root = -1
-        for v in s:
-            r = parent[v]
+        rest = iter(s)
+        for root in rest:   # the first vertex, then the others below
+            r = parent[root]
             if r < 0:
-                parent[v] = r = v
-                seen.append(v)
+                parent[root] = root
+                seen.append(root)
                 count += 1
             else:
                 while parent[r] != r:
                     parent[r] = r = parent[parent[r]]
-            if root < 0:
                 root = r
-            elif r != root:
-                parent[r] = root
-                count -= 1
+            for v in rest:
+                r = parent[v]
+                if r < 0:
+                    parent[v] = root
+                    seen.append(v)
+                else:
+                    while parent[r] != r:
+                        parent[r] = r = parent[parent[r]]
+                    if r != root:
+                        parent[r] = root
+                        count -= 1
     for v in seen:
         parent[v] = -1
     return len(seen), count
@@ -407,12 +500,12 @@ class Metric:
 _FLOAT_MARKS = frozenset(".eEiInN")
 
 
-def _tokens(text):
-    """(1-based source line number, tokens) of every non-blank line."""
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line.split()
+def _tokens(text) -> list:
+    """(1-based source line number, tokens) of every non-blank line, each
+    line cut at '#' and split in one C-level pass over the lines."""
+    rows = list(map(str.split, map(itemgetter(0), map(methodcaller("partition", "#"),
+                                                      text.splitlines()))))
+    return list(zip(compress(range(1, len(rows) + 1), rows), filter(None, rows)))
 
 
 def _is_int_token(tok):
@@ -429,8 +522,32 @@ def _bad_line(number, what, toks):
     return InvalidComplexError(f"line {number}: {what} {' '.join(toks)!r}")
 
 
+def _coordinate_block(numbers, rows, d) -> np.ndarray:
+    """The coordinate rows as one float array, every token read once by
+    ``float``; when a token fails or a value is not finite, the rows are
+    scanned in order to name the first such line."""
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * d)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for number, toks in zip(numbers, rows):
+            try:
+                row = tuple(map(float, toks))
+            except ValueError:
+                raise _bad_line(number, "bad coordinate line", toks) from None
+            if not all(map(math.isfinite, row)):
+                raise _bad_line(number, "non-finite coordinate in", toks)
+    return values.reshape(len(rows), d) if rows else values
+
+
 def parse_tri(text: str) -> SimplicialComplex:
-    lines = list(_tokens(text))
+    """The complex of a .tri text, read in bulk, linear in its tokens: the
+    lines are split in one pass, the coordinate tokens converted in one and
+    the facet tokens in one (each distinct token once), and the constructor
+    takes the facets as one int array.  A line is scanned on its own only
+    to name a fault."""
+    lines = _tokens(text)
     if not lines:
         raise InvalidComplexError("first line must be 'dim n'")
     number, head = lines[0]
@@ -440,40 +557,41 @@ def parse_tri(text: str) -> SimplicialComplex:
         n = int(head[1])
     except ValueError:
         raise _bad_line(number, "bad dimension in", head)
+    numbers, rows = zip(*lines)
+    lengths = list(map(len, rows))
     i = 1
     coords = coords_number = None
-    if i < len(lines) and lines[i][1][0] == "coords":
-        coords_number, toks = lines[i]
+    if i < len(rows) and rows[i][0] == "coords":
+        coords_number, toks = numbers[i], rows[i]
         if len(toks) != 2 or not _is_int_token(toks[1]):
             raise _bad_line(coords_number, "coords line must be 'coords d', got", toks)
         d = int(toks[1])
-        coords = []
         i += 1
-        while i < len(lines):
-            number, toks = lines[i]
-            looks_coord = len(toks) == d and (d != n + 1 or not all(_is_int_token(t) for t in toks))
-            if not looks_coord:
-                break
-            try:
-                row = tuple(map(float, toks))
-            except ValueError:
-                raise _bad_line(number, "bad coordinate line", toks)
-            if not all(map(math.isfinite, row)):
-                raise _bad_line(number, "non-finite coordinate in", toks)
-            coords.append(row)
-            i += 1
-    tops = []
-    facet_numbers = []
-    ids = {}    # each distinct vertex token parsed once; the facets share its int
-    for number, toks in lines[i:]:
-        try:
-            row = tuple([ids[t] if t in ids else ids.setdefault(t, int(t)) for t in toks])
-        except ValueError:
-            row = None
-        if row is None or len(row) != n + 1:
-            raise _bad_line(number, "bad facet line", toks)
-        tops.append(row)
-        facet_numbers.append(number)
+        # the block runs while rows have d tokens, and, when d = n + 1, up to
+        # the first row of int tokens only, which is a facet
+        end = next(compress(range(i, len(rows)), map(d.__ne__, lengths[i:])), len(rows))
+        if d == n + 1:
+            unmarked = compress(range(i, end),
+                                map(_FLOAT_MARKS.isdisjoint, map("".join, rows[i:end])))
+            end = next((j for j in unmarked if all(map(_is_int_token, rows[j]))), end)
+        coords = _coordinate_block(numbers[i:end], rows[i:end], d)
+        i = end
+    facet_numbers, rows = numbers[i:], rows[i:]
+    tokens = list(chain.from_iterable(rows))
+    try:
+        ids = dict.fromkeys(tokens)   # each distinct vertex token parsed once
+        ids = dict(zip(ids, map(int, ids)))
+    except ValueError:
+        ids = None
+    if ids is None or lengths[i:].count(n + 1) != len(rows):
+        for number, toks in zip(facet_numbers, rows):
+            if len(toks) != n + 1 or not all(map(_is_int_token, toks)):
+                raise _bad_line(number, "bad facet line", toks)
+    try:   # a negative n is left with no facet rows, and the constructor refuses it
+        tops = np.fromiter(map(ids.__getitem__, tokens), np.int64,
+                           len(tokens)).reshape(len(rows), max(n + 1, 0))
+    except OverflowError:   # an id past int64, which the constructor refuses
+        tops = [tuple(map(ids.__getitem__, toks)) for toks in rows]
     try:
         return SimplicialComplex(n, tops, vertex_coords=coords)
     except InvalidComplexError as exc:

@@ -5,7 +5,8 @@ time ("gates"); the ridges never crossed form the spine.  Gates trace a
 spanning tree of the dual graph in absorption order, so every prefix of the
 gate list spans a connected subtree containing the root.
 
-``decompose`` is one pass over a per-complex table of gate steps, built once:
+``decompose`` is one pass over a per-complex table of gate steps, built once
+in one bulk pass (linear in the ridges plus one sort, see ``_gate_table``):
 each ridge enters the frontier exactly once, as a step of that table, so growth
 costs O(ridges) and builds no step.  ``random`` draws uniformly over the
 frontier with the same bits as ``random.Random(seed).randrange``.
@@ -16,11 +17,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap
+from functools import partial
+from itertools import chain, compress, repeat, starmap
 from typing import NamedTuple
 
+import numpy as np
+
 from .simplicial import (InvalidComplexError, SimplicialComplex, component_count,
-                         validate_closed_manifold)
+                         int_objects, validate_closed_manifold)
 
 STRATEGIES = ("bfs", "dfs", "random")
 
@@ -33,6 +37,9 @@ class GateStep(NamedTuple):
     parent: int
     gate: int    # ridge id
     child: int
+
+
+_as_step = partial(tuple.__new__, GateStep)   # a (parent, gate, child) tuple as a GateStep
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,14 @@ class Decomposition:
 def _gate_table(c: SimplicialComplex) -> tuple:
     """Per facet, the ``GateStep`` out of it across each of its ridges, in
     ridge-id order.  Built once per complex, after the checks that every
-    ridge has two cofacets and that the dual graph is connected."""
+    ridge has two cofacets and that the dual graph is connected.
+
+    One bulk pass: every ridge gives a step out of each of its two cofacets,
+    and one stable sort by parent facet keeps each facet's steps in ridge-id
+    order.  Each facet then has exactly n+1 steps (none on a point), so the
+    rows are read off in consecutive runs.  Each step is made by
+    ``tuple.__new__``, without the named tuple's own ``__new__``, from ints
+    shared per id.  Linear in the ridges plus the sort."""
     table = c._gate_table
     if table is not None:
         return table
@@ -75,11 +89,15 @@ def _gate_table(c: SimplicialComplex) -> tuple:
             f"ridge {face} has {count} cofacets, expected 2")
     if not report.dual_connected:
         raise InvalidComplexError("dual graph is disconnected")
-    rows = [[] for _ in c.top_simplices]
-    for rid, (a, b) in enumerate(c.ridge_cofacets):
-        rows[a].append(GateStep(a, rid, b))
-        rows[b].append(GateStep(b, rid, a))
-    table = c._gate_table = tuple(map(tuple, rows))
+    ridges = len(c.ridge_cofacets)
+    pairs = np.fromiter(chain.from_iterable(c.ridge_cofacets), np.intp, 2 * ridges)
+    order = np.argsort(pairs, kind="stable")   # entry 2*rid + side is a step out of pairs[it]
+    ints = int_objects(max(ridges, len(c.top_simplices)))   # one int per id, shared
+    parents, gates, children = ints[pairs[order]], ints[order // 2], ints[pairs[order ^ 1]]
+    steps = map(_as_step, zip(parents.tolist(), gates.tolist(), children.tolist()))
+    # a point (n = 0) has no ridge, and the dual graph's check left one facet
+    n = c.dimension
+    table = c._gate_table = tuple(zip(*[steps] * (n + 1))) if n else ((),)
     return table
 
 

@@ -1,6 +1,8 @@
-"""Generated surfaces shared by the tests: their homology and their vertex
-links are known by construction, at any size."""
+"""Generated closed manifolds shared by the tests: grid surfaces and the
+Freudenthal 3-torus, whose homology and vertex links are known by
+construction, at any size."""
 
+import itertools
 import math
 
 from spineforge.simplicial import SimplicialComplex
@@ -33,3 +35,25 @@ def coordinate_torus(k, big=2.0, small=1.0):
             ring = big + small * math.cos(v)
             coords.append((ring * math.cos(u), ring * math.sin(u), small * math.sin(v)))
     return SimplicialComplex(2, grid_surface(k).top_simplices, vertex_coords=coords)
+
+
+def freudenthal_torus3(k):
+    """The 3-torus as k^3 unit cubes, opposite faces glued, each cube cut
+    into the 6 tetrahedra of Freudenthal's triangulation: one per order of
+    the three axes, walking from the cube's low corner to its high corner
+    one unit step per axis.  Needs k >= 3, so that no tetrahedron meets a
+    vertex twice and no two share all their vertices."""
+    if k < 3:
+        raise ValueError(f"k = {k}: the Freudenthal 3-torus needs k >= 3")
+    def vertex(p):
+        return (p[0] % k) * k * k + (p[1] % k) * k + p[2] % k
+    facets = []
+    for cube in itertools.product(range(k), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            corner = list(cube)
+            verts = [vertex(corner)]
+            for axis in axes:
+                corner[axis] += 1
+                verts.append(vertex(corner))
+            facets.append(tuple(sorted(verts)))
+    return SimplicialComplex(3, facets)

@@ -17,7 +17,7 @@ from spineforge.chart import (BlackPointError, BrokenLine, CellChart, ChartDomai
 from spineforge.simplicial import (GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError, Metric,
                                    SimplicialComplex)
 
-from grids import coordinate_torus, grid_surface
+from grids import coordinate_torus, freudenthal_torus3, grid_surface
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
@@ -1072,6 +1072,62 @@ class TestSpineFaceOracle:
         picks = [build_chart(c, dataclasses.replace(d, spine=spine), m).spine_face_of(p)
                  for spine in (d.spine, d.spine[::-1])]
         assert picks == [d.spine[0], d.spine[-1]]
+
+
+class CountingRidges(tuple):
+    """A ridge listing that records every ridge id read from it."""
+
+    def __getitem__(self, rid):
+        self.reads.append(rid)
+        return tuple.__getitem__(self, rid)
+
+
+class TestLowerFaceLookup:
+    """A point on a face below ridge dimension is matched among the ridges
+    at one of its vertices, not across the whole spine."""
+
+    @pytest.mark.parametrize("name,k", [("torus", 48), ("torus3d", 4)])
+    def test_reads_no_more_ridges_than_the_vertex_star(self, name, k):
+        c = grid_surface(k) if name == "torus" else freudenthal_torus3(k)
+        n = c.dimension
+        chart = build_chart(c, sf.decompose(c, strategy="random", seed=1), Metric.from_complex(c))
+        stars = sf.chart.vertex_ridges(c)
+        ridges = c.faces[n - 1]
+        assert [sorted(r for r in range(len(ridges)) if v in ridges[r])
+                for v in range(c.vertex_count)] == list(map(list, stars))
+        counting = CountingRidges(ridges)
+        counting.reads = []
+        c.faces = c.faces[:n - 1] + (counting,) + c.faces[n:]
+        black = 0
+        for top in range(0, len(c.top_simplices), 5):
+            for slot in range(n + 1):
+                p = PointRef(top, tuple(1.0 if i == slot else 0.0 for i in range(n + 1)))
+                counting.reads.clear()
+                rid = chart.spine_face_of(p)
+                vertex = c.top_simplices[top][slot]
+                assert len(counting.reads) <= len(stars[vertex])
+                # the first spine ridge at the vertex, in the spine's own order
+                assert rid == next((r for r in chart.decomposition.spine
+                                    if vertex in ridges[r]), None)
+                black += rid is not None
+        assert black > 0
+
+    def test_lines_end_at_the_first_spine_position(self, census):
+        # with the spine cut to its first ridge, at position 0, every line
+        # that reaches the spine ends there: position 0 reads as spine in
+        # the walk's end check and in spine_face_of
+        c = census["torus7"]
+        d = sf.decompose(c, strategy="random", seed=2)
+        chart = build_chart(c, dataclasses.replace(d, spine=d.spine[:1]), Metric.from_complex(c))
+        rng = random.Random(2)
+        ends = []
+        for top in [*range(len(c.top_simplices))] * 20:
+            try:
+                line, _ = chart.locate(sample_interior(c, rng, top))
+            except InvalidComplexError:
+                continue    # a line that ends at a ridge cut from the spine
+            ends.append(chart.spine_face_of(line.endpoint))
+        assert ends and set(ends) == {d.spine[0]}
 
 
 class TestNearC0:

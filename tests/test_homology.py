@@ -17,7 +17,7 @@ from spineforge.simplicial import (InvalidComplexError, SimplicialComplex,
                                    validate_closed_manifold)
 from spineforge.spine import Decomposition, spine_subcomplex
 
-from grids import grid_surface
+from grids import freudenthal_torus3, grid_surface
 from helpers import (BoundaryMatrix, boundary_matrix, euler_characteristic, face_id,
                      reference_spine_profile)
 
@@ -655,3 +655,44 @@ class TestSpineBuildsNoComplex:
             assert passes == [c.vertex_count] * 2
             passes.clear()
         assert listed == []
+
+
+class TestThreeTorusEliminationCounts:
+    """Count test on the Freudenthal 3-torus: the columns verify's
+    elimination leaves to the dense ``smith_normal_form``.  Every remainder
+    is empty, so every invariant factor comes from a unit pivot, except on
+    the dfs tree at k = 4: its spine's d2 leaves two columns over six rows,
+    entries 2 and -3, with no unit to pivot on (one factor 1, from the
+    dense pass)."""
+
+    DENSE_COLUMNS = {(4, "dfs"): 2}
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_remainders(self, monkeypatch, k):
+        c = freudenthal_torus3(k)
+        remainders, factors = [], []
+        snf, eliminate = sf.homology.smith_normal_form, sf.homology.invariant_factors
+
+        def spy_snf(mat):
+            remainders.append(mat)
+            return snf(mat)
+
+        def spy_eliminate(columns):
+            out = eliminate(columns)
+            factors.append(out)
+            return out
+
+        monkeypatch.setattr(sf.homology, "smith_normal_form", spy_snf)
+        monkeypatch.setattr(sf.homology, "invariant_factors", spy_eliminate)
+        for strategy in ("bfs", "dfs", "random"):
+            for seed in range(3):
+                remainders.clear()
+                factors.clear()
+                assert verify_theorem2(c, sf.decompose(c, strategy=strategy, seed=seed)).ok
+                # the first call also eliminates the punctured complex's d2 and d3
+                assert len(remainders) == len(factors) == (3 if strategy == "bfs" and seed == 0
+                                                           else 1)
+                assert all(set(out) <= {1} for out in factors)
+                want = self.DENSE_COLUMNS.get((k, strategy), 0)
+                assert [len(mat[0]) if mat else 0 for mat in remainders][-1] == want
+                assert all(mat == [] for mat in remainders[:-1])

@@ -14,7 +14,7 @@ from spineforge.simplicial import (GEOMETRIC_TOL, InvalidComplexError, Metric,
                                    format_tri, parse_tri)
 from spineforge.spine import _gate_table
 
-from grids import coordinate_torus, grid_surface
+from grids import coordinate_torus, freudenthal_torus3, grid_surface
 from helpers import euler_characteristic, face_id, reference_component_count
 
 
@@ -662,6 +662,7 @@ def load_cases():
     for k in range(3, 13):
         cases.append((f"torus{k}", grid_surface(k)))
         cases.append((f"klein{k}", grid_surface(k, klein=True)))
+    cases += [(f"torus3d{k}", freudenthal_torus3(k)) for k in (3, 4)]
     torus, tet = grid_surface(4), sf.build_census("sphere_tet")
     cases += [
         ("pinched-tori", SimplicialComplex(
@@ -821,6 +822,7 @@ def parse_texts():
         texts.append((f"torus{k}", format_tri(grid_surface(k))))
         texts.append((f"klein{k}", format_tri(grid_surface(k, klein=True))))
     texts.append(("revolution8", format_tri(torus_of_revolution(8))))
+    texts += [(f"torus3d{k}", format_tri(freudenthal_torus3(k))) for k in (3, 4)]
     circle = "dim 1\n{}\n{}\n{}\n"
     texts += [
         # float tokens in facet rows
@@ -899,3 +901,179 @@ class TestParseReference:
             assert lattice_of(new[1]) == lattice_of(old[1])
         else:
             assert new == old
+
+
+# -- the bulk load path against the per-row loops it replaced -----------------
+
+def reference_tokens(text):
+    """``_tokens`` as a per-line generator: cut at '#', strip, split."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line.split()
+
+
+def reference_complex(dimension, top_simplices, vertex_coords=None):
+    """What the constructor kept, as ``lattice_of`` lists it, built one row
+    at a time: each facet converted and checked on its own, the ridges and
+    their cofacets from one dict over every facet's ridges, and each
+    coordinate converted by ``float`` and checked on its own."""
+    if dimension < 0:
+        raise InvalidComplexError("dimension must be non-negative")
+    n = int(dimension)
+    tops = []
+    seen = set()
+    for i, s in enumerate(top_simplices):
+        t = tuple(sorted(map(int, s)))
+        if len(t) != n + 1:
+            raise InvalidComplexError(f"facet {t} has {len(t)} vertices, expected {n + 1}",
+                                      facet=i)
+        if len(set(t)) != len(t):
+            raise InvalidComplexError(f"facet {t} repeats a vertex", facet=i)
+        if t in seen:
+            raise InvalidComplexError(f"duplicate facet {t}", facet=i)
+        seen.add(t)
+        tops.append(t)
+    if not tops:
+        raise InvalidComplexError("complex needs at least one facet")
+    verts = sorted({v for t in tops for v in t})
+    if verts[0] < 0 or verts != list(range(len(verts))):
+        raise InvalidComplexError("vertices must be dense integers 0..V-1")
+    faces = [tuple([(v,) for v in verts])] if n >= 2 else []
+    for k in range(1, n - 1):
+        fs = set()
+        for t in tops:
+            fs.update(combinations(t, k + 1))
+        faces.append(tuple(sorted(fs)))
+    cofacets = {}
+    for ti, t in enumerate(tops):
+        for f in combinations(t, n):
+            cofacets.setdefault(f, []).append(ti)
+    if n >= 1:
+        faces.append(tuple(sorted(cofacets)))
+        ridge_cofacets = tuple(tuple(cofacets[f]) for f in faces[-1])
+    else:
+        ridge_cofacets = ()
+    faces.append(tuple(sorted(tops)))
+    coords = None
+    if vertex_coords is not None:
+        coords = [tuple(float(x) for x in p) for p in vertex_coords]
+        if len(coords) != len(verts):
+            raise InvalidComplexError(
+                f"{len(coords)} coordinate rows for {len(verts)} vertices", coords=True)
+        dims = {len(p) for p in coords}
+        if len(dims) != 1:
+            raise InvalidComplexError("coordinate rows have mixed lengths", coords=True)
+        d = dims.pop()
+        if d < max(1, n):
+            raise InvalidComplexError(
+                f"ambient dimension {d} below complex dimension {n}", coords=True)
+        if not all(math.isfinite(x) for p in coords for x in p):
+            raise InvalidComplexError("non-finite vertex coordinate", coords=True)
+        coords = tuple(coords)
+    return (n, tuple(tops), coords, tuple(faces),
+            [list({f: i for i, f in enumerate(fk)}.items()) for fk in faces], ridge_cofacets)
+
+
+def built(fn, *args):
+    """``outcome`` with an error's facet and coords marks, which the parser
+    turns into a line number."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:   # the class, message and marks are compared
+        return type(exc), str(exc), getattr(exc, "facet", None), getattr(exc, "coords", None)
+
+
+def constructed(dimension, tops, coords=None):
+    return lattice_of(SimplicialComplex(dimension, tops, vertex_coords=coords))
+
+
+def constructor_cases():
+    """(id, dimension, facet rows, coordinate rows): every load case, and
+    inputs at fault in each way the constructor names, alone and in pairs
+    where the first fault in row order must win."""
+    cases = [(name, c.dimension, c.top_simplices, c.vertex_coords) for name, c in load_cases()]
+    tri = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    plane = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    cases += [
+        ("unsorted-rows", 2, [(2, 1, 0), (3, 0, 1), (0, 3, 2), (3, 2, 1)], None),
+        ("lists-and-arrays", 2, [[0, 1, 2], np.array([1, 0, 3]), (0, 2, 3), [3, 2, 1]], None),
+        ("float-ids", 2, [(0.0, 1.9, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], None),
+        ("string-ids", 1, [("0", "1"), ("1", "2"), ("0", "2")], None),
+        ("set-rows", 2, [{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}], None),
+        ("generator", 2, lambda: (t for t in tri), None),
+        ("array", 2, np.array(tri), None),
+        ("array-unsorted-rows", 2, np.array(tri)[:, ::-1], None),
+        ("no-facets", 2, [], None),
+        ("negative-dimension", -1, tri, None),
+        ("short-row", 2, tri[:2] + [(0, 2)] + tri[2:], None),
+        ("long-row", 2, tri + [(0, 1, 2, 3)], None),
+        ("repeat", 2, tri + [(4, 4, 1)], None),
+        ("duplicate", 2, tri + [(2, 1, 0)], None),
+        ("repeat-before-duplicate", 2, tri + [(1, 1, 2), (0, 1, 2)], None),
+        ("duplicate-before-short-row", 2, tri + [(0, 1, 2), (5,)], None),
+        ("nan-id", 2, tri + [(0, math.nan, 1)], None),
+        ("word-id", 1, [(0, 1), (1, "two")], None),
+        ("sparse", 2, [(0, 1, 2), (0, 1, 4), (0, 2, 4), (1, 2, 4)], None),
+        ("negative-id", 2, [(-1, 1, 2), (-1, 1, 3), (-1, 2, 3), (1, 2, 3)], None),
+        ("huge-id", 2, tri + [(0, 1, 10 ** 30)], None),
+        ("huge-id-after-repeat", 2, tri + [(4, 4, 1), (0, 1, 10 ** 30)], None),
+        ("id-2**63", 2, tri + [(0, 1, 2 ** 63)], None),
+        ("point", 0, [(0,)], [(0.5,)]),
+        ("two-points", 0, [(1,), (0,)], None),
+        ("coords", 2, tri, plane),
+        ("coords-int-and-string", 2, tri, [(0, "1.5"), (1, 0), (0, 1), (1, 1)]),
+        ("coords-array", 2, tri, np.array(plane)),
+        ("coords-count", 2, tri, plane[:3]),
+        ("coords-mixed", 2, tri, plane[:3] + [(1.0, 1.0, 0.0)]),
+        ("coords-narrow", 2, tri, [(x,) for x, _ in plane]),
+        ("coords-empty-rows", 2, tri, [()] * 4),
+        ("coords-inf", 2, tri, plane[:3] + [(1.0, math.inf)]),
+        ("coords-nan", 2, tri, [(math.nan, 0.0)] + plane[1:]),
+        ("coords-word", 2, tri, plane[:3] + [(1.0, "x")]),
+        ("coords-iterators", 2, tri, lambda: (iter(p) for p in plane)),
+        ("coords-scalars", 2, tri, [0.0, 1.0, 2.0, 3.0]),
+        ("coords-none", 2, tri, plane[:3] + [None]),
+        ("facet-fault-before-coords-fault", 2, tri + [(0, 1)], plane[:3]),
+    ]
+    return cases
+
+
+class TestBulkConstructor:
+    """The constructor's bulk passes against the per-row loop they replaced:
+    the same lattice, or the same error class, text and marks."""
+
+    @pytest.mark.parametrize("n,tops,coords", [pytest.param(n, t, x, id=name)
+                                               for name, n, t, x in constructor_cases()])
+    def test_equals_reference(self, n, tops, coords):
+        # a generator is read once, so each side gets its own
+        rows = tops if callable(tops) else lambda: tops
+        points = coords if callable(coords) else lambda: coords
+        assert built(constructed, n, rows(), points()) == \
+            built(reference_complex, n, rows(), points())
+
+    def test_cases_cover_every_verdict(self):
+        verdicts = {name: built(reference_complex, n, t() if callable(t) else t,
+                                x() if callable(x) else x)
+                    for name, n, t, x in constructor_cases()}
+        messages = {v[1].split(" ")[0] for v in verdicts.values() if v[0] != "ok"}
+        assert {"facet", "duplicate", "complex", "vertices", "dimension", "could",
+                "3", "coordinate", "ambient", "non-finite"} <= messages
+        assert verdicts["repeat-before-duplicate"][1] == "facet (1, 1, 2) repeats a vertex"
+        assert verdicts["duplicate-before-short-row"][1] == "duplicate facet (0, 1, 2)"
+        assert verdicts["huge-id-after-repeat"][1] == "facet (1, 4, 4) repeats a vertex"
+        assert verdicts["huge-id"][1] == "vertices must be dense integers 0..V-1"
+        assert verdicts["float-ids"][0] == verdicts["set-rows"][0] == "ok"
+        assert verdicts["generator"][0] == verdicts["coords-int-and-string"][0] == "ok"
+        assert verdicts["coords-iterators"][0] == "ok"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 3), st.lists(st.lists(st.integers(-1, 7), min_size=1, max_size=5),
+                                       max_size=12))
+    def test_random_rows_equal_reference(self, n, tops):
+        assert built(constructed, n, tops) == built(reference_complex, n, tops)
+
+    @pytest.mark.parametrize("text", [pytest.param(t, id=name) for name, t in parse_texts()] + [
+        pytest.param("dim 1 # head\n\n  0 1\t# a\n1 2\r\n# only\n0 2\n \n", id="spaces")])
+    def test_tokens_equal_reference(self, text):
+        assert simplicial._tokens(text) == list(reference_tokens(text))

@@ -13,7 +13,7 @@ from spineforge.simplicial import InvalidComplexError, SimplicialComplex
 from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, decompose,
                               spine_connected, spine_subcomplex)
 
-from grids import grid_surface
+from grids import freudenthal_torus3, grid_surface
 
 EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
                   "rp2_6": 6, "sphere3_pent": 6}
@@ -309,6 +309,34 @@ class TestSharedSteps:
         assert (len(taken), len(d.gates), len(d.spine)) == (432, 287, 145)
         assert len(c.ridge_cofacets) == 432
         assert len(widths) == (701 if strategy == "random" else 0)
+
+
+def reference_gate_table(c):
+    """The gate table filled one ridge at a time: each ridge appends its
+    step to both cofacets' rows, each step made by ``GateStep``."""
+    rows = [[] for _ in c.top_simplices]
+    for rid, (a, b) in enumerate(c.ridge_cofacets):
+        rows[a].append(GateStep(a, rid, b))
+        rows[b].append(GateStep(b, rid, a))
+    return tuple(map(tuple, rows))
+
+
+class TestGateTableMatchesReference:
+    """The table read off one stable sort equals the per-ridge fill, step
+    for step, with every step a ``GateStep`` of Python ints."""
+
+    @pytest.mark.parametrize("name", [*sf.census_names(), "torus12", "klein12", "torus48",
+                                      "torus3d4"])
+    def test_equals_reference(self, census, grids, name):
+        c = census.get(name) or grids.get(name) or freudenthal_torus3(4)
+        table = _gate_table(c)
+        assert table == reference_gate_table(c)
+        assert all(type(step) is GateStep and all(type(x) is int for x in step)
+                   for row in table for step in row)
+
+    def test_point(self):
+        c = SimplicialComplex(0, [(0,)])
+        assert _gate_table(c) == reference_gate_table(c) == ((),)
 
 
 @pytest.fixture(scope="module")
