@@ -55,22 +55,20 @@ float outputs differ in their low-order digits from that evaluation;
 repeated runs are byte-identical.
 
 The off-gate slots, the index maps and h depend on the gate step and the
-metric, never on the tree, so they live in one table per complex and
-metric object (``StepGeometry``), built whole on the first request: each
+metric, never on the tree, so they live in one table on the complex for
+its latest metric object (``StepGeometry``), built whole on request: each
 ridge's off-ridge slot in both cofacets, and the height of every facet
 over the face opposite each of its vertices, in one stacked pass over the
 metric's edge table that gives ``Metric.dist``'s bits.  A chart gathers its
-lists from the table with index arrays; ``fields.extend_frame`` keeps the
-frame transitions in the same table.
+lists from the table with index arrays; ``fields.extend_frame`` gathers the
+frame transitions from a second table of the same key.
 
 All point evaluations are lazy walks over the decomposition's ``GateStep``s,
-which the chart reads as they are; nothing is meshed globally.  Charts are
-immutable after construction, apart from the last line draw of
-``fields._sampled_lines``, one entry keyed by count and seed that any writer
-replaces whole with lines equal for equal keys.  The step table is complete
-before the complex publishes it, and its frame rows, which the first frame
-fills whole, equal for equal keys, are written before they are marked
-filled.  Evaluations are pure, so they can run concurrently.
+which the chart reads as they are; nothing is meshed globally.  Whatever a
+complex, metric or chart derives after construction, a chart's last line
+draw included, it keeps by ``simplicial.derived``'s one rule: each table is
+built whole and published as one entry, equal for equal keys.  Evaluations
+are pure, so they can run concurrently.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
-                         Metric, SimplicialComplex, facet_rows)
+                         Metric, SimplicialComplex, derived, facet_rows)
 from .spine import Decomposition
 
 
@@ -242,12 +240,8 @@ class StepGeometry:
     ``slots[rid, side]`` and the child's ``slots[rid, 1 - side]``.
     ``height[f, k]`` is the distance from facet f's vertex k to the centroid
     of the face opposite it: a step's height is its child's at the child's
-    off-gate slot, whichever parent it came from.  The frame rows, one per
-    directed ridge, hold each step's transition (identity where the step is
-    flat), its flat-parent, flat-child and missing-edge flags and its first
-    missing edge; ``fields.extend_frame`` fills them all the first time a
-    chart asks and sets ``framed`` once they are written.  The complex
-    keeps one table (``step_geometry``), published complete."""
+    off-gate slot, whichever parent it came from.  The complex keeps the
+    table for its latest metric (``step_geometry``)."""
 
     def __init__(self, c: SimplicialComplex, metric: Metric):
         n = self.dimension = c.dimension
@@ -271,15 +265,6 @@ class StepGeometry:
             sq = metric.lengths_at(tops[:, i], tops[:, j], squared=True)
             s -= diff[:, i] * diff[:, j] * sq[:, None]
         self.height = np.sqrt(np.maximum(s, 0.0))
-        # the frame rows stay unwritten, and their memory untouched, until a
-        # frame is extended
-        rows = self.slots.size
-        self.framed = False
-        self.transition = np.empty((rows, n, n))
-        self.flat_parent = np.empty(rows, bool)
-        self.flat_child = np.empty(rows, bool)
-        self.missing = np.empty(rows, bool)
-        self.missing_edge = np.empty((rows, 2), np.intp)
         # (ov, off) -> (ov, up, down): the gathers that read each parent slot
         # from the child (up) and each child slot from the parent (down).
         # Facets are sorted vertex tuples, so the k-th shared vertex sits at
@@ -297,29 +282,25 @@ class StepGeometry:
 
 
 def step_geometry(c: SimplicialComplex, metric: Metric) -> StepGeometry:
-    """The complex's step table for ``metric``: one entry keyed by the metric
-    object, replaced whole by any other metric.  A metric's lengths must not
-    change once its edge table exists, as ``Metric`` requires."""
-    geometry = c._step_geometry
-    if geometry is None or geometry.metric is not metric:
-        geometry = c._step_geometry = StepGeometry(c, metric)
-    return geometry
+    """The complex's step table for ``metric``, kept for the latest metric
+    object.  A metric's lengths must not change once its edge table exists,
+    as ``Metric`` requires."""
+    return derived(c, "step_geometry", metric, lambda: StepGeometry(c, metric))
 
 
 def vertex_ridges(c: SimplicialComplex) -> tuple:
     """Per vertex, the ids of the ridges that hold it, in id order: built
     whole on the first request, by one stable sort of the ridges' vertex
     slots, and kept on the complex; the load does not pay for it."""
-    table = c._vertex_ridges
-    if table is None:
+    def build():
         n = c.dimension
         ridges = c.faces[n - 1]
         owners = np.fromiter(chain.from_iterable(ridges), np.intp, n * len(ridges))
         order = np.argsort(owners, kind="stable")
         ids = tuple((order // n).tolist())
         ends = np.cumsum(np.bincount(owners, minlength=c.vertex_count)).tolist()
-        table = c._vertex_ridges = tuple(map(ids.__getitem__, map(slice, [0] + ends, ends)))
-    return table
+        return tuple(map(ids.__getitem__, map(slice, [0] + ends, ends)))
+    return derived(c, "vertex_ridges", None, build)
 
 
 class CellChart:
@@ -366,7 +347,7 @@ class CellChart:
         root = tops[self.root]
         self._root_squares = [(i, j, l * l) for i, j in combinations(range(n + 1), 2)
                               for l in [metric.edge_lengths.get((root[i], root[j]), math.nan)]]
-        self._line_draw = None   # ((count, seed), lines): fields._sampled_lines' last draw
+        self._derived = {}   # name -> (key, table), see ``simplicial.derived``
 
         # each spine ridge's first position in ``decomposition.spine`` by
         # ridge id, None off the spine; a face below a ridge is matched to

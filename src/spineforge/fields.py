@@ -8,8 +8,8 @@ across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
 child's interval family.  A transition depends only on its gate step and
 the metric, so the first ``extend_frame`` on a complex and metric computes
-every step's transition, in the complex's step table, from edge lengths in
-one stacked pass, without embedding any facet (the lengths come from
+every step's transition, as a table the complex keeps beside its step
+table, from edge lengths in one stacked pass, without embedding any facet (the lengths come from
 ``Metric.lengths_at``, the gather the chart's heights use too); per tree it
 only gathers and chains them.  ``root_facet_clearance`` reads the root's
 heights off Gram determinants, once per metric and root facet, and a linear
@@ -58,8 +58,8 @@ import numpy as np
 from . import chart as chart_module   # sample_interior looked up per call, so
                                       # a replaced one (tests count draws) is used
 from .chart import BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines
-from .simplicial import (DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, facet_rows,
-                         ordered_matmul)
+from .simplicial import (DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, derived,
+                         facet_rows, ordered_matmul)
 
 
 class InvalidGeometryError(ValueError):
@@ -94,11 +94,11 @@ def extend_frame(chart: CellChart) -> FrameField:
     the child's affine basis, constant along the child's interval family.
 
     A transition depends only on its gate step and the metric, so it is a
-    frame row of the complex's step table (``chart.StepGeometry``): the
-    first frame on a complex and metric fills every row in one stacked pass
-    (``_fill_frame_rows``), and each tree gathers its own.  Per tree, the
-    frames are chained by pointer doubling, one ``ordered_matmul`` per
-    round.  The products associate differently from a chain in growth order,
+    frame row of a table the complex keeps like its step table
+    (``chart.step_geometry``): the first frame on a complex and metric
+    builds every row in one stacked pass (``_frame_rows``), and each tree
+    gathers its own.  Per tree, the frames are chained by pointer doubling,
+    one ``ordered_matmul`` per round.  The products associate differently from a chain in growth order,
     so a frame can differ from that chain's by rounding (3e-14 on the 12×12
     torus); the transitions do not change.  The first gate in growth order
     whose step misses a metric edge raises InvalidComplexError naming the
@@ -107,14 +107,16 @@ def extend_frame(chart: CellChart) -> FrameField:
     c = chart.complex
     n = c.dimension
     gates = chart.decomposition.gates
+    if not gates:   # a point has no step, so no frame row
+        return FrameField({chart.root: np.eye(n)}, {})
     geometry, steps, keys = chart._geometry, chart._steps, chart._step_keys
-    if not geometry.framed and len(gates):    # a point has no step, so no row
-        _fill_frame_rows(geometry)
-    missing = geometry.missing[keys]
+    transition, flat_parent, flat_child, missing, missing_edge = derived(
+        c, "frame_rows", chart.metric, lambda: _frame_rows(geometry))
+    missing = missing[keys]
     if missing.any():
-        u, v = geometry.missing_edge[keys[missing.argmax()]].tolist()
+        u, v = missing_edge[keys[missing.argmax()]].tolist()
         raise InvalidComplexError(f"metric misses edge {(u, v)}")
-    trans = geometry.transition[keys]
+    trans = transition[keys]
 
     # chain by pointer doubling: frames[f] is the product of the transitions
     # on the gates from f up to facet up[f], and each round doubles that
@@ -134,7 +136,7 @@ def extend_frame(chart: CellChart) -> FrameField:
     chained = frames[children]
     matrices = {chart.root: np.eye(n)}
     matrices.update(zip(children.tolist(), chained))
-    flat_parent, flat_child = geometry.flat_parent[keys], geometry.flat_child[keys]
+    flat_parent, flat_child = flat_parent[keys], flat_child[keys]
     singular = np.abs(np.linalg.det(chained)) <= DEGENERACY_TOL
     bad = np.flatnonzero(flat_parent | flat_child | singular)
     if bad.size:
@@ -150,9 +152,12 @@ def extend_frame(chart: CellChart) -> FrameField:
     return FrameField(matrices, dict(zip(steps[:, 1].tolist(), trans)))
 
 
-def _fill_frame_rows(geometry):
-    """Every frame row of the table, one per directed ridge, from edge
-    lengths in one stacked pass.
+def _frame_rows(geometry) -> tuple:
+    """(transition, flat_parent, flat_child, missing, missing_edge): the
+    frame row of every step of the step table ``geometry``, one per
+    directed ridge, from edge lengths in one stacked pass.  A row holds the
+    step's transition (identity where the step is flat), its flat-parent,
+    flat-child and missing-edge flags and its first missing edge.
 
     The gate's Gram matrix gives the feet and heights of the parent's far
     vertex w and the child's apex a over the gate; as the two lie on opposite
@@ -181,13 +186,14 @@ def _fill_frame_rows(geometry):
     # squared lengths from each of (gate..., w, a) to each gate vertex
     sq = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :], squared=True)
     nan = np.isnan(sq).reshape(len(rows), -1)
-    missing = geometry.missing[:] = nan.any(axis=1)
+    missing = nan.any(axis=1)
+    missing_edge = np.zeros((len(rows), 2), np.intp)
     if missing.any():
         # the first missing edge of each such step, in (end, gate vertex) order
         k = np.flatnonzero(missing)
         i, j = np.divmod(nan[k].argmax(axis=1), n)
         edge = np.stack([ends[k, i], gate[k, j]], axis=1)
-        geometry.missing_edge[k] = np.sort(edge, axis=1)
+        missing_edge[k] = np.sort(edge, axis=1)
         keys = np.flatnonzero(~missing)
         sq, w_slot, a_slot = sq[keys], w_slot[keys], a_slot[keys]
         rows = np.arange(len(keys))
@@ -215,9 +221,9 @@ def _fill_frame_rows(geometry):
                 ring_index[a_slot][:, None, :]]
     trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1)
     trans[~usable] = np.eye(n)
-    geometry.transition[keys] = trans
-    geometry.flat_parent[keys], geometry.flat_child[keys] = flat_parent, flat_child
-    geometry.framed = True
+    transition, flat = np.zeros((len(missing), n, n)), np.zeros((2, len(missing)), bool)
+    transition[keys], flat[0, keys], flat[1, keys] = trans, flat_parent, flat_child
+    return transition, flat[0], flat[1], missing, missing_edge
 
 
 # -- tensor fields -------------------------------------------------------------
@@ -373,16 +379,15 @@ def root_facet_clearance(chart: CellChart) -> float:
     facet's vertices; a degenerate root raises on every call."""
     metric = chart.metric
     verts = chart.complex.top_simplices[chart.root]
-    clearance = metric._clearances.get(verts)
-    if clearance is None:
+    def build():
         n = len(verts) - 1
         whole = metric._gram_det(verts)[0]
         faces = [metric._gram_det(verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
                  for o in range(n + 1)]
         if not min(whole, *faces) > 0.0:
             raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
-        clearance = metric._clearances[verts] = math.sqrt(whole / max(faces)) / (n + 1)
-    return clearance
+        return math.sqrt(whole / max(faces)) / (n + 1)
+    return derived(metric, ("clearance", verts), None, build)
 
 
 def black_hole_region(chart: CellChart, eps: float) -> HoleRegion:
@@ -506,16 +511,12 @@ def _sampled_lines(chart: CellChart, count: int, seed: int) -> list:
     The chart keeps its last draw, keyed by (count, seed), so a run that
     reads the same lines twice walks them once; a draw that raises is not
     kept.  The list is shared: callers only read it."""
-    key = (count, seed)
-    drawn = chart._line_draw
-    if drawn is not None and drawn[0] == key:
-        return drawn[1]
-    rng = random.Random(seed)
-    tops = len(chart.complex.top_simplices)
-    sample, locate = chart_module.sample_interior, chart.locate
-    lines = [locate(sample(chart.complex, rng, rng.randrange(tops))) for _ in range(count)]
-    chart._line_draw = key, lines
-    return lines
+    def build():
+        rng = random.Random(seed)
+        tops = len(chart.complex.top_simplices)
+        sample, locate = chart_module.sample_interior, chart.locate
+        return [locate(sample(chart.complex, rng, rng.randrange(tops))) for _ in range(count)]
+    return derived(chart, "line_draw", (count, seed), build)
 
 
 def _require_positive(**counts):
@@ -679,15 +680,14 @@ def _vertex_table(c, rows) -> np.ndarray:
     combination of its facet's rows).  No tree changes it, so the complex
     keeps it, read-only, keyed by the rows."""
     key = tuple(map(tuple, rows))
-    table = c._vertex_tables.get(key)
-    if table is None:
+    def build():
         offsets = np.array([r[0] for r in key])
         slopes = np.array([r[1:] for r in key])
         at_vertex = offsets + ordered_matmul(np.array(c.vertex_coords), slopes.T)
         table = at_vertex[facet_rows(c)]
         table.setflags(write=False)
-        c._vertex_tables[key] = table
-    return table
+        return table
+    return derived(c, ("vertex_table", key), None, build)
 
 
 def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> TensorField:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .simplicial import InvalidComplexError, SimplicialComplex, component_count
+from .simplicial import InvalidComplexError, SimplicialComplex, component_count, derived
 from .spine import spine_ridges
 
 
@@ -304,9 +304,7 @@ def verify_theorem2(c: SimplicialComplex, d) -> Theorem2Report:
     middle = [{f for r in ridges for f in combinations(r, k + 1)}
               for k in range(1, c.dimension - 1)]
     spine = _profile(ridges, middle, c.vertex_count, c.face_index)
-    punct_profile = c._punctured_homology.get(d.root)
-    if punct_profile is None:
-        punct_profile = c._punctured_homology[d.root] = _punctured_profile(c, d.root)
+    punct_profile = derived(c, ("punctured", d.root), None, lambda: _punctured_profile(c, d.root))
     degrees = range(c.dimension + 1)
     equal = tuple(spine.group(k) == punct_profile.group(k) for k in degrees)
     return Theorem2Report(spine, punct_profile, equal)

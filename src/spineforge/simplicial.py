@@ -5,6 +5,7 @@ vertices.  Every lower face is derived from the top list and given a stable
 id, its position in the lexicographic order of sorted vertex tuples, so that
 reports and serializations are reproducible.  Instances are built once and
 treated as immutable afterwards; they are safe to share across threads.
+Tables derived from one later are kept by ``derived``'s one rule.
 
 Loading is a few bulk passes over NumPy arrays, each linear in the facets
 plus one sort; ``parse_tri``, the constructor and
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, compress
 from operator import itemgetter, methodcaller
 
@@ -49,6 +49,21 @@ class InvalidComplexError(ValueError):
         super().__init__(message)
         self.facet = facet
         self.coords = coords
+
+
+def derived(owner, name, key, build):
+    """The table ``name`` of ``owner`` (a complex, metric or chart) for
+    ``key``, by the one rule for lazily built state.  ``owner._derived``
+    keeps, per name, the table built for the latest key, as one (key, table)
+    tuple stored only once ``build()`` has returned: a table is published
+    whole, and a build that raises stores nothing.  Threads that race build
+    equal tables, and whichever is stored serves later requests.  Keys
+    compare by ``==``, which for a metric is identity; a name that keeps one
+    table per key carries the key in the name, with key None."""
+    entry = owner._derived.get(name)
+    if entry is None or entry[0] != key:
+        entry = owner._derived[name] = key, build()
+    return entry[1]
 
 
 class SimplicialComplex:
@@ -134,12 +149,7 @@ class SimplicialComplex:
         else:
             self.vertex_coords = None
 
-        self._gate_table = None         # spine's per-facet gate steps
-        self._step_geometry = None      # chart's per-step geometry under one metric
-        self._vertex_ridges = None      # chart's vertex -> ridge ids incidence
-        self._vertex_tables = {}        # a linear field's rows -> fields._vertex_table
-        self._validation_cache = None
-        self._punctured_homology = {}   # root facet id -> HomologyProfile
+        self._derived = {}   # name -> (key, table), see ``derived``
 
     @property
     def f_vector(self):
@@ -240,9 +250,11 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
     through its ridges: the facets it never meets are isolated, each its own
     component.  Link degrees are read off the ridge check; only n = 2 builds
     its links, in one more pass over the facets, and counts each one's
-    cycles.  Every pass is linear in the facets."""
-    if c._validation_cache is not None:
-        return c._validation_cache
+    cycles.  Every pass is linear in the facets.  Kept on the complex."""
+    return derived(c, "validation", None, lambda: _validation(c))
+
+
+def _validation(c: SimplicialComplex) -> ValidationReport:
     counts = np.fromiter(map(len, c.ridge_cofacets), np.intp, len(c.ridge_cofacets))
     paired = counts == 2
     bad = np.flatnonzero(~paired)
@@ -277,10 +289,8 @@ def validate_closed_manifold(c: SimplicialComplex) -> ValidationReport:
             elif component_count(link, table)[1] != 1:
                 link_violations.append((v, "link splits into several cycles"))
 
-    report = ValidationReport(ridge_violations, dual_connected,
-                              tuple(link_violations), links_checked)
-    c._validation_cache = report
-    return report
+    return ValidationReport(ridge_violations, dual_connected,
+                            tuple(link_violations), links_checked)
 
 
 def component_count(simplices, parent) -> tuple:
@@ -369,7 +379,7 @@ class Metric:
             key = e if type(e) is tuple and u < v else (min(u, v), max(u, v))
             lengths[key] = float(l)
         self.edge_lengths = lengths
-        self._clearances = {}   # root facet's vertices -> fields.root_facet_clearance
+        self._derived = {}   # name -> (key, table), see ``derived``
 
     @classmethod
     def from_complex(cls, c: SimplicialComplex) -> "Metric":
@@ -434,7 +444,6 @@ class Metric:
     def length(self, u, v) -> float:
         return self.edge_lengths[(min(u, v), max(u, v))]
 
-    @cached_property
     def _edge_table(self):
         """(base, codes, lengths, squares): the edges as sorted codes
         u * base + v (u < v), and each one's length and square, the square
@@ -455,7 +464,7 @@ class Metric:
         where u == v and NaN where the metric has no such edge.  One sorted
         search over the edge table instead of one ``length`` call per edge;
         a squared length equals the one ``sq_dist`` uses, bit for bit."""
-        base, codes, lengths, squares = self._edge_table
+        base, codes, lengths, squares = derived(self, "edge_table", None, self._edge_table)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         want = lo * base
         want += hi

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simplicial import (InvalidComplexError, SimplicialComplex, component_count,
+from .simplicial import (InvalidComplexError, SimplicialComplex, component_count, derived,
                          int_objects, validate_closed_manifold)
 
 STRATEGIES = ("bfs", "dfs", "random")
@@ -78,9 +78,10 @@ def _gate_table(c: SimplicialComplex) -> tuple:
     rows are read off in consecutive runs.  Each step is made by
     ``tuple.__new__``, without the named tuple's own ``__new__``, from ints
     shared per id.  Linear in the ridges plus the sort."""
-    table = c._gate_table
-    if table is not None:
-        return table
+    return derived(c, "gates", None, lambda: _gate_steps(c))
+
+
+def _gate_steps(c: SimplicialComplex) -> tuple:
     report = validate_closed_manifold(c)
     if report.ridge_violations:
         rid, count = report.ridge_violations[0]
@@ -97,8 +98,7 @@ def _gate_table(c: SimplicialComplex) -> tuple:
     steps = map(_as_step, zip(parents.tolist(), gates.tolist(), children.tolist()))
     # a point (n = 0) has no ridge, and the dual graph's check left one facet
     n = c.dimension
-    table = c._gate_table = tuple(zip(*[steps] * (n + 1))) if n else ((),)
-    return table
+    return tuple(zip(*[steps] * (n + 1))) if n else ((),)
 
 
 def decompose(c: SimplicialComplex, root: int = 0, strategy: str = "bfs",

@@ -76,6 +76,11 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", "--census", "circle3", str(path))
         assert code == 2
 
+    def test_root_past_the_facets_rejected(self, capsys):
+        facets = len(sf.build_census("torus7").top_simplices)
+        code, out, err = run(capsys, "decompose", "--census", "torus7", "--root", str(facets))
+        assert (code, out, err) == (2, "", f"error: no facet with id {facets}\n")
+
     def test_no_source_rejected(self, capsys):
         code, _, _ = run(capsys, "decompose")
         assert code == 2

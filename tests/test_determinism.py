@@ -16,7 +16,9 @@ import pytest
 import spineforge as sf
 from spineforge import build_chart, cli, decompose, extend_frame
 from spineforge.chart import PointRef, retraction_samples, sample_interior
-from spineforge.fields import field_from_spec, parse_fld, root_facet_clearance
+from spineforge.fields import (black_hole_region, continuity_report, deform_tensor,
+                               deformation_samples, field_from_spec, parse_fld,
+                               root_facet_clearance)
 from spineforge.simplicial import Metric, write_tri
 
 from grids import coordinate_torus
@@ -167,3 +169,22 @@ def test_threads_sharing_one_complex_build_what_fresh_ones_build():
                 assert list(pool.map(build, seeds, timeout=120)) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_every_seed_defaults_to_0():
+    # each default call draws what the explicit seed=0 call draws, on a
+    # chart of its own, so that no kept line draw is shared between them
+    c = coordinate_torus(12)
+    metric = Metric.from_complex(c)
+    assert decompose(c, strategy="random") == decompose(c, strategy="random", seed=0)
+
+    def deform(**seed):
+        chart = build_chart(c, decompose(c, strategy="random", seed=2), metric)
+        field = field_from_spec(parse_fld(LINEAR_FLD), chart, extend_frame(chart))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        kbar = deform_tensor(field, chart, hole)
+        return (retraction_samples(chart, 5, 4, **seed),
+                continuity_report(kbar, chart, hole, samples=6, **seed).to_json_obj(),
+                deformation_samples(kbar, chart, hole, lines=4, per_line=3, **seed))
+
+    assert deform() == deform(seed=0)

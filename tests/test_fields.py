@@ -1,6 +1,8 @@
 import math
 import random
+import sys
 import zlib
+from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import spineforge as sf
+from spineforge import cli
 from spineforge.chart import (ChartDomainError, PointRef, ambient_position, build_chart,
                               sample_interior)
 from spineforge.fields import (FieldDomainError, HoleDomainError,
@@ -15,11 +18,14 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                constant_tensor, continuity_report,
                                deform_tensor, deformation_samples, extend_frame,
                                field_from_spec, parse_fld, root_facet_clearance)
-from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex
+from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex, write_tri
 
 from grids import coordinate_torus, grid_surface
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
+LINEAR_FLD = ("type 1 0\nlinear\n"
+              "0.1 0.2 -0.1 0.05\n"
+              "0.3 -0.15 0.1 0.2\n")
 
 
 # -- frame oracles: the explicit unfolding extend_frame is checked against ------
@@ -416,7 +422,7 @@ class TestStepGeometry:
             other = Metric(lengths)
             other.validate(c)
             chart = build_chart(c, d, other)
-            assert c._step_geometry.metric is other
+            assert c._derived["step_geometry"][1].metric is other
             TestFrameField._assert_matches_reference(chart)
             for step in d.gates:
                 ov = chart._gate_maps[step.child][0]
@@ -432,7 +438,7 @@ class TestStepGeometry:
                     centroid = [0.0 if i == k else 1.0 / n for i in range(n + 1)]
                     vertex = [float(i == k) for i in range(n + 1)]
                     want = other.dist(verts, vertex, centroid)
-                    assert c._step_geometry.height[f, k] == want
+                    assert c._derived["step_geometry"][1].height[f, k] == want
 
     def test_chart_keeps_its_own_metric_rows(self, census):
         # a chart built before another metric replaced the complex's table
@@ -442,7 +448,7 @@ class TestStepGeometry:
         m = Metric.from_complex(c)
         chart = build_chart(c, d, m)
         build_chart(c, d, Metric({e: 2.0 * x for e, x in m.edge_lengths.items()}))
-        assert c._step_geometry.metric is not m
+        assert c._derived["step_geometry"][1].metric is not m
         TestFrameField._assert_matches_reference(chart)
 
     def test_flat_facet_names_first_gate_on_a_filled_table(self, census):
@@ -489,6 +495,51 @@ class TestStepGeometry:
             assert math.isnan(chart._heights[0])
             frame = extend_frame(chart)
             assert frame.transitions == {} and frame.matrices[0].shape == (0, 0)
+
+
+def count_builds(monkeypatch):
+    """Spy on ``simplicial.derived`` in every module that calls it: a
+    Counter of the tables built, by name (a per-key name by its first part),
+    and the owners asked for a table, in order."""
+    builds, owners = Counter(), []
+    original = sf.simplicial.derived
+
+    def counting(owner, name, key, build):
+        owners.append(owner)
+        label = name[0] if isinstance(name, tuple) else name
+        return original(owner, name, key, lambda: builds.update([label]) or build())
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("spineforge")]:
+        if getattr(module, "derived", None) is original:
+            monkeypatch.setattr(module, "derived", counting)
+    return builds, owners
+
+
+class TestDerivedTables:
+    """Every table a complex, metric or chart keeps is built once per key."""
+
+    def test_deform_builds_each_table_once(self, monkeypatch, capsys, tmp_path):
+        tri, fld = tmp_path / "torus12.tri", tmp_path / "lin.fld"
+        write_tri(coordinate_torus(12), tri)
+        fld.write_text(LINEAR_FLD)
+        builds, owners = count_builds(monkeypatch)
+        assert cli.main(["deform", str(tri), "--field", str(fld), "--strategy", "random",
+                         "--seed", "0", "--out", str(tmp_path / "d.csv")]) == 0
+        capsys.readouterr()
+        assert builds == dict.fromkeys(["validation", "edge_table", "gates", "step_geometry",
+                                        "frame_rows", "vertex_table", "clearance",
+                                        "line_draw"], 1)
+        # a second tree on the CLI's complex and metric builds only its line draw
+        c = next(o for o in owners if isinstance(o, SimplicialComplex))
+        m = next(o for o in owners if isinstance(o, Metric))
+        builds.clear()
+        chart = build_chart(c, sf.decompose(c, strategy="random", seed=1), m)
+        field = field_from_spec(parse_fld(LINEAR_FLD), chart, extend_frame(chart))
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        kbar = deform_tensor(field, chart, hole)
+        continuity_report(kbar, chart, hole, samples=8, seed=1)
+        deformation_samples(kbar, chart, hole, lines=8, per_line=16, seed=1)
+        assert builds == {"line_draw": 1}
 
 
 class TestConstantTensor:

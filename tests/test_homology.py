@@ -372,7 +372,7 @@ class TestPuncturedHomologyCache:
         for root in (0, 5, 0, 5):
             assert verify_theorem2(c, sf.decompose(c, root=root)).ok
         assert puncture_calls == [0, 5]
-        assert sorted(c._punctured_homology) == [0, 5]
+        assert sorted(name[1] for name in c._derived if name[0] == "punctured") == [0, 5]
 
     @pytest.mark.parametrize("name", sf.census_names())
     def test_builds_no_complex(self, monkeypatch, name):
@@ -420,7 +420,7 @@ class TestPuncturedHomologyCache:
             with pytest.raises(InvalidComplexError, match=match):
                 verify_theorem2(c, d)
         assert puncture_calls == [d.root] * 3
-        assert c._punctured_homology == {}
+        assert [name for name in c._derived if name[0] == "punctured"] == []
 
 
 @st.composite

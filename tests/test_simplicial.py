@@ -284,7 +284,7 @@ class TestDualGraph:
         with pytest.raises(InvalidComplexError,
                            match=r"^ridge \(1, 2\) has 1 cofacets, expected 2$"):
             sf.decompose(open_complex)
-        assert open_complex._gate_table is None
+        assert open_complex._derived.get("gates") is None
 
     def test_ridge_double_counting(self, census):
         for c in census.values():
@@ -695,6 +695,15 @@ class TestOnePassLoad:
     def test_validation_equals_star_pass(self, c):
         c = SimplicialComplex(c.dimension, c.top_simplices)   # no cached report
         assert sf.validate_closed_manifold(c) == reference_star_validation(c)
+
+    def test_valid_rows_take_the_bulk_path(self, monkeypatch):
+        # _scanned_facets only names a row at fault; no valid input reads it
+        def scanned(n, rows):
+            raise AssertionError("a valid input was scanned row by row")
+
+        monkeypatch.setattr(simplicial, "_scanned_facets", scanned)
+        for _, c in load_cases():
+            assert lattice_of(parse_tri(format_tri(c))) == lattice_of(c)
 
     def test_cases_cover_every_verdict(self):
         reports = {name: reference_star_validation(c) for name, c in load_cases()}

@@ -166,6 +166,22 @@ class TestDecompose:
         with pytest.raises(InvalidComplexError):
             decompose(census["sphere_tet"], root=99)
 
+    @pytest.mark.parametrize("root", ["F", -1])
+    def test_rejects_root_just_out_of_range(self, census, root):
+        # F is one past the last facet id, where an off-by-one range check
+        # would raise a bare IndexError, and -1 would index the last facet
+        c = census["sphere_tet"]
+        root = len(c.top_simplices) if root == "F" else root
+        with pytest.raises(InvalidComplexError, match=rf"^no facet with id {root}$"):
+            decompose(c, root=root)
+
+    def test_bad_ridge_of_a_graph_named(self):
+        # n = 1: a ridge is a vertex, here one that lies in three edges
+        theta = SimplicialComplex(1, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3)])
+        with pytest.raises(InvalidComplexError,
+                           match=r"^ridge \(0,\) has 3 cofacets, expected 2$"):
+            decompose(theta)
+
     def test_rejects_bad_strategy(self, census):
         with pytest.raises(InvalidComplexError):
             decompose(census["sphere_tet"], strategy="spiral")
@@ -414,6 +430,16 @@ def test_oracles_reject_out_of_range_spine_ids(census, oracle, rid):
     with pytest.raises(InvalidComplexError,
                        match=rf"^no ridge with id {rid} \(ridge ids run 0\.\.{ridges - 1}\)$"):
         oracle(c, _with_spine_id(c, rid))
+
+
+def test_spine_ridges_names_the_highest_id_when_the_lowest_is_0(census):
+    c = census["torus7"]
+    ridges = len(c.faces[c.dimension - 1])
+    d = dataclasses.replace(decompose(c), spine=(0, 1, ridges))
+    for check in (spine_module.spine_ridges, spine_connected, verify_theorem2):
+        with pytest.raises(InvalidComplexError,
+                           match=rf"^no ridge with id {ridges} \(ridge ids run 0\.\.{ridges - 1}\)$"):
+            check(c, d)
 
 
 class TestSpineConnected:
