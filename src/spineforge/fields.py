@@ -6,16 +6,18 @@ vertex_j - vertex_0 of its flat embedding).  Crossing a gate re-expresses the
 parent frame in the child basis as if the two facets were unfolded rigidly
 across their shared ridge; in this piecewise-flat model the transition is a
 single constant matrix per gate, i.e. transitions are constant along each
-child's interval family.  A transition depends only on its gate step and
-the metric, so the first ``extend_frame`` on a complex and metric computes
-every step's transition, as a table the complex keeps beside its step
-table, from edge lengths in one stacked pass, without embedding any facet (the lengths come from
-``Metric.lengths_at``, the gather the chart's heights use too); per tree it
-only gathers and chains them.  ``root_facet_clearance`` reads the root's
-heights off Gram determinants, once per metric and root facet, and a linear
-field's vertex table is built once per complex and component rows: no tree
-changes either, so each is kept, with the metric and with the complex, for
-their lifetimes.
+child's interval family.  A transition depends only on its gate step and the
+metric, so the first ``extend_frame`` on a complex and metric computes every
+step's transition, as a table the complex keeps beside its step table, from
+edge lengths in one stacked pass, without embedding any facet (the lengths
+come from ``Metric.lengths_at``, the gather the chart's heights use too);
+per tree it only gathers and chains them.  A frame is two (F, n, n) arrays
+indexed by facet id, the chained frames and each facet's entry transition,
+both the identity at the root, with no per-facet object.
+``root_facet_clearance`` reads the root's heights off Gram determinants,
+once per metric and root facet, and a linear field's vertex table is built
+once per complex and component rows: no tree changes either, so each is
+kept, with the metric and with the complex, for their lifetimes.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -41,8 +43,12 @@ field's single point read is its point rule on that one point.
 The seam report and the sample rows read the same sampled lines: the chart
 keeps its last draw, keyed by count and seed, so a run that asks for both
 with one count and seed walks each line once, and each reads the deformed
-field once for all lines.  A count below 1 raises, as a check over no line
-would pass having checked nothing.
+field once for all lines.  The report sets every line's probe arcs and read
+rows in NumPy passes over flat arrays and keeps its probes as columns: the
+``ContinuityProbe`` tuples are built on the first read of ``probes``, so a
+run that only counts them (the CLI) builds none.  The sample rows are
+written straight from the one stacked read.  A count below 1 raises, as a
+check over no line would pass having checked nothing.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -78,15 +85,19 @@ class HoleDomainError(ValueError):
 
 @dataclass
 class FrameField:
-    """Per-facet frame matrices (columns = frame vectors in the facet basis)
-    and the constant per-gate transition matrices (child basis <- parent)."""
+    """The frame of every facet and the transition that carried it there, as
+    two (F, n, n) arrays indexed by facet id.  ``matrices[f]`` holds facet
+    f's frame vectors as columns in f's affine basis; ``transitions[f]``
+    re-expresses the parent's frame in f's basis across f's entry gate
+    (child basis <- parent), so ``matrices[f]`` is ``transitions[f]`` times
+    the parent's frame, up to rounding.  Both are the identity at the root."""
 
-    matrices: dict
-    transitions: dict
+    matrices: np.ndarray
+    transitions: np.ndarray
 
     @property
     def dimension(self):
-        return next(iter(self.matrices.values())).shape[0]
+        return self.matrices.shape[1]
 
 
 def extend_frame(chart: CellChart) -> FrameField:
@@ -97,18 +108,20 @@ def extend_frame(chart: CellChart) -> FrameField:
     frame row of a table the complex keeps like its step table
     (``chart.step_geometry``): the first frame on a complex and metric
     builds every row in one stacked pass (``_frame_rows``), and each tree
-    gathers its own.  Per tree, the frames are chained by pointer doubling,
-    one ``ordered_matmul`` per round.  The products associate differently from a chain in growth order,
-    so a frame can differ from that chain's by rounding (3e-14 on the 12×12
-    torus); the transitions do not change.  The first gate in growth order
-    whose step misses a metric edge raises InvalidComplexError naming the
-    edge; then the first with a flat parent, a child flat onto its gate or a
+    gathers its own into its children's slots.  Per tree, the frames are
+    chained by pointer doubling, one ``ordered_matmul`` per round.  The
+    products associate differently from a chain in growth order, so a frame
+    can differ from that chain's by rounding (3e-14 on the 12×12 torus);
+    the transitions do not change.  The first gate in growth order whose
+    step misses a metric edge raises InvalidComplexError naming the edge;
+    then the first with a flat parent, a child flat onto its gate or a
     singular frame raises InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
     gates = chart.decomposition.gates
+    transitions = np.broadcast_to(np.eye(n), (len(c.top_simplices), n, n)).copy()
     if not gates:   # a point has no step, so no frame row
-        return FrameField({chart.root: np.eye(n)}, {})
+        return FrameField(transitions.copy(), transitions)
     geometry, steps, keys = chart._geometry, chart._steps, chart._step_keys
     transition, flat_parent, flat_child, missing, missing_edge = derived(
         c, "frame_rows", chart.metric, lambda: _frame_rows(geometry))
@@ -116,15 +129,14 @@ def extend_frame(chart: CellChart) -> FrameField:
     if missing.any():
         u, v = missing_edge[keys[missing.argmax()]].tolist()
         raise InvalidComplexError(f"metric misses edge {(u, v)}")
-    trans = transition[keys]
+    children = steps[:, 2]
+    transitions[children] = transition[keys]
 
     # chain by pointer doubling: frames[f] is the product of the transitions
     # on the gates from f up to facet up[f], and each round doubles that
     # stretch with one stacked product; ceil(log2(depth)) rounds reach the
     # root, and the gate count's bit length bounds the loop whatever the list
-    children = steps[:, 2]
-    frames = np.broadcast_to(np.eye(n), (len(c.top_simplices), n, n)).copy()
-    frames[children] = trans
+    frames = transitions.copy()
     up = np.arange(len(c.top_simplices))
     up[children] = steps[:, 0]
     for _ in range(len(gates).bit_length()):
@@ -133,11 +145,8 @@ def extend_frame(chart: CellChart) -> FrameField:
             break
         frames = ordered_matmul(frames, frames[up])
         up = above
-    chained = frames[children]
-    matrices = {chart.root: np.eye(n)}
-    matrices.update(zip(children.tolist(), chained))
     flat_parent, flat_child = flat_parent[keys], flat_child[keys]
-    singular = np.abs(np.linalg.det(chained)) <= DEGENERACY_TOL
+    singular = np.abs(np.linalg.det(frames[children])) <= DEGENERACY_TOL
     bad = np.flatnonzero(flat_parent | flat_child | singular)
     if bad.size:
         step = gates[bad[0]]
@@ -149,7 +158,7 @@ def extend_frame(chart: CellChart) -> FrameField:
                 f"child {tuple(c.top_simplices[step.child])} degenerates onto gate "
                 f"{tuple(c.faces[n - 1][step.gate])}")
         raise InvalidGeometryError(f"frame transition into facet {step.child} is singular")
-    return FrameField(matrices, dict(zip(steps[:, 1].tolist(), trans)))
+    return FrameField(frames, transitions)
 
 
 def _frame_rows(geometry) -> tuple:
@@ -475,16 +484,23 @@ class ContinuityProbe(NamedTuple):
 class ContinuityReport:
     """Seam jumps of a deformed field over sampled broken lines.
 
-    ``nonsmooth_arcs`` flags the hole-boundary crossings, where the field is
-    continuous but expectedly not smooth.
+    ``columns`` holds the probes as ``ContinuityProbe``'s six fields, one
+    tuple each, in probe order; ``probes`` zips them into tuples on its
+    first read and keeps them, and ``to_json_obj`` counts them without
+    building any.  ``nonsmooth_arcs`` flags the hole-boundary crossings,
+    where the field is continuous but expectedly not smooth.
     """
 
-    probes: tuple
+    columns: tuple
     boundary_seam: float     # max jump measured at the hole boundary itself
     spine_limit: float       # max |K̄(z-side approach) - K̄(z)|
     gate_jump: float         # max jump across gate junctions along lines
     input_gate_jump: float   # the same gate probes on the input field
     nonsmooth_arcs: tuple
+
+    @cached_property
+    def probes(self) -> tuple:
+        return tuple(map(ContinuityProbe._make, zip(*self.columns)))
 
     def to_json_obj(self):
         return {
@@ -493,14 +509,19 @@ class ContinuityReport:
             "gate_jump": self.gate_jump,
             "input_gate_jump": self.input_gate_jump,
             "nonsmooth_arcs": [list(x) for x in self.nonsmooth_arcs],
-            "probes": len(self.probes),
+            "probes": len(self.columns[0]),
         }
 
 
-def _jumps(a: np.ndarray, b: np.ndarray) -> list:
+def _jumps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The largest component difference of each pair of rows of two stacks
     (b may be one block, which each row of a is compared with)."""
-    return np.abs(a - b).max(axis=tuple(range(1, a.ndim))).tolist()
+    return np.abs(a - b).max(axis=tuple(range(1, a.ndim)))
+
+
+def _largest(jumps: np.ndarray) -> float:
+    """The largest of the jumps, folded from 0.0, so a NaN never enters it."""
+    return float(np.fmax.reduce(jumps, initial=0.0))
 
 
 def _sampled_lines(chart: CellChart, count: int, seed: int) -> list:
@@ -526,80 +547,94 @@ def _require_positive(**counts):
 
 
 PROBE_LEVELS = 4    # dyadic offsets per side of the hole-boundary seam
+SEAMS = np.array(["hole-boundary", "spine-limit", "gate"], object)   # by seam code
 
 
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
                       samples: int, seed: int = 0) -> ContinuityReport:
     """Dyadic approach sequences at the three seams of the deformed field.
 
-    One pass over the sampled lines sets their probe arcs and each line's
-    two point-path probes: the hole-boundary seam itself, whose ``locate``
-    checks the point function against the line rule, and the spine point
-    z.  The deformed field is read once at all those points, interleaved
-    (seam, z, next seam, ...), once at every line's probe arcs, and the
-    input field once at their gate probes; each jump is a row of one
-    stacked difference.  Fewer than one sample raises, since a report over
-    no line checks nothing."""
+    Each line is probed at its hole-boundary seam itself, whose ``locate``
+    checks the point function against the line rule, at PROBE_LEVELS
+    offsets to each side of that seam, near its spine point z, and to both
+    sides of each gate crossing.  The arcs, offsets and read rows of all
+    lines are set in NumPy passes over flat arrays.  The deformed field is
+    read once at every line's seam point and z, interleaved (seam, z, next
+    seam, ...), once at every line's probe arcs, and the input field once
+    at their gate probes; each kind of jump is one stacked difference of
+    rows of those reads, and the probes are kept as columns.  Fewer than
+    one sample raises, since a report over no line checks nothing."""
     _require_positive(samples=samples)
+    levels = PROBE_LEVELS
     base = kbar.evaluate(chart.c0)
-    plans, probe_reads, gate_reads, points = [], [], [], []
-    ka, kb, ia, ib = [], [], [], []     # the rows each jump takes, deformed and input field
-    at = read_at = 0
-    for index, (line, _) in enumerate(_sampled_lines(chart, samples, seed)):
-        s0, s1 = hole.split(line)
-        # Probe offsets are set in the input field's arc: an offset delta in
-        # the tail reads K at delta * L / s1, so delta <= step keeps every
-        # probe within GEOMETRIC_TOL of the line length of its seam, whatever
-        # the tail's compression L / s1.
-        step = GEOMETRIC_TOL * s1
-        deltas = [step / 2 ** k for k in range(PROBE_LEVELS)]
-        gates = []
-        for acc in line.segment_ends[:-1]:
-            delta = min(step, acc / 2, (line.length - acc) / 2)
-            if delta > 0.0:
-                gates.append((acc, delta))
-        sides = [acc - delta for acc, delta in gates] + [acc + delta for acc, delta in gates]
-        probe_reads.append((line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
-                            [line.length - step] + sides))
-        gate_reads.append((line, sides))
-        # inside against outside the hole boundary, near z against z (the
-        # point rows after the probe rows), after against before a gate
-        g, near = len(gates), at + 2 * PROBE_LEVELS
-        ka += [*range(at, at + PROBE_LEVELS), near, *range(near + 1 + g, near + 1 + 2 * g)]
-        kb += [*range(at + PROBE_LEVELS, near), index - samples, *range(near + 1, near + 1 + g)]
-        ia += range(read_at + g, read_at + 2 * g)
-        ib += range(read_at, read_at + g)
-        at, read_at = near + 1 + 2 * g, read_at + 2 * g
-        points += (line.point_at_arc(s0), line.endpoint)
-        plans.append((line.length, s0, step, deltas, gates))
+    lines = [line for line, _ in _sampled_lines(chart, samples, seed)]
+    s0, s1, length = np.array([hole.split(line) + (line.length,) for line in lines]).T
+    # Probe offsets are set in the input field's arc: an offset delta in the
+    # tail reads K at delta * L / s1, so delta <= step keeps every probe
+    # within GEOMETRIC_TOL of the line length of its seam, whatever the
+    # tail's compression L / s1.
+    step = GEOMETRIC_TOL * s1
+    deltas = step[:, None] / 2.0 ** np.arange(levels)
+    # a gate probe at each segment end but the last that leaves it room on
+    # the line; owner[j] is the line of gate probe j, and cuts[i] the first
+    # gate probe of line i
+    ends = [line.segment_ends[:-1] for line in lines]
+    owner = np.repeat(np.arange(samples), [len(e) for e in ends])
+    acc = np.fromiter(chain.from_iterable(ends), float, len(owner))
+    delta = np.minimum(np.minimum(step[owner], acc / 2), (length[owner] - acc) / 2)
+    room = delta > 0.0
+    owner, acc, delta = owner[room], acc[room], delta[room]
+    cuts = np.searchsorted(owner, np.arange(samples + 1))
+    bounds = cuts.tolist()
+    before, after = (acc - delta).tolist(), (acc + delta).tolist()
+    sides = [before[a:b] + after[a:b] for a, b in zip(bounds, bounds[1:])]
+    heads = np.concatenate([s0[:, None] + deltas, s0[:, None] - deltas,
+                            (length - step)[:, None]], axis=1).tolist()
+    points = [p for line, arc in zip(lines, s0.tolist())
+              for p in (line.point_at_arc(arc), line.endpoint)]
 
-    # the seam points and the spine points z, interleaved, in one point read
     at_points = kbar.evaluate_points(points)
-    at_seams = _jumps(at_points[::2], base)
-    read = np.concatenate([kbar.evaluate_lines(probe_reads), at_points[1::2]])
-    left, right = [read[ka]], [read[kb]]
+    read = kbar.evaluate_lines([(line, head + side)
+                                for line, head, side in zip(lines, heads, sides)])
+    # line i's rows in the read: its 2*levels + 1 head rows from
+    # width*i + 2*cuts[i], then its gate probes' before and after sides,
+    # where gate probe j sits j - cuts[i] rows into each
+    width, j, g = 2 * levels + 1, np.arange(len(owner)), np.diff(cuts)[owner]
+    inner = ((width * np.arange(samples) + 2 * cuts[:-1])[:, None]
+             + np.arange(levels)).ravel()
+    gate_before = width * (owner + 1) + cuts[owner] + j
+    hole_jumps = _jumps(read[inner], read[inner + levels]).reshape(samples, levels)
+    spine_jumps = _jumps(read[inner[::levels] + 2 * levels], at_points[1::2])
+    gate_jumps = _jumps(read[gate_before + g], read[gate_before])
+    input_jumps = np.zeros(len(owner))
     if kbar.source is not None:
-        read = kbar.source.evaluate_lines(gate_reads)
-        left.append(read[ia])
-        right.append(read[ib])
-    jumps = _jumps(np.concatenate(left), np.concatenate(right))
-    inputs, jumps = iter(jumps[len(ka):]), iter(jumps)
-    probes = []
-    for index, ((length, s0, step, deltas, gates), at_seam) in enumerate(zip(plans, at_seams)):
-        probes.append(ContinuityProbe(index, "hole-boundary", s0, 0.0, at_seam, 0.0))
-        probes += [ContinuityProbe(index, "hole-boundary", s0, d, next(jumps), 0.0)
-                   for d in deltas]
-        probes.append(ContinuityProbe(index, "spine-limit", length, step, next(jumps), 0.0))
-        probes += [ContinuityProbe(index, "gate", acc, d, next(jumps), next(inputs, 0.0))
-                   for acc, d in gates]
-    # each max folds from 0.0 in probe order, so a NaN jump never enters it
-    gate_probes = [p for p in probes if p.seam == "gate"]
+        read = kbar.source.evaluate_lines(list(zip(lines, sides)))
+        side_before = cuts[owner] + j
+        input_jumps = _jumps(read[side_before + g], read[side_before])
+    at_seams = _jumps(at_points[::2], base)
+
+    # each line's probes: the seam itself, its offsets and the spine limit,
+    # then its gate probes
+    fixed = levels + 2
+    is_gate = np.zeros(samples * fixed + len(owner), bool)
+    is_gate[fixed * (owner + 1) + j] = True
+
+    def column(per_line, per_gate):
+        out = np.empty(len(is_gate), np.result_type(per_line, per_gate))
+        out[~is_gate] = np.broadcast_to(per_line, (samples, fixed)).ravel()
+        out[is_gate] = per_gate
+        return out
+
+    columns = (column(np.arange(samples)[:, None], owner),
+               SEAMS[column(np.array([0] * (levels + 1) + [1]), 2)],
+               column(np.column_stack([np.repeat(s0[:, None], levels + 1, axis=1), length]), acc),
+               column(np.column_stack([np.zeros(samples), deltas, step]), delta),
+               column(np.column_stack([at_seams, hole_jumps, spine_jumps]), gate_jumps),
+               column(0.0, input_jumps))
     return ContinuityReport(
-        tuple(probes), max([0.0] + at_seams),
-        max([0.0] + [p.jump for p in probes if p.seam == "spine-limit"]),
-        max([0.0] + [p.jump for p in gate_probes]),
-        max([0.0] + [p.input_jump for p in gate_probes]),
-        tuple((index, plan[1]) for index, plan in enumerate(plans)))
+        tuple(tuple(col.tolist()) for col in columns), _largest(at_seams),
+        _largest(spine_jumps), _largest(gate_jumps), _largest(input_jumps),
+        tuple(enumerate(s0.tolist())))
 
 
 def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
@@ -609,9 +644,8 @@ def deformation_samples(kbar: TensorField, chart: CellChart, hole: HoleRegion,
     _require_positive(lines=lines, per_line=per_line)
     reads = [(line, [line.length * k / per_line for k in range(per_line + 1)])
              for line, _ in _sampled_lines(chart, lines, seed)]
-    keys = [(index, arc) for index, (_, arcs) in enumerate(reads) for arc in arcs]
-    values = kbar.evaluate_lines(reads).reshape(len(keys), -1).tolist()
-    return [[index, arc] + row for (index, arc), row in zip(keys, values)]
+    values = iter(kbar.evaluate_lines(reads).reshape(lines * (per_line + 1), -1).tolist())
+    return [[index, arc, *next(values)] for index, (_, arcs) in enumerate(reads) for arc in arcs]
 
 
 # -- .fld field files ------------------------------------------------------------

@@ -14,8 +14,8 @@ from spineforge.chart import (BlackPointError, BrokenLine, CellChart, ChartDomai
                               build_chart, forward_map, geometric_tol, inverse_map,
                               point_gap, retract, retraction_samples, rows_on_lines,
                               sample_interior, stretch)
-from spineforge.simplicial import (GEOMETRIC_TOL, MEMBERSHIP_TOL, InvalidComplexError, Metric,
-                                   SimplicialComplex)
+from spineforge.simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, InvalidComplexError,
+                                   Metric, SimplicialComplex)
 
 from grids import coordinate_torus, freudenthal_torus3, grid_surface
 
@@ -434,6 +434,39 @@ class TestBrokenLines:
             assert point_gap(chart, x, line.point_at_arc(arc)) <= 1e-12
             again = broken_line_to(chart, line.endpoint)
             assert abs(again.length - line.length) <= 1e-9
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_line_ends_at_every_spine_face_point(self, census, name, strategy):
+        # the barycenter of every face of every spine ridge, the ridge
+        # itself included, given in each cofacet and asked for from each
+        # side: the line ends in that side's facet within JUMP_TOL of it.
+        # A lower face that also bounds a gate lies on no interval family,
+        # and there the walk raises before any line is built.
+        c = named_complex(census, name)
+        d = sf.decompose(c, root=0, strategy=strategy, seed=0)
+        chart = build_chart(c, d, Metric.from_complex(c))
+        worst, ends = 0.0, set()
+        for rid in d.spine:
+            ridge, sides = c.faces[c.dimension - 1][rid], c.ridge_cofacets[rid]
+            for size in range(1, len(ridge) + 1):
+                for face in combinations(ridge, size):
+                    for own in sides:
+                        z = PointRef(own, tuple(1.0 / size if v in face else 0.0
+                                                for v in c.top_simplices[own]))
+                        for side in sides:
+                            try:
+                                line = broken_line_to(chart, z, side=side)
+                            except ChartDomainError as err:
+                                assert size < len(ridge)
+                                assert "point sits on a gate-boundary stratum" in str(err)
+                                continue
+                            ends.add(size)
+                            assert line.endpoint.top == side
+                            at = chart._transfer(z.bary, own, side)
+                            worst = max(worst, chart._dist(side, line.endpoint.bary, at))
+        assert worst <= JUMP_TOL
+        assert sorted(ends) == list(range(1, c.dimension + 1))
 
     def test_endpoint_must_be_black(self, charts):
         chart = charts["torus7"]

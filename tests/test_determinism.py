@@ -41,8 +41,7 @@ frame = extend_frame(build_chart(c, decompose(c, strategy="random", seed=0),
                                  Metric.from_complex(c)))
 with open(out + ".frames", "wb") as fh:
     for table in (frame.matrices, frame.transitions):
-        for key in sorted(table):
-            fh.write(table[key].tobytes())
+        fh.write(table.tobytes())
 sys.exit(code)
 """
 
@@ -135,8 +134,7 @@ def _tree(c, metric, seed):
              for bary in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
                           (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5))]
     return ([h.hex() for h in chart._heights], chart._parent, chart._down,
-            [(k, v.tobytes()) for table in (frame.matrices, frame.transitions)
-             for k, v in sorted(table.items())],
+            [table.tobytes() for table in (frame.matrices, frame.transitions)],
             retraction_samples(chart, 5, 4, seed),
             root_facet_clearance(chart).hex(), field.evaluate_points(points).tobytes(),
             [chart.spine_face_of(p) for p in faces])
