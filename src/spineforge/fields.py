@@ -547,7 +547,7 @@ def _require_positive(**counts):
 
 
 PROBE_LEVELS = 4    # dyadic offsets per side of the hole-boundary seam
-SEAMS = np.array(["hole-boundary", "spine-limit", "gate"], object)   # by seam code
+_SEAMS = np.array(["hole-boundary", "spine-limit", "gate"], object)   # by seam code
 
 
 def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
@@ -626,7 +626,7 @@ def continuity_report(kbar: TensorField, chart: CellChart, hole: HoleRegion,
         return out
 
     columns = (column(np.arange(samples)[:, None], owner),
-               SEAMS[column(np.array([0] * (levels + 1) + [1]), 2)],
+               _SEAMS[column(np.array([0] * (levels + 1) + [1]), 2)],
                column(np.column_stack([np.repeat(s0[:, None], levels + 1, axis=1), length]), acc),
                column(np.column_stack([np.zeros(samples), deltas, step]), delta),
                column(np.column_stack([at_seams, hole_jumps, spine_jumps]), gate_jumps),
