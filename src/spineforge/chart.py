@@ -59,7 +59,10 @@ metric, never on the tree, so they live in one table on the complex for
 its latest metric object (``StepGeometry``), built whole on request: each
 ridge's off-ridge slot in both cofacets, and the height of every facet
 over the face opposite each of its vertices, in one stacked pass over the
-metric's edge table that gives ``Metric.dist``'s bits.  A chart gathers its
+metric's edge table that gives ``Metric.dist``'s bits.  A metric that lacks
+an edge of the complex is refused there, naming the first missing edge as
+``Metric.validate`` does, so ``build_chart`` raises for it, the table is not
+kept, and no walk or frame reads a missing length.  A chart gathers its
 lists from the table with index arrays; ``fields.extend_frame`` gathers the
 frame transitions from a second table of the same key.
 
@@ -255,15 +258,16 @@ class StepGeometry:
         self.slots = (both[..., :, None] != both[:, ::-1, None, :]).all(axis=3).argmax(axis=2)
         # |vertex k - centroid of its opposite face| sums ``Metric.sq_dist``'s
         # terms in its pair order from the squares it uses, so it equals
-        # ``Metric.dist`` of the two points bit for bit; a facet whose edge
-        # the metric lacks gets NaN, and a line through it raises.  Row k of
-        # diff is the barycentric difference, 1 on slot k and -1/n on the
-        # others (a point, n = 0, has no pair to sum).
+        # ``Metric.dist`` of the two points bit for bit.  Row k of diff is
+        # the barycentric difference, 1 on slot k and -1/n on the others (a
+        # point, n = 0, has no pair to sum).
         diff = np.where(np.eye(n + 1, dtype=bool), 1.0, 0.0 - 1.0 / max(n, 1))
         s = np.zeros(tops.shape)
         for i, j in combinations(range(n + 1), 2):
             sq = metric.lengths_at(tops[:, i], tops[:, j], squared=True)
             s -= diff[:, i] * diff[:, j] * sq[:, None]
+        if np.isnan(s).any():   # a facet edge the metric lacks: validate names the first
+            metric.validate(c)
         self.height = np.sqrt(np.maximum(s, 0.0))
         # (ov, off) -> (ov, up, down): the gathers that read each parent slot
         # from the child (up) and each child slot from the parent (down).
@@ -343,10 +347,10 @@ class CellChart:
             self._parent[child] = parent
             self._down[parent * (n + 1) + off] = child
         # the root's squared edge lengths, (i, j, square) in Metric.sq_dist's
-        # pair order and as it takes them (NaN for an edge the metric lacks)
+        # pair order and as it takes them
         root = tops[self.root]
         self._root_squares = [(i, j, l * l) for i, j in combinations(range(n + 1), 2)
-                              for l in [metric.edge_lengths.get((root[i], root[j]), math.nan)]]
+                              for l in [metric.edge_lengths[root[i], root[j]]]]
         self._derived = {}   # name -> (key, table), see ``simplicial.derived``
 
         # each spine ridge's first position in ``decomposition.spine`` by
@@ -517,11 +521,7 @@ class CellChart:
         segments.extend(self._descend(top, q, exit_local))
         segments = tuple([*map(_as_segment, segments)])   # see segment_ends
         top, _, z, _ = segments[-1]
-        total = math.fsum(map(_length, segments))
-        if total != total:    # a NaN height: the metric lacks an edge of that facet
-            top = next(seg.top for seg in segments if seg.length != seg.length)
-            raise InvalidComplexError(f"metric misses an edge of facet {self._verts(top)}")
-        return BrokenLine(segments, PointRef(top, z), total), arc
+        return BrokenLine(segments, PointRef(top, z), math.fsum(map(_length, segments))), arc
 
     def is_c0(self, pt: PointRef) -> bool:
         """Whether pt is the root barycenter c0, up to MEMBERSHIP_TOL."""
@@ -557,7 +557,8 @@ class CellChart:
 
 
 def build_chart(c: SimplicialComplex, d: Decomposition, m: Metric) -> CellChart:
-    """The chart of ``d``: one coordinate extension per gate, in growth order."""
+    """The chart of ``d``: one coordinate extension per gate, in growth order.
+    A metric that lacks an edge of ``c`` raises InvalidComplexError."""
     return CellChart(c, d, m)
 
 

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 from .census import build_census, census_names
 from .chart import (ChartDomainError, PointRef, ambient_position, build_chart,
@@ -165,7 +165,7 @@ def cmd_deform(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["line", "arc"] +
-                        [f"c{i}" for i in range(len(rows[0]) - 2 if rows else 0)])
+                        [f"c{i}" for i in range(len(rows[0]) - 2)])
         writer.writerows(rows)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(buf.getvalue())
@@ -177,15 +177,9 @@ def cmd_deform(args) -> int:
 
 def _grid_points(n: int, level: int):
     """Interior barycentric grid: positive multiples of 1/level summing to 1."""
-    for cut in combinations_with_replacement(range(1, level), n):
-        parts = []
-        prev = 0
-        for x in cut:
-            parts.append(x - prev)
-            prev = x
-        parts.append(level - prev)
-        if all(p > 0 for p in parts):
-            yield tuple(p / level for p in parts)
+    for cut in combinations(range(1, level), n):
+        bounds = (0, *cut, level)
+        yield tuple((b - a) / level for a, b in zip(bounds, bounds[1:]))
 
 
 def cmd_export_off(args) -> int:

@@ -10,7 +10,8 @@ child's interval family.  A transition depends only on its gate step and the
 metric, so the first ``extend_frame`` on a complex and metric computes every
 step's transition, as a table the complex keeps beside its step table, from
 edge lengths in one stacked pass, without embedding any facet (the lengths
-come from ``Metric.lengths_at``, the gather the chart's heights use too);
+come from ``Metric.lengths_at``, the gather the chart's heights use too,
+and a metric that lacks an edge was refused with the chart's step table);
 per tree it only gathers and chains them.  A frame is two (F, n, n) arrays
 indexed by facet id, the chained frames and each facet's entry transition,
 both the identity at the root, with no per-facet object.
@@ -112,10 +113,9 @@ def extend_frame(chart: CellChart) -> FrameField:
     chained by pointer doubling, one ``ordered_matmul`` per round.  The
     products associate differently from a chain in growth order, so a frame
     can differ from that chain's by rounding (3e-14 on the 12×12 torus);
-    the transitions do not change.  The first gate in growth order whose
-    step misses a metric edge raises InvalidComplexError naming the edge;
-    then the first with a flat parent, a child flat onto its gate or a
-    singular frame raises InvalidGeometryError."""
+    the transitions do not change.  The first gate in growth order with a
+    flat parent, a child flat onto its gate or a singular frame raises
+    InvalidGeometryError."""
     c = chart.complex
     n = c.dimension
     gates = chart.decomposition.gates
@@ -123,12 +123,8 @@ def extend_frame(chart: CellChart) -> FrameField:
     if not gates:   # a point has no step, so no frame row
         return FrameField(transitions.copy(), transitions)
     geometry, steps, keys = chart._geometry, chart._steps, chart._step_keys
-    transition, flat_parent, flat_child, missing, missing_edge = derived(
+    transition, flat_parent, flat_child = derived(
         c, "frame_rows", chart.metric, lambda: _frame_rows(geometry))
-    missing = missing[keys]
-    if missing.any():
-        u, v = missing_edge[keys[missing.argmax()]].tolist()
-        raise InvalidComplexError(f"metric misses edge {(u, v)}")
     children = steps[:, 2]
     transitions[children] = transition[keys]
 
@@ -162,20 +158,18 @@ def extend_frame(chart: CellChart) -> FrameField:
 
 
 def _frame_rows(geometry) -> tuple:
-    """(transition, flat_parent, flat_child, missing, missing_edge): the
-    frame row of every step of the step table ``geometry``, one per
-    directed ridge, from edge lengths in one stacked pass.  A row holds the
-    step's transition (identity where the step is flat), its flat-parent,
-    flat-child and missing-edge flags and its first missing edge.
+    """(transition, flat_parent, flat_child): the frame row of every step
+    of the step table ``geometry``, one per directed ridge, from edge
+    lengths in one stacked pass.  A row holds the step's transition
+    (identity where the step is flat) and its flat-parent and flat-child
+    flags.
 
     The gate's Gram matrix gives the feet and heights of the parent's far
     vertex w and the child's apex a over the gate; as the two lie on opposite
     sides, w in the child's barycentrics is foot_w + (h_w/h_a)·foot_a on the
     gate vertices and -h_w/h_a on a, and the parent's basis vectors follow.
     The gates' vertices, w, a, their squared edge lengths and the ring index
-    maps are gathered with index arrays, with no per-gate Python step.  A
-    step whose edges the metric lacks gets only its flag and its first
-    missing edge."""
+    maps are gathered with index arrays, with no per-gate Python step."""
     n = geometry.dimension
     # row 2*rid + side steps out of cofacet side of ridge rid into the other
     cofacets, slots = geometry.cofacets, geometry.slots
@@ -189,23 +183,11 @@ def _frame_rows(geometry) -> tuple:
     gate_slots = np.arange(n) + (np.arange(n) >= local)
     ring_index = np.arange(n + 1) - (np.arange(n + 1) > local)
     np.fill_diagonal(ring_index, n)
-    keys = rows = np.arange(len(w_slot))
+    rows = np.arange(len(w_slot))
     gate = pv[rows[:, None], gate_slots[w_slot]]
     ends = np.concatenate([gate, pv[rows, w_slot, None], cv[rows, a_slot, None]], axis=1)
     # squared lengths from each of (gate..., w, a) to each gate vertex
     sq = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :], squared=True)
-    nan = np.isnan(sq).reshape(len(rows), -1)
-    missing = nan.any(axis=1)
-    missing_edge = np.zeros((len(rows), 2), np.intp)
-    if missing.any():
-        # the first missing edge of each such step, in (end, gate vertex) order
-        k = np.flatnonzero(missing)
-        i, j = np.divmod(nan[k].argmax(axis=1), n)
-        edge = np.stack([ends[k, i], gate[k, j]], axis=1)
-        missing_edge[k] = np.sort(edge, axis=1)
-        keys = np.flatnonzero(~missing)
-        sq, w_slot, a_slot = sq[keys], w_slot[keys], a_slot[keys]
-        rows = np.arange(len(keys))
     to0 = sq[:, :n, 0]
     gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
     off = sq[:, n:]
@@ -222,7 +204,7 @@ def _frame_rows(geometry) -> tuple:
     ratio = np.sqrt(np.maximum(h_sq[:, 0], 0.0)) / np.where(usable, h_a, 1.0)
 
     # barycentrics in the child's ring (gate..., a) of the parent's ring (gate..., w)
-    ring = np.zeros((len(keys), n + 1, n + 1))
+    ring = np.zeros((len(rows), n + 1, n + 1))
     ring[:, :n, :n] = np.eye(n)
     ring[:, n, :n] = foot[:, 0] + ratio[:, None] * foot[:, 1]
     ring[:, n, n] = -ratio
@@ -230,9 +212,7 @@ def _frame_rows(geometry) -> tuple:
                 ring_index[a_slot][:, None, :]]
     trans = (bary[:, 1:, 1:] - bary[:, :1, 1:]).transpose(0, 2, 1)
     trans[~usable] = np.eye(n)
-    transition, flat = np.zeros((len(missing), n, n)), np.zeros((2, len(missing)), bool)
-    transition[keys], flat[0, keys], flat[1, keys] = trans, flat_parent, flat_child
-    return transition, flat[0], flat[1], missing, missing_edge
+    return trans, flat_parent, flat_child
 
 
 # -- tensor fields -------------------------------------------------------------

@@ -36,6 +36,8 @@ JUMP_TOL = 1e-6
 # Absolute length or determinant: a height or frame at or below it is flat.
 DEGENERACY_TOL = 1e-12
 
+_LONGEST_EDGE = math.sqrt(np.finfo(float).max)   # the longest length whose square is finite
+
 
 class InvalidComplexError(ValueError):
     """Input data cannot form (or has stopped being) a valid complex.
@@ -371,9 +373,10 @@ class Metric:
         lengths = {}
         for e, l in edge_lengths.items():
             u, v = e
-            if not (l > 0 and math.isfinite(l)):
+            # up to _LONGEST_EDGE, l * l is finite, as heights and distances need
+            if not 0.0 < l <= _LONGEST_EDGE:
                 raise InvalidComplexError(
-                    f"edge {e} has length {l}, expected a finite positive number")
+                    f"edge {e} has length {l}, expected a positive number with a finite square")
             # an (u, v) tuple key with u < v is kept, not copied: a metric
             # from a complex shares the complex's edge tuples
             key = e if type(e) is tuple and u < v else (min(u, v), max(u, v))

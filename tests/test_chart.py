@@ -18,6 +18,7 @@ from spineforge.simplicial import (GEOMETRIC_TOL, JUMP_TOL, MEMBERSHIP_TOL, Inva
                                    Metric, SimplicialComplex)
 
 from grids import coordinate_torus, freudenthal_torus3, grid_surface
+from helpers import arc_gap, broken_line_faults
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
@@ -516,6 +517,46 @@ def _lookup_arc(line, kind, pick, side):
             math.inf, ends[-1])[pick % 5]
 
 
+class TestLineSelfChecks:
+    """``helpers.broken_line_faults`` and ``helpers.arc_gap`` on the lines
+    through points of random facets: they need no reference walk, so they
+    reach the deep dfs lines of the 48x48 torus and T^3."""
+
+    NAMES = [*ALL, "torus12", "torus48", "torus3d4"]
+
+    @pytest.fixture(scope="class")
+    def complexes(self, census):
+        return {**census, "torus12": coordinate_torus(12), "torus48": coordinate_torus(48),
+                "torus3d4": freudenthal_torus3(4)}
+
+    @staticmethod
+    def points(c, strategy, count):
+        """A chart of c on the strategy's tree and count points of random
+        facets; the 48x48 dfs tree's lines are about 2 000 segments deep, so
+        a quarter as many of its points are asked for."""
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        if strategy == "dfs" and len(c.top_simplices) > 4000:
+            count //= 4
+        rng = random.Random(0)
+        tops = len(c.top_simplices)
+        return chart, [sample_interior(c, rng, rng.randrange(tops)) for _ in range(count)]
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_lines_are_contiguous(self, complexes, name, strategy):
+        chart, points = self.points(complexes[name], strategy, 200)
+        for p in points:
+            line, _ = chart.locate(p)
+            assert broken_line_faults(chart, line) == []
+
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_arcs_lead_back_to_their_points(self, complexes, name, strategy):
+        chart, points = self.points(complexes[name], strategy, 300)
+        assert max(arc_gap(chart, p) for p in points) <= 1.0
+
+
 class TestRowLookup:
     """``rows_on_lines`` against the scan oracle and ``point_at_arc``, bit
     for bit, tops included, on requests of mixed sizes."""
@@ -667,18 +708,25 @@ class TestFacetHeights:
                     assert chart._root_dist(a, b).hex() == m.dist(verts, a, b).hex()
 
     def test_walk_into_a_facet_without_metric_edge_raises(self, census):
-        # a hand-built metric may lack an edge; its facets get no height (the
-        # root no squared length), and a line through one is an error, not a
-        # line of NaN length
+        # a hand-built metric may lack an edge, of a non-root facet or of the
+        # root; the chart is refused at build, naming the edge, rather than
+        # built with no height (or no root squared length) for its facets,
+        # and no step table is kept for it, so a second build raises again
         c = census["torus7"]
+        d = sf.decompose(c)
+        build_chart(c, d, Metric.from_complex(c))
+        entry = c._derived["step_geometry"]
         for edge in ((1, 5), (0, 1)):
             lengths = dict(Metric.from_complex(c).edge_lengths)
             del lengths[edge]
-            chart = build_chart(c, sf.decompose(c), Metric(lengths))
+            metric = Metric(lengths)
             top = next(t for t, f in enumerate(c.top_simplices) if set(edge) <= set(f))
-            assert (top == chart.root) == (edge == (0, 1))
-            with pytest.raises(InvalidComplexError, match=r"metric misses an edge of facet \("):
-                chart.locate(PointRef(top, (0.2, 0.3, 0.5)))
+            assert (top == d.root) == (edge == (0, 1))
+            for _ in range(2):
+                with pytest.raises(InvalidComplexError) as err:
+                    build_chart(c, d, metric)
+                assert str(err.value) == f"metric misses edge {edge}"
+                assert c._derived["step_geometry"] is entry
 
     def test_build_makes_no_dist_call(self, monkeypatch):
         c = coordinate_torus(12)
@@ -986,15 +1034,16 @@ class TestReferenceWalk:
 
     def test_matches_the_reference_on_bad_input(self, census):
         # a hand-built decomposition that lists no spine, where the walk
-        # raises as a line leaves the cell, and a metric without an edge,
-        # where a line through one of its facets raises
+        # raises as a line leaves the cell; a metric without an edge gets no
+        # chart to walk, as its build raises
         c = census["torus7"]
         d = sf.decompose(c, root=0, strategy="random", seed=2)
         m = Metric.from_complex(c)
         self.check(build_chart(c, dataclasses.replace(d, spine=()), m), 5, 20)
         lengths = dict(m.edge_lengths)
         del lengths[(1, 5)]
-        self.check(build_chart(c, d, Metric(lengths)), 6, 20)
+        assert outcome(build_chart, c, d, Metric(lengths)) == \
+            (InvalidComplexError, "metric misses edge (1, 5)")
 
 
 def reference_spine_closure(c, d):

@@ -377,12 +377,13 @@ class TestFrameField:
         assert np.array_equal(got, want)
 
     def test_metric_missing_an_edge_named(self, census):
+        # no frame is extended on a metric that lacks an edge: its chart
+        # is refused, naming the edge
         c = census["torus7"]
         lengths = dict(Metric.from_complex(c).edge_lengths)
         del lengths[(0, 1)]
-        chart = build_chart(c, sf.decompose(c), Metric(lengths))
-        with pytest.raises(InvalidComplexError, match=r"metric misses edge \(0, 1\)"):
-            extend_frame(chart)
+        with pytest.raises(InvalidComplexError, match=r"^metric misses edge \(0, 1\)$"):
+            build_chart(c, sf.decompose(c), Metric(lengths))
 
 
 class TestStepGeometry:
@@ -488,26 +489,33 @@ class TestStepGeometry:
                 assert str(err.value) == message
 
     def test_missing_edge_named_on_a_filled_table(self, census):
-        # each tree names the first missing edge of its own growth order,
-        # whatever other trees filled the table before it
+        # every tree names the first missing edge of c.faces[1], whatever
+        # trees were refused on the metric before it, and the complex keeps
+        # the table of the complete metric it had
         c = census["torus7"]
-        lengths = dict(Metric.from_complex(c).edge_lengths)
+        m = Metric.from_complex(c)
+        lengths = dict(m.edge_lengths)
         del lengths[(0, 1)]
         del lengths[(2, 4)]
         trees = [sf.decompose(c, root=root, strategy=strategy, seed=seed)
                  for root in (0, 5) for strategy in ("bfs", "dfs", "random")
                  for seed in range(2)]
+        build_chart(c, trees[0], m)
+        entry = c._derived["step_geometry"]
 
         def message(d, metric):
             with pytest.raises(InvalidComplexError) as err:
-                extend_frame(build_chart(c, d, metric))
+                build_chart(c, d, metric)
+            assert c._derived["step_geometry"] is entry
             return str(err.value)
 
-        fresh = [message(d, Metric(lengths)) for d in trees]
-        assert set(fresh) == {"metric misses edge (0, 1)", "metric misses edge (2, 4)"}
+        want = ["metric misses edge (0, 1)"] * len(trees)
+        assert [message(d, Metric(lengths)) for d in trees] == want
+        assert [message(d, Metric(lengths)) for d in trees[::-1]] == want
         shared = Metric(lengths)
-        assert [message(d, shared) for d in trees] == fresh
-        assert [message(d, shared) for d in trees[::-1]] == fresh[::-1]
+        assert [message(d, shared) for d in trees] == want
+        assert [message(d, shared) for d in trees[::-1]] == want
+        assert entry[0] is m and entry[1].metric is m
 
     def test_chart_and_frame_of_a_point(self):
         # no gate, so no step to fill: the table must not divide by n = 0

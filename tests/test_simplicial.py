@@ -390,6 +390,16 @@ class TestMetric:
         with pytest.raises(InvalidComplexError):
             Metric({(0, 1): 1.0, (1, 2): length})
 
+    def test_rejects_length_whose_square_overflows(self):
+        # a NaN height could then come from inf - inf, not only from a
+        # missing edge, and the chart would be built with it
+        Metric({(0, 1): 1.3e154})
+        for length in (1.35e154, 1e160, 10 ** 200):
+            with pytest.raises(InvalidComplexError) as err:
+                Metric({(0, 1): 1.0, (1, 2): length})
+            assert str(err.value) == (f"edge (1, 2) has length {length}, expected a "
+                                      "positive number with a finite square")
+
     def test_rejects_triangle_violation(self, census):
         c = census["rp2_6"]
         lengths = {e: 1.0 for e in c.faces[1]}
