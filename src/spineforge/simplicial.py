@@ -9,8 +9,10 @@ Tables derived from one later are kept by ``derived``'s one rule.
 
 Loading is a few bulk passes over NumPy arrays, each linear in the facets
 plus one sort; ``parse_tri``, the constructor and
-``validate_closed_manifold`` each state theirs.  No row is read on its own
-except to name the one at fault once a bulk check has failed.
+``validate_closed_manifold`` each state theirs.  The parser keeps a line
+table of strings and token counts and reads each block of the text in one
+join-and-split, so it keeps no token list per line.  No row is read on its
+own except to name the one at fault once a bulk check has failed.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class SimplicialComplex:
     vertices, one lexicographic sort of the rows shows duplicates and gives
     ``faces[n]``, and one count checks the labels are dense.  One
     lexicographic sort of every facet's ridges gives ``faces[n-1]`` and
-    ``ridge_cofacets``; the middle faces of n >= 3 take one sort per
+    ``ridge_cofacets``, read off in pairs when every ridge has two
+    cofacets; the middle faces of n >= 3 take one sort per
     dimension.  Each pass is linear in the facets plus its sort.  A row at
     fault is named by ``_scanned_facets``, which reads the rows one at a
     time only once a bulk check has failed.
@@ -114,9 +117,14 @@ class SimplicialComplex:
             ridge_order, unique, first = _lex_groups(rows.reshape(-1, n))
             faces.append(_row_tuples(ints[unique]))
             owners = tuple(ints[ridge_order // (n + 1)].tolist())
-            starts = np.flatnonzero(first).tolist()
-            self.ridge_cofacets = tuple(map(owners.__getitem__,
-                                            map(slice, starts, starts[1:] + [len(owners)])))
+            starts = np.flatnonzero(first)
+            if 2 * len(starts) == len(owners) and first[::2].all():
+                # the groups start exactly at the even positions: pairs
+                self.ridge_cofacets = tuple(zip(owners[::2], owners[1::2]))
+            else:
+                starts = starts.tolist()
+                self.ridge_cofacets = tuple(map(owners.__getitem__,
+                                                map(slice, starts, starts[1:] + [len(owners)])))
         else:
             self.ridge_cofacets = ()
         faces.append(tuple(map(tops.__getitem__, order.tolist())))   # no copy
@@ -512,12 +520,15 @@ class Metric:
 _FLOAT_MARKS = frozenset(".eEiInN")
 
 
-def _tokens(text) -> list:
-    """(1-based source line number, tokens) of every non-blank line, each
-    line cut at '#' and split in one C-level pass over the lines."""
-    rows = list(map(str.split, map(itemgetter(0), map(methodcaller("partition", "#"),
-                                                      text.splitlines()))))
-    return list(zip(compress(range(1, len(rows) + 1), rows), filter(None, rows)))
+def _line_table(text) -> tuple:
+    """(lines, counts): the lines of a .tri text, each cut at '#' when the
+    text holds one, and each line's token count as an int array.  A line is
+    split only to count its tokens and the split is dropped, so no list is
+    kept per line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = list(map(itemgetter(0), map(methodcaller("partition", "#"), lines)))
+    return lines, np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
 
 
 def _is_int_token(tok):
@@ -534,81 +545,90 @@ def _bad_line(number, what, toks):
     return InvalidComplexError(f"line {number}: {what} {' '.join(toks)!r}")
 
 
-def _coordinate_block(numbers, rows, d) -> np.ndarray:
-    """The coordinate rows as one float array, every token read once by
-    ``float``; when a token fails or a value is not finite, the rows are
-    scanned in order to name the first such line."""
+def _coordinate_block(lines, first, d) -> np.ndarray:
+    """The coordinate rows ``lines``, the first of them source line
+    ``first``, as one float array: their tokens come from one join-and-split
+    and each is read once by ``float``.  When a token fails or a value is
+    not finite, the lines are split one at a time, in order, to name the
+    first such line."""
+    tokens = " ".join(lines).split()
     try:
-        values = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * d)
+        values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
-        for number, toks in zip(numbers, rows):
+        for number, line in enumerate(lines, first):
+            toks = line.split()
             try:
                 row = tuple(map(float, toks))
             except ValueError:
                 raise _bad_line(number, "bad coordinate line", toks) from None
             if not all(map(math.isfinite, row)):
                 raise _bad_line(number, "non-finite coordinate in", toks)
-    return values.reshape(len(rows), d) if rows else values
+    return values.reshape(-1, d) if len(values) else values
 
 
 def parse_tri(text: str) -> SimplicialComplex:
-    """The complex of a .tri text, read in bulk, linear in its tokens: the
-    lines are split in one pass, the coordinate tokens converted in one and
-    the facet tokens in one (each distinct token once), and the constructor
-    takes the facets as one int array.  A line is scanned on its own only
-    to name a fault."""
-    lines = _tokens(text)
-    if not lines:
+    """The complex of a .tri text, read in block passes, linear in its
+    tokens.  ``_line_table`` counts each line's tokens; the coordinate block
+    and the facet block are each one join-and-split of their lines, whose
+    tokens are converted in one pass (``float`` once per token, ``int`` once
+    per distinct token), and the constructor takes the facets as one int
+    array.  Only the header lines are split on their own, and a block's
+    lines are split one at a time only to name a fault."""
+    lines, counts = _line_table(text)
+    heads = np.flatnonzero(counts)[:2].tolist()   # the dim line and the one after it
+    if not heads:
         raise InvalidComplexError("first line must be 'dim n'")
-    number, head = lines[0]
+    head = lines[heads[0]].split()
     if head[0] != "dim" or len(head) != 2:
-        raise _bad_line(number, "first line must be 'dim n', got", head)
+        raise _bad_line(heads[0] + 1, "first line must be 'dim n', got", head)
     try:
         n = int(head[1])
     except ValueError:
-        raise _bad_line(number, "bad dimension in", head)
-    numbers, rows = zip(*lines)
-    lengths = list(map(len, rows))
-    i = 1
+        raise _bad_line(heads[0] + 1, "bad dimension in", head)
+    start = heads[0] + 1   # the position of the block's first line
     coords = coords_number = None
-    if i < len(rows) and rows[i][0] == "coords":
-        coords_number, toks = numbers[i], rows[i]
+    toks = lines[heads[1]].split() if len(heads) == 2 else []
+    if toks[:1] == ["coords"]:
+        coords_number = start = heads[1] + 1   # its line number, the next line's position
         if len(toks) != 2 or not _is_int_token(toks[1]):
             raise _bad_line(coords_number, "coords line must be 'coords d', got", toks)
         d = int(toks[1])
-        i += 1
-        # the block runs while rows have d tokens, and, when d = n + 1, up to
+        # the block runs over rows of d tokens, and, when d = n + 1, up to
         # the first row of int tokens only, which is a facet
-        end = next(compress(range(i, len(rows)), map(d.__ne__, lengths[i:])), len(rows))
+        rest = counts[start:]
+        off = np.flatnonzero((rest != d) & (rest != 0))
+        stop = start + int(off[0]) if len(off) else len(lines)
         if d == n + 1:
-            unmarked = compress(range(i, end),
-                                map(_FLOAT_MARKS.isdisjoint, map("".join, rows[i:end])))
-            end = next((j for j in unmarked if all(map(_is_int_token, rows[j]))), end)
-        coords = _coordinate_block(numbers[i:end], rows[i:end], d)
-        i = end
-    facet_numbers, rows = numbers[i:], rows[i:]
-    tokens = list(chain.from_iterable(rows))
+            unmarked = compress(range(start, stop),
+                                map(_FLOAT_MARKS.isdisjoint, lines[start:stop]))
+            stop = next((j for j in unmarked
+                         if counts[j] and all(map(_is_int_token, lines[j].split()))), stop)
+        coords = _coordinate_block(lines[start:stop], start + 1, d)
+        start = stop
+    block, rest = lines[start:], counts[start:]
+    tokens = " ".join(block).split()
     try:
         ids = dict.fromkeys(tokens)   # each distinct vertex token parsed once
         ids = dict(zip(ids, map(int, ids)))
     except ValueError:
         ids = None
-    if ids is None or lengths[i:].count(n + 1) != len(rows):
-        for number, toks in zip(facet_numbers, rows):
-            if len(toks) != n + 1 or not all(map(_is_int_token, toks)):
+    if ids is None or ((rest != 0) & (rest != n + 1)).any():
+        for number, line in enumerate(block, start + 1):
+            toks = line.split()
+            if toks and (len(toks) != n + 1 or not all(map(_is_int_token, toks))):
                 raise _bad_line(number, "bad facet line", toks)
-    try:   # a negative n is left with no facet rows, and the constructor refuses it
-        tops = np.fromiter(map(ids.__getitem__, tokens), np.int64,
-                           len(tokens)).reshape(len(rows), max(n + 1, 0))
+    try:   # each row has n + 1 >= 1 tokens; with no row the constructor names the fault
+        tops = (np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)).reshape(-1, n + 1)
+                if tokens else [])
     except OverflowError:   # an id past int64, which the constructor refuses
-        tops = [tuple(map(ids.__getitem__, toks)) for toks in rows]
+        tops = list(zip(*[map(ids.__getitem__, tokens)] * (n + 1)))
     try:
         return SimplicialComplex(n, tops, vertex_coords=coords)
     except InvalidComplexError as exc:
         if exc.facet is not None:
-            number = facet_numbers[exc.facet]
+            number = start + 1 + int(np.flatnonzero(rest)[exc.facet])
         elif exc.coords:
             number = coords_number
         else:

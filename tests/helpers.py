@@ -118,6 +118,44 @@ def reference_spine_profile(c, d):
                                  for k in range(m + 1)))
 
 
+def decomposition_faults(c, d):
+    """What is wrong with the shape of decomposition ``d`` of ``c``, as
+    messages; empty for a spanning tree of the dual graph grown from the
+    root.  There are F - 1 gates; each child is painted once and is never
+    the root; each parent is painted before its child, in growth order;
+    each gate is a ridge whose two cofacets are exactly its parent and
+    child; and ``d.spine`` is the sorted, distinct complement of the gates
+    among the ridges.  Linear in the ridges."""
+    facets, cofacets = len(c.top_simplices), c.ridge_cofacets
+    faults = []
+    if len(d.gates) != facets - 1:
+        faults.append(f"{len(d.gates)} gates for {facets} facets")
+    painted = [False] * facets
+    painted[d.root] = True
+    gated = [False] * len(cofacets)
+    for i, (parent, gate, child) in enumerate(d.gates):
+        if not (0 <= parent < facets and 0 <= child < facets and 0 <= gate < len(cofacets)):
+            faults.append(f"gate {i} ({parent}, {gate}, {child}) is out of range")
+            continue
+        if not painted[parent]:
+            faults.append(f"gate {i}: parent {parent} is not painted before child {child}")
+        if child == d.root:
+            faults.append(f"gate {i}: child {child} is the root")
+        elif painted[child]:
+            faults.append(f"gate {i}: child {child} is painted twice")
+        painted[child] = True
+        if cofacets[gate] != tuple(sorted((parent, child))):
+            faults.append(f"gate {i}: ridge {gate} has cofacets {cofacets[gate]}, "
+                          f"not {parent} and {child}")
+        gated[gate] = True
+    complement = [rid for rid, used in enumerate(gated) if not used]
+    if list(d.spine) != complement:
+        at = next((k for k, (a, b) in enumerate(zip(d.spine, complement)) if a != b),
+                  min(len(d.spine), len(complement)))
+        faults.append(f"spine differs from the sorted complement of the gates at position {at}")
+    return faults
+
+
 def frame_isometry_deviation(chart, frame):
     """The largest deviation of F_f^T G_f F_f from G_root over all facets f,
     relative to the largest entry of G_root, for the frames F_f of ``frame``

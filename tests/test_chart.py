@@ -520,23 +520,24 @@ def _lookup_arc(line, kind, pick, side):
 class TestLineSelfChecks:
     """``helpers.broken_line_faults`` and ``helpers.arc_gap`` on the lines
     through points of random facets: they need no reference walk, so they
-    reach the deep dfs lines of the 48x48 torus and T^3."""
+    reach the deep dfs lines of the 48x48 torus and T^3 k = 6."""
 
-    NAMES = [*ALL, "torus12", "torus48", "torus3d4"]
+    NAMES = [*ALL, "torus12", "torus48", "torus3d4", "torus3d6"]
 
     @pytest.fixture(scope="class")
     def complexes(self, census):
         return {**census, "torus12": coordinate_torus(12), "torus48": coordinate_torus(48),
-                "torus3d4": freudenthal_torus3(4)}
+                "torus3d4": freudenthal_torus3(4), "torus3d6": freudenthal_torus3(6)}
 
     @staticmethod
     def points(c, strategy, count):
         """A chart of c on the strategy's tree and count points of random
-        facets; the 48x48 dfs tree's lines are about 2 000 segments deep, so
-        a quarter as many of its points are asked for."""
+        facets; the dfs lines of the 48x48 torus and of T^3 k = 6 are about
+        2 000 and 600 segments deep, so a quarter as many of their points
+        are asked for."""
         chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
                             Metric.from_complex(c))
-        if strategy == "dfs" and len(c.top_simplices) > 4000:
+        if strategy == "dfs" and len(c.top_simplices) > 1000:
             count //= 4
         rng = random.Random(0)
         tops = len(c.top_simplices)

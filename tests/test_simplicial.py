@@ -584,11 +584,25 @@ def _reference_is_int_token(tok):
         return False
 
 
+def reference_tokens(text):
+    """(1-based line number, tokens) of every non-blank line of a .tri text,
+    one line at a time: cut at '#', strip, split."""
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line.split()
+
+
+def reference_bad_line(number, what, toks):
+    return InvalidComplexError(f"line {number}: {what} {' '.join(toks)!r}")
+
+
 def reference_parse_tri(text):
-    """``parse_tri`` as written before: every token of a coordinate row of
-    facet length tried with ``int()``, and every facet token parsed twice."""
-    bad_line = sf.simplicial._bad_line
-    lines = list(sf.simplicial._tokens(text))
+    """``parse_tri`` as written before, one line at a time: every token of a
+    coordinate row of facet length tried with ``int()``, and every facet
+    token parsed twice.  It shares no code with the parser."""
+    bad_line = reference_bad_line
+    lines = list(reference_tokens(text))
     if not lines:
         raise InvalidComplexError("first line must be 'dim n'")
     number, head = lines[0]
@@ -877,6 +891,39 @@ def parse_texts():
         ("negative-dim-word", "dim -1\nx\n"),
         ("point", "dim 0\n0\n"),
         ("point-word", "dim 0\nx\n"),
+        ("huge-dim", "dim 99999999999999999999\n0 1\n"),
+        ("huge-dim-no-facets", "dim 99999999999999999999\n# none\n"),
+        ("negative-dim-no-facets", "dim -3\n"),
+        # what one join-and-split per block could get wrong: comments, line
+        # ends and separators that splitlines breaks on, runs of blanks
+        ("comment-after-coords", "dim 1\ncoords 2\n0.0 0.0 # a\n1.0 0.0#b\n0.0 1.0\n"
+         "0 1\n1 2\n0 2\n"),
+        ("comment-after-facet", "dim 1 # circle\n0 1 # first\n1 2#\n# 9 9\n0 2\n"),
+        ("comment-hides-token", "dim 1\ncoords 2\n0.0 0.0\n1.0 # 0.0\n0.0 1.0\n0 1\n1 2\n0 2\n"),
+        ("crlf", "dim 1\r\ncoords 2\r\n0.0 0.0\r\n1.0 0.0\r\n0.0 1.0\r\n0 1\r\n1 2\r\n0 2\r\n"),
+        ("separators", "dim 1\x1ccoords 2\u20280.0 0.0\x1d1.0 0.0\x1e0.0 1.0\x85"
+         "0 1\u20291 2\x0b0 2\x0c"),
+        ("separator-splits-facet", "dim 2\n0 1 2\n0 1\u20283\n0 2 3\n1 2 3\n"),
+        ("separator-splits-coords", "dim 1\ncoords 2\n0.0\x1c0.0\n1.0 0.0\n0.0 1.0\n"
+         "0 1\n1 2\n0 2\n"),
+        ("tabs-and-spaces", "dim\t1\ncoords   2\n\t0.0  0.0 \n 1.0\t\t0.0\n0.0 \t 1.0\n"
+         "  0   1\n1\t2\n\t0 2\t\n"),
+        ("coords-end-at-int-row", "dim 1\ncoords 2\n\n0.5 0.0\n\n1.0 0.5 # c\n0.0 1.0\n\n"
+         "# facets\n0 1\n1 2\n0 2\n"),
+        ("coords-end-at-int-row-early", "dim 1\ncoords 2\n0.5 0.0\n1 0\n0.0 1.0\n0 1\n1 2\n0 2\n"),
+        ("coords-blank-after-header", "dim 2\ncoords 3\n\n\n0 0 0.\n1. 0 0\n0 1. 0\n0 0 1.\n"
+         "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"),
+        ("coords-bad-last-row", "dim 1\ncoords 2\n0.0 0.0\n1.0 0.0\n0.0 1.x\n0 1\n1 2\n0 2\n"),
+        ("coords-only", "dim 1\ncoords 2\n0.0 0.0\n1.0 0.0\n"),
+        ("facet-bad-last-token", "dim 1\n0 1\n1 2\n0 2x\n"),
+        ("facet-bad-last-line-count", "dim 1\n0 1\n1 2\n0 2 3\n"),
+        ("facet-count-before-word", "dim 1\n0 1\n1 2 0\n0 x\n"),
+        ("facet-word-before-count", "dim 1\n0 1\n1 x\n0 1 2\n"),
+        ("facet-repeat-after-blank", "dim 1\n0 1\n\n\n1 2\n\n1 1\n"),
+        ("facet-word-after-blank", "dim 1\n0 1\n\n \n1 x\n0 2\n"),
+        ("coords-word-after-blank", "dim 1\ncoords 2\n0.0 0.0\n\n1.0 x\n0.0 1.0\n0 1\n1 2\n0 2\n"),
+        ("no-final-newline", "dim 1\ncoords 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n0 1\n1 2\n0 2"),
+        ("no-final-newline-bad", "dim 1\n0 1\n1 2\n0 2.5"),
     ]
     return texts
 
@@ -921,16 +968,25 @@ class TestParseReference:
         else:
             assert new == old
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["0 1", "1 2", "0 2", "0.0 1.0", "1.0 0.0",
+                                               "0 0.5", "1 0", "1 x", "0 1 2", ""]),
+                              st.sampled_from([" ", "\t", "  ", " \t "]),
+                              st.sampled_from(["\n", "\r\n", "\x1c", "\u2028", "\n\n",
+                                               " # c\n", "#\n", "\x0b"])),
+                    max_size=8),
+           st.sampled_from(["dim 1\n", "dim 1\ncoords 2\n", "dim 1 # h\n\ncoords 2\n"]))
+    def test_random_layout_equals_reference(self, rows, head):
+        # blanks, comments and line ends between and inside the blocks
+        text = head + "".join(row.replace(" ", blank) + end for row, blank, end in rows)
+        new, old = outcome(parse_tri, text), outcome(reference_parse_tri, text)
+        if new[0] == "ok" and old[0] == "ok":
+            assert lattice_of(new[1]) == lattice_of(old[1])
+        else:
+            assert new == old
+
 
 # -- the bulk load path against the per-row loops it replaced -----------------
-
-def reference_tokens(text):
-    """``_tokens`` as a per-line generator: cut at '#', strip, split."""
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line.split()
-
 
 def reference_complex(dimension, top_simplices, vertex_coords=None):
     """What the constructor kept, as ``lattice_of`` lists it, built one row
@@ -1092,7 +1148,21 @@ class TestBulkConstructor:
     def test_random_rows_equal_reference(self, n, tops):
         assert built(constructed, n, tops) == built(reference_complex, n, tops)
 
+    def test_ridges_of_one_and_three_cofacets_equal_reference(self):
+        # edge (0, 1) has three cofacets and edges (0, 4) and (1, 4) one
+        # each, so the cofacets are cut at the group starts, not paired
+        tops = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
+        c = SimplicialComplex(2, tops)
+        assert sorted(set(map(len, c.ridge_cofacets))) == [1, 2, 3]
+        assert built(constructed, 2, tops) == built(reference_complex, 2, tops)
+
     @pytest.mark.parametrize("text", [pytest.param(t, id=name) for name, t in parse_texts()] + [
         pytest.param("dim 1 # head\n\n  0 1\t# a\n1 2\r\n# only\n0 2\n \n", id="spaces")])
     def test_tokens_equal_reference(self, text):
-        assert simplicial._tokens(text) == list(reference_tokens(text))
+        # every non-blank line keeps its number, count and tokens, and a
+        # blank one, a line that is only a comment included, counts 0
+        lines, counts = simplicial._line_table(text)
+        assert len(counts) == len(lines) == len(text.splitlines())
+        table = [(number, count, line.split())
+                 for number, (line, count) in enumerate(zip(lines, counts.tolist()), 1) if count]
+        assert table == [(number, len(toks), toks) for number, toks in reference_tokens(text)]

@@ -14,6 +14,7 @@ from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, 
                               spine_connected, spine_subcomplex)
 
 from grids import freudenthal_torus3, grid_surface
+from helpers import decomposition_faults
 
 EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
                   "rp2_6": 6, "sphere3_pent": 6}
@@ -217,6 +218,54 @@ def assert_same_as_reference(c, root, strategy, seed):
     ref = reference_decompose(c, root=root, strategy=strategy, seed=seed)
     assert d == ref, (root, strategy, seed)
     assert d.to_json(c).encode() == ref.to_json(c).encode()
+
+
+class TestDecompositionShape:
+    """``helpers.decomposition_faults`` needs no reference tree: every tree
+    of the census, the 12x12 and 48x48 tori, the 12x12 Klein grid and T^3
+    k = 4 is a spanning tree of the dual graph with the spine as its
+    complement, and each way a tree can go wrong is named."""
+
+    @pytest.fixture(scope="class")
+    def complexes(self, census, grids):
+        return {**census, **grids, "torus3d4": freudenthal_torus3(4)}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", [*EXPECTED_SPINE, "torus12", "torus48", "klein12",
+                                      "torus3d4"])
+    def test_every_tree_has_the_shape(self, complexes, name, strategy):
+        c = complexes[name]
+        for seed in range(5):
+            d = decompose(c, root=seed % len(c.top_simplices), strategy=strategy, seed=seed)
+            assert decomposition_faults(c, d) == []
+
+    def test_each_fault_is_named(self, grids):
+        c = grids["torus12"]
+        d = decompose(c, strategy="random", seed=3)
+        gates = list(d.gates)
+        late = next(i for i, g in enumerate(gates) if g.parent != d.root)
+        step = gates[0]
+        other = next(rid for rid in range(len(c.ridge_cofacets)) if rid != step.gate)
+        cases = {
+            "spine[1:]": dataclasses.replace(d, spine=d.spine[1:]),
+            "late-first": dataclasses.replace(d, gates=(gates[late], *gates[:late],
+                                                        *gates[late + 1:])),
+            "moved-gate": dataclasses.replace(d, gates=(step._replace(gate=other), *gates[1:])),
+            "root-child": dataclasses.replace(d, gates=(step._replace(child=d.root),
+                                                        *gates[1:])),
+            "dropped-gate": dataclasses.replace(d, gates=d.gates[:-1]),
+        }
+        faults = {name: decomposition_faults(c, bad) for name, bad in cases.items()}
+        assert faults["spine[1:]"] == [
+            "spine differs from the sorted complement of the gates at position 0"]
+        g = gates[late]
+        assert faults["late-first"] == [
+            f"gate 0: parent {g.parent} is not painted before child {g.child}"]
+        assert faults["moved-gate"][0] == (
+            f"gate 0: ridge {other} has cofacets {c.ridge_cofacets[other]}, "
+            f"not {step.parent} and {step.child}")
+        assert faults["root-child"][0] == f"gate 0: child {d.root} is the root"
+        assert faults["dropped-gate"][0] == f"{len(gates) - 1} gates for {len(gates) + 1} facets"
 
 
 @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
