@@ -22,24 +22,25 @@ kept, with the metric and with the complex, for their lifetimes.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
-splits at s0 = s_total - eps and only the rule is kept.  Fields are read in
-stacks: ``TensorField.evaluate_lines`` takes the arcs of many lines and
-returns the blocks stacked in request order, and ``evaluate_points`` takes
-many points.  A line read finds the facets and barycentric rows of all its
-arcs in one lookup (``chart.rows_on_lines``), building no point.  The
-deformed field is one rule on many lines: one NumPy pass over all arcs
-picks the eps-tail arcs (not arc < s0) and maps them, the white prefixes
-keep the constant block K(c0) with no lookup, and K is read once at the
-mapped arcs, whose line ends map to the line's end, so K(z) on the spine is
-that rule's limit.  Its point rule reads points of the spine closure
-through K in one batch and c0 as K(c0), and locates every other point and
-reads them all with one call of the line rule.  A stacked result is
-checked (shape, finiteness) once; K(c0) is checked at build and handed out
-read-only.  A linear field stores its value at every vertex and combines
-each row's vertex values by its barycentrics in index order
-(``simplicial.ordered_matmul``), with one formula for a point and for a
-batch, so the two agree bit for bit under any BLAS kernel.  A built-in
-field's single point read is its point rule on that one point.
+splits at s0 = s_total - eps and only the rule is kept.  A field is one
+stacked point rule, which ``TensorField.evaluate_points`` reads on many
+points and ``evaluate`` on one, and a line rule, which ``evaluate_lines``
+reads on the arcs of many lines, returning the blocks stacked in request
+order.  A field given no line rule reads its point rule at
+``line.point_at_arc`` of every arc, in one call; a built-in field's line
+rule finds the facets and barycentric rows of all its arcs in one lookup
+(``chart.rows_on_lines``), building no point.  The deformed field is one
+rule on many lines: one NumPy pass over all arcs picks the eps-tail arcs
+(not arc < s0) and maps them, the white prefixes keep the constant block
+K(c0) with no lookup, and K is read once at the mapped arcs, whose line ends
+map to the line's end, so K(z) on the spine is that rule's limit.  Its point
+rule reads points of the spine closure through K in one batch and c0 as
+K(c0), and locates every other point and reads them all with one call of the
+line rule.  A stacked result is checked (shape, finiteness) once; K(c0) is
+checked at build and handed out read-only.  A linear field stores its value
+at every vertex and combines each row's vertex values by its barycentrics in
+index order (``simplicial.ordered_matmul``), with one formula for a point
+and for a batch, so the two agree bit for bit under any BLAS kernel.
 
 The seam report and the sample rows read the same sampled lines: the chart
 keeps its last draw, keyed by count and seed, so a run that asks for both
@@ -219,30 +220,35 @@ def _frame_rows(geometry) -> tuple:
 
 @dataclass
 class TensorField:
-    """Type-(r,s) field: component function over point refs, in the frame basis.
+    """Type-(r,s) field in the frame basis, given by one stacked point rule.
 
-    ``evaluate_lines`` reads the field at the arcs of many broken lines the
-    caller already holds, without locating the points again, and returns
-    the blocks stacked in request order; ``evaluate_along`` reads one line.
-    A field with a ``line_rule`` makes the stack in one batch, checked
-    (shape, finiteness) once; any other field falls back to ``evaluate`` at
-    ``line.point_at_arc`` of each arc.  ``evaluate_points`` is the same for
-    many points, through an optional ``point_rule``; a built-in field's
-    ``components`` is its point rule on one point."""
+    ``point_rule`` maps a sequence of point refs to one array (points, n,
+    ...) with r+s axes of length n per point; ``evaluate_points`` reads
+    many points through it and ``evaluate`` one.  ``evaluate_lines`` reads
+    the field at the arcs of many broken lines the caller already holds and
+    returns the blocks stacked in request order, through ``line_rule``.  A
+    built-in field gives a line rule that reads the lines without locating
+    any point; any other field's line rule, set once at construction, is its
+    point rule at ``line.point_at_arc`` of every arc, in one stacked call.
+    Each read checks its stack (shape, finiteness) once."""
 
     rank: tuple
     frame: FrameField
-    components: object          # PointRef -> array with r+s axes of length n
+    point_rule: object          # [PointRef, ...] -> array (points, n, ...)
     label: str = ""
     source: object = None       # original field, when this one was derived
-    line_rule: object = None    # [(BrokenLine, arcs), ...] -> array (total arcs, n, ...), or None
-    point_rule: object = None   # [PointRef, ...] -> array (points, n, ...), or None
+    line_rule: object = None    # [(BrokenLine, arcs), ...] -> array (total arcs, n, ...)
 
     def __post_init__(self):
         self._shape = (self.frame.dimension,) * (self.rank[0] + self.rank[1])
+        if self.line_rule is None:
+            self.line_rule = lambda requests: self.point_rule(
+                [line.point_at_arc(s) for line, arcs in requests for s in arcs])
 
     def evaluate(self, pt: PointRef) -> np.ndarray:
-        return self._checked(self.components(pt), pt)
+        """The block at one point: the point rule on that point alone."""
+        return self._checked_stack(self.point_rule((pt,)), (1,) + self._shape,
+                                   lambda k: pt)[0, ...]
 
     def evaluate_points(self, pts) -> np.ndarray:
         """``evaluate`` of each point, one stack in order.  A non-finite row
@@ -250,38 +256,21 @@ class TensorField:
         shape = (len(pts),) + self._shape
         if not shape[0]:
             return np.empty(shape)
-        if self.point_rule is None:
-            return np.stack([self.evaluate(pt) for pt in pts])
         return self._checked_stack(self.point_rule(pts), shape, lambda k: pts[k])
 
-    def evaluate_along(self, line: BrokenLine, arcs) -> np.ndarray:
-        """The field at each arc s(y) of ``line``, stacked: row k equals
-        ``evaluate(line.point_at_arc(arcs[k]))`` up to the rounding of locate."""
-        return self.evaluate_lines([(line, arcs)])
-
     def evaluate_lines(self, requests) -> np.ndarray:
-        """``evaluate_along`` of each (line, arcs) request, one stack in
-        request order.  A non-finite row raises naming its own arc and line."""
+        """The field at each arc s(y) of each (line, arcs) request, one stack
+        in request order; row k of a line's block equals ``evaluate`` at
+        ``line.point_at_arc(arcs[k])`` up to the rounding of locate.  A
+        non-finite row raises naming its own arc and line."""
         shape = (sum(len(arcs) for _, arcs in requests),) + self._shape
         if not shape[0]:
             return np.empty(shape)
-        if self.line_rule is None:
-            return np.stack([self.evaluate(line.point_at_arc(s))
-                             for line, arcs in requests for s in arcs])
 
         def where(k):
             line, arc = [(line, arc) for line, arcs in requests for arc in arcs][k]
             return f"arc {arc} of the line to {line.endpoint}"
         return self._checked_stack(self.line_rule(requests), shape, where)
-
-    def _checked(self, block, where) -> np.ndarray:
-        arr = np.asarray(block, dtype=float)
-        if arr.shape != self._shape:
-            raise FieldDomainError(
-                f"component block has shape {arr.shape}, expected {self._shape}")
-        if not np.isfinite(arr).all():
-            raise FieldDomainError(f"non-finite components at {where}")
-        return arr
 
     @staticmethod
     def _checked_stack(stack, shape, where) -> np.ndarray:
@@ -294,12 +283,6 @@ class TensorField:
             k = int(np.isfinite(arr.reshape(shape[0], -1)).all(axis=1).argmin())
             raise FieldDomainError(f"non-finite components at {where(k)}")
         return arr
-
-
-def _one_point(point_rule):
-    """The single-point ``components`` of a batched point rule: its stack on
-    the one point, as an array even for a scalar field."""
-    return lambda pt: point_rule((pt,))[0, ...]
 
 
 def constant_tensor(components, frame: FrameField, rank) -> TensorField:
@@ -319,10 +302,9 @@ def constant_tensor(components, frame: FrameField, rank) -> TensorField:
     def on_points(pts):
         return np.broadcast_to(arr, (len(pts),) + arr.shape)
 
-    return TensorField((r, s), frame, _one_point(on_points), label="constant",
+    return TensorField((r, s), frame, on_points, label="constant",
                        line_rule=lambda requests: np.broadcast_to(
-                           arr, (sum(len(arcs) for _, arcs in requests),) + arr.shape),
-                       point_rule=on_points)
+                           arr, (sum(len(arcs) for _, arcs in requests),) + arr.shape))
 
 
 # -- hole region ---------------------------------------------------------------
@@ -447,8 +429,8 @@ def deform_tensor(K: TensorField, chart: CellChart, hole: HoleRegion) -> TensorF
                 out[white] = on_lines(reads)
         return out
 
-    return TensorField(K.rank, K.frame, _one_point(on_points), label=f"deformed({K.label})",
-                       source=K, line_rule=on_lines, point_rule=on_points)
+    return TensorField(K.rank, K.frame, on_points, label=f"deformed({K.label})",
+                       source=K, line_rule=on_lines)
 
 
 class ContinuityProbe(NamedTuple):
@@ -697,7 +679,8 @@ def _vertex_table(c, rows) -> np.ndarray:
     def build():
         offsets = np.array([r[0] for r in key])
         slopes = np.array([r[1:] for r in key])
-        at_vertex = offsets + ordered_matmul(np.array(c.vertex_coords), slopes.T)
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite read is refused
+            at_vertex = offsets + ordered_matmul(np.array(c.vertex_coords), slopes.T)
         table = at_vertex[facet_rows(c)]
         table.setflags(write=False)
         return table
@@ -728,13 +711,15 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
 
     def combine(tops, bary_rows):
         """One formula for the point path and the line path, so the two agree
-        bit for bit: each row's combination, as a stack of row times matrix."""
-        return ordered_matmul(np.asarray(bary_rows)[:, None, :],
-                       per_top[tops]).reshape((len(tops),) + shape)
+        bit for bit: each row's combination, as a stack of row times matrix.
+        A vertex value that overflowed to inf makes NaN rows (times a zero
+        barycentric, or against -inf), which the read refuses."""
+        with np.errstate(invalid="ignore"):
+            return ordered_matmul(np.asarray(bary_rows)[:, None, :],
+                                  per_top[tops]).reshape((len(tops),) + shape)
 
     def on_points(pts):
         return combine([pt.top for pt in pts], [pt.bary for pt in pts])
 
-    return TensorField(spec.rank, frame, _one_point(on_points), label="linear",
-                       line_rule=lambda requests: combine(*rows_on_lines(requests)),
-                       point_rule=on_points)
+    return TensorField(spec.rank, frame, on_points, label="linear",
+                       line_rule=lambda requests: combine(*rows_on_lines(requests)))

@@ -1,6 +1,7 @@
 """Face-lattice helpers, dense boundary matrices, the census self-check,
-the spine homology as first written, and the frame isometry, broken-line
-contiguity and arc consistency checks, which only the tests use."""
+the spine homology as first written, the frame isometry, broken-line
+contiguity and arc consistency checks, and the stacked point rule of a
+one-point function, which only the tests use."""
 
 import math
 from dataclasses import dataclass
@@ -227,3 +228,9 @@ def arc_gap(chart, p):
                for u, v in combinations(chart.complex.top_simplices[chart.root], 2))
     gap = point_gap(chart, p, line.point_at_arc(arc))
     return gap / (1e-15 * len(line.segments) * (line.length + root))
+
+
+def pointwise(comp):
+    """The stacked point rule of a one-point component function: ``comp`` at
+    each point, stacked in order, as ``TensorField`` takes it."""
+    return lambda pts: np.array([comp(pt) for pt in pts])

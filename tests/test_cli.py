@@ -219,6 +219,20 @@ class TestDeform:
                          "--field", str(fld))
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["1e308 1e308 0 0", "0 1e308 -1e308 0"],
+                             ids=["inf", "inf-minus-inf"])
+    def test_overflowing_linear_field_prints_only_the_error(self, capsys, tmp_path, row):
+        # vertex values that overflow to inf (of one sign, or of both, whose
+        # combination is NaN) are refused by the read of K(c0), with no NumPy
+        # warning before the error line
+        path = tmp_path / "torus6.tri"
+        write_tri(coordinate_torus(6), path)
+        fld = tmp_path / "big.fld"
+        fld.write_text(f"type 1 0\nlinear\n{row}\n0 0 0 0\n")
+        c0 = sf.chart.PointRef(0, (1 / 3,) * 3)
+        assert run(capsys, "deform", str(path), "--field", str(fld)) == \
+            (2, "", f"error: non-finite components at {c0}\n")
+
     @pytest.mark.parametrize("fld", [LINEAR_FLD, "type 0 0\nconstant\n1.5\n"],
                              ids=["linear", "scalar-constant"])
     def test_point_has_empty_spine(self, capsys, tmp_path, fld):

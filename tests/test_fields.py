@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import zlib
 from collections import Counter
@@ -22,7 +23,7 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
 from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex, write_tri
 
 from grids import coordinate_torus, grid_surface
-from helpers import frame_isometry_deviation
+from helpers import frame_isometry_deviation, pointwise
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 LINEAR_FLD = ("type 1 0\nlinear\n"
@@ -914,7 +915,7 @@ class TestContinuityReport:
             return np.full((2,), float(pt.top % 2))
 
         from spineforge.fields import TensorField
-        K = TensorField((1, 0), frame, comp, label="parity")
+        K = TensorField((1, 0), frame, pointwise(comp), label="parity")
         hole = black_hole_region(chart, 0.05 * root_facet_clearance(chart))
         rep = continuity_report(deform_tensor(K, chart, hole), chart, hole,
                                 samples=25, seed=6)
@@ -934,14 +935,14 @@ class TestContinuityReport:
 
         from spineforge.fields import TensorField
         parity = TensorField((1, 0), frame,
-                             lambda pt: np.full((2,), float(pt.top % 2)))
+                             pointwise(lambda pt: np.full((2,), float(pt.top % 2))))
         rep = continuity_report(parity, chart, hole, samples=20, seed=1)
         assert rep.gate_jump >= 0.9
 
         marker = np.array([9.0, 9.0])
         white = np.array([1.0, 2.0])
-        K = TensorField((1, 0), frame,
-                        lambda pt: marker if chart.spine_face_of(pt) is not None else white)
+        K = TensorField((1, 0), frame, pointwise(
+            lambda pt: marker if chart.spine_face_of(pt) is not None else white))
         rep = continuity_report(deform_tensor(K, chart, hole), chart, hole,
                                 samples=20, seed=1)
         assert rep.spine_limit >= 0.9
@@ -1000,7 +1001,7 @@ def _sampled_lines(chart, count, seed):
 
 
 class TestLineHandle:
-    """One-arc ``evaluate_along`` against the point path it replaces in the
+    """One-arc ``evaluate_lines`` against the point path it replaces in the
     probes."""
 
     @pytest.mark.parametrize("eps_frac", [0.25, 0.75])
@@ -1017,7 +1018,7 @@ class TestLineHandle:
             arcs = [line.length * k / 16 for k in range(17)] + \
                    [s0 + s1 * k / 8 for k in range(9)]
             for arc in arcs:
-                on_line = Kbar.evaluate_along(line, (arc,))[0]
+                on_line = Kbar.evaluate_lines([(line, (arc,))])[0]
                 by_point = Kbar.evaluate(line.point_at_arc(arc))
                 assert np.abs(on_line - by_point).max() <= 1e-9, (arc, s0)
                 if arc < s0:
@@ -1025,7 +1026,7 @@ class TestLineHandle:
                     assert np.array_equal(by_point, base)
                 if arc == line.length:
                     assert np.array_equal(on_line, by_point)
-            end_value = Kbar.evaluate_along(line, (line.length,))[0]
+            end_value = Kbar.evaluate_lines([(line, (line.length,))])[0]
             assert np.abs(end_value - K.evaluate(line.endpoint)).max() <= 1e-9
 
     @pytest.mark.parametrize("name", ALL)
@@ -1041,7 +1042,7 @@ class TestLineHandle:
             s0, s1 = hole.split(line)
             for arc in [line.length * k / 16 for k in range(17)] + \
                        [s0 + s1 * k / 8 for k in range(9)]:
-                assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], block)
+                assert np.array_equal(Kbar.evaluate_lines([(line, (arc,))])[0], block)
 
     def test_plain_field_is_point_evaluation(self, charts):
         chart = charts["torus7"]
@@ -1049,19 +1050,31 @@ class TestLineHandle:
         for line in _sampled_lines(chart, 3, seed=17):
             for k in range(9):
                 arc = line.length * k / 8
-                assert np.array_equal(K.evaluate_along(line, (arc,))[0],
+                assert np.array_equal(K.evaluate_lines([(line, (arc,))])[0],
                                       K.evaluate(line.point_at_arc(arc)))
 
     @pytest.mark.parametrize("block", [np.array([np.nan, 0.0]), np.zeros(3)],
                              ids=["non-finite", "shape"])
     def test_bad_block_raises(self, charts, block):
+        # a one-point read and a read through the default line rule each
+        # refuse the block, naming the point or the arc and line of a
+        # non-finite one
         chart = charts["sphere_tet"]
         frame = extend_frame(chart)
         line = _sampled_lines(chart, 1, seed=19)[0]
+        arc = 0.5 * line.length
+        pt = line.point_at_arc(arc)
         from spineforge.fields import TensorField
-        plain = TensorField((1, 0), frame, lambda pt: block, label="bad")
-        with pytest.raises(FieldDomainError):
-            plain.evaluate_along(line, (0.5 * line.length,))
+        plain = TensorField((1, 0), frame, pointwise(lambda _: block), label="bad")
+        if block.shape == (3,):
+            messages = ["component stack has shape (1, 3), expected (1, 2)"] * 2
+        else:
+            messages = [f"non-finite components at {pt}",
+                        f"non-finite components at arc {arc} of the line to {line.endpoint}"]
+        reads = (lambda: plain.evaluate(pt), lambda: plain.evaluate_lines([(line, (arc,))]))
+        for read, message in zip(reads, messages):
+            with pytest.raises(FieldDomainError, match=f"^{re.escape(message)}$"):
+                read()
 
 
 class TestArcEvaluation:
@@ -1108,15 +1121,15 @@ class TestArcEvaluation:
         for line in lines:
             s0, _ = hole.split(line)
             for arc in [0.0] + [s0 * k / 8 for k in range(1, 8)] + [math.nextafter(s0, 0.0)]:
-                assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], base)
+                assert np.array_equal(Kbar.evaluate_lines([(line, (arc,))])[0], base)
         assert calls == []
         # tail reads build no point either: one row lookup, one batch read of K
         for (line, arc), value in zip(tail, want):
-            assert np.array_equal(Kbar.evaluate_along(line, (arc,))[0], value)
+            assert np.array_equal(Kbar.evaluate_lines([(line, (arc,))])[0], value)
         assert calls == []
         # the spine row builds no point either: K(z) is the tail rule at the end
         line = lines[0]
-        assert np.array_equal(Kbar.evaluate_along(line, (line.length,))[0],
+        assert np.array_equal(Kbar.evaluate_lines([(line, (line.length,))])[0],
                               K.evaluate(line.endpoint))
         assert calls == []
 
@@ -1140,7 +1153,7 @@ class TestArcEvaluation:
             s0, s1 = hole.split(line)
             arcs = [s0 * k / 4 for k in range(4)] + [s0 + s1 * k / 8 for k in range(9)]
             calls.clear()
-            Kbar.evaluate_along(line, arcs)
+            Kbar.evaluate_lines([(line, arcs)])
             assert calls == [9]
 
     @pytest.mark.parametrize("rank", [(0, 0), (1, 0), (1, 1)])
@@ -1178,11 +1191,11 @@ def _plain_field(frame, rank):
 
     def comp(pt):
         return ramp * sum(w * w for w in pt.bary) + pt.top
-    return sf.fields.TensorField(rank, frame, comp, label="plain")
+    return sf.fields.TensorField(rank, frame, pointwise(comp), label="plain")
 
 
 class TestBatchReads:
-    """``evaluate_along`` against one read per arc, bit for bit."""
+    """``evaluate_lines`` against one read per arc, bit for bit."""
 
     @staticmethod
     def _arcs(line, hole):
@@ -1210,16 +1223,16 @@ class TestBatchReads:
         for line in _sampled_lines(chart, 3, seed=37):
             arcs = self._arcs(line, hole)
             for field in fields:
-                batch = field.evaluate_along(line, arcs)
+                batch = field.evaluate_lines([(line, arcs)])
                 assert batch.shape == (len(arcs),) + (n,) * sum(rank)
                 for arc, row in zip(arcs, batch):
-                    assert np.array_equal(row, field.evaluate_along(line, (arc,))[0]), \
+                    assert np.array_equal(row, field.evaluate_lines([(line, (arc,))])[0]), \
                         (field.label, arc)
                     if field.source is None:
                         # a field defined pointwise reads the point path exactly
                         assert np.array_equal(row, field.evaluate(line.point_at_arc(arc))), \
                             (field.label, arc)
-                assert field.evaluate_along(line, []).shape == (0,) + (n,) * sum(rank)
+                assert field.evaluate_lines([(line, [])]).shape == (0,) + (n,) * sum(rank)
 
     def test_stored_blocks_are_read_only(self, charts):
         chart = charts["torus7"]
@@ -1236,8 +1249,8 @@ class TestBatchReads:
             with pytest.raises(ValueError):
                 value += 5.0
             assert np.array_equal(field.evaluate(chart.c0), before)
-            assert np.array_equal(field.evaluate_along(line, (0.0,))[0], before)
-        row = K.evaluate_along(line, (0.5 * line.length,))[0]
+            assert np.array_equal(field.evaluate_lines([(line, (0.0,))])[0], before)
+        row = K.evaluate_lines([(line, (0.5 * line.length,))])[0]
         with pytest.raises(ValueError):
             row[0] = 5.0
         assert np.array_equal(K.evaluate(chart.c0), [1.0, 2.0])
@@ -1340,7 +1353,7 @@ class TestPointReads:
         for pt, row in zip(pts, rows):
             if pt in white:
                 line, arc = locate(pt)
-                assert np.array_equal(row, Kbar.evaluate_along(line, (arc,))[0])
+                assert np.array_equal(row, Kbar.evaluate_lines([(line, (arc,))])[0])
 
     def test_white_point_locate_declines_is_a_field_error(self, census):
         # the barycenter of facet 8 on the bfs chart of torus7 is white, but
@@ -1368,7 +1381,7 @@ class TestPointReads:
         chart = charts["sphere_tet"]
         frame = extend_frame(chart)
         pts = [line.endpoint for line in _sampled_lines(chart, 4, seed=59)]
-        field = sf.fields.TensorField((1, 0), frame, lambda pt: np.zeros(2), point_rule=stack)
+        field = sf.fields.TensorField((1, 0), frame, stack)
         with pytest.raises(FieldDomainError) as err:
             field.evaluate_points(pts)
         assert str(err.value).startswith(message.format(pts[2]))
@@ -1407,8 +1420,8 @@ def reference_continuity_report(kbar, chart, hole, samples, seed=0):
                 gates.append((acc, delta))
         before = [acc - delta for acc, delta in gates]
         after = [acc + delta for acc, delta in gates]
-        values = kbar.evaluate_along(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
-                                     [line.length - step] + before + after)
+        values = kbar.evaluate_lines([(line, [s0 + d for d in deltas] + [s0 - d for d in deltas] +
+                                       [line.length - step] + before + after)])
         inner, outer = values[:levels], values[levels:2 * levels]
         near = values[2 * levels]
         at = 2 * levels + 1
@@ -1427,7 +1440,7 @@ def reference_continuity_report(kbar, chart, hole, samples, seed=0):
         gate_jumps = fields._jumps(after_vals, before_vals)
         input_jumps = [0.0] * len(gates)
         if kbar.source is not None:
-            read = kbar.source.evaluate_along(line, before + after)
+            read = kbar.source.evaluate_lines([(line, before + after)])
             input_jumps = fields._jumps(read[len(gates):], read[:len(gates)])
         for (acc, delta), gj, ij in zip(gates, gate_jumps, input_jumps):
             gate_jump = max(gate_jump, gj)
@@ -1444,7 +1457,7 @@ def reference_deformation_samples(kbar, chart, hole, lines, per_line, seed=0):
     rows = []
     for index, (line, _) in enumerate(sf.fields._sampled_lines(chart, lines, seed)):
         arcs = [line.length * k / per_line for k in range(per_line + 1)]
-        values = kbar.evaluate_along(line, arcs).reshape(len(arcs), -1).tolist()
+        values = kbar.evaluate_lines([(line, arcs)]).reshape(len(arcs), -1).tolist()
         rows.extend([index, arc] + row for arc, row in zip(arcs, values))
     return rows
 
@@ -1452,7 +1465,8 @@ def reference_deformation_samples(kbar, chart, hole, lines, per_line, seed=0):
 def _parity_field(frame, rank):
     """A field with no line rule that jumps by 1 across every gate."""
     shape = (frame.dimension,) * (rank[0] + rank[1])
-    return sf.fields.TensorField(rank, frame, lambda pt: np.full(shape, float(pt.top % 2)),
+    return sf.fields.TensorField(rank, frame,
+                                 pointwise(lambda pt: np.full(shape, float(pt.top % 2))),
                                  label="parity")
 
 
@@ -1512,11 +1526,12 @@ class TestStackedReads:
 
     @pytest.mark.parametrize("samples", [1, 5, 20])
     def test_one_read_per_field(self, monkeypatch, samples):
-        # the report reads the deformed field at the seam points and the
-        # spine points z in one point read, whose z read K in one point
-        # read and whose located seam points read K in one line read; then
-        # the deformed field once at every probe, whose tails read K once
-        # inside it, and K once at the gate probes
+        # the report reads K̄(c0) through the deformed field's point rule,
+        # then the deformed field at the seam points and the spine points z
+        # in one point read, whose z read K in one point read and whose
+        # located seam points read K in one line read; then the deformed
+        # field once at every probe, whose tails read K once inside it, and
+        # K once at the gate probes
         c = coordinate_torus(12)
         chart = build_chart(c, sf.decompose(c, root=0, strategy="dfs", seed=0),
                             Metric.from_complex(c))
@@ -1529,11 +1544,13 @@ class TestStackedReads:
         assert gates
         probes = samples * (2 * sf.fields.PROBE_LEVELS + 1) + 2 * gates
         assert [(field, kind, nested) for field, kind, _, nested in calls] == [
-            ("Kbar", "points", False), ("K", "points", True), ("K", "lines", True),
-            ("Kbar", "lines", False), ("K", "lines", True), ("K", "lines", False)]
-        assert [calls[k][2] for k in (0, 1, 3, 5)] == [2 * samples, samples, probes, 2 * gates]
+            ("Kbar", "points", False), ("Kbar", "points", False), ("K", "points", True),
+            ("K", "lines", True), ("Kbar", "lines", False), ("K", "lines", True),
+            ("K", "lines", False)]
+        assert [calls[k][2] for k in (0, 1, 2, 4, 6)] == [1, 2 * samples, samples, probes,
+                                                          2 * gates]
         # a located seam point whose arc rounds below s0 reads K(c0), not K
-        assert 0 < calls[2][2] <= samples
+        assert 0 < calls[3][2] <= samples
         calls.clear()
         rows = deformation_samples(Kbar, chart, hole, lines=samples, per_line=16, seed=0)
         # the sample rows read no point: the one deformed-field read of all
@@ -1562,7 +1579,8 @@ class TestStackedReads:
             return np.array([[math.nan, 0.0] if top == bad else [1.0, 2.0]
                              for top in tops(reads)])
 
-        K = sf.fields.TensorField((1, 0), frame, lambda pt: np.zeros(2), line_rule=rule)
+        K = sf.fields.TensorField((1, 0), frame, pointwise(lambda pt: np.zeros(2)),
+                                  line_rule=rule)
         line, arc = next((line, arc) for line, arcs in requests
                          for arc, top in zip(arcs, tops([(line, arcs)])) if top == bad)
         assert line is not lines[0]
@@ -1570,6 +1588,40 @@ class TestStackedReads:
             K.evaluate_lines(requests)
         assert str(err.value) == \
             f"non-finite components at arc {arc} of the line to {line.endpoint}"
+
+
+class TestDefaultLineRule:
+    """A built-in field rebuilt from its point rule alone reads its lines
+    through the default line rule, at ``point_at_arc`` of every arc, and
+    must give the built-in line rule's reads, seam report and sample rows
+    bit for bit, as K and deformed."""
+
+    @pytest.mark.parametrize("rank", [(0, 0), (1, 1)])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs", "random"])
+    @pytest.mark.parametrize("name", ALL + ["torus12"])
+    def test_matches_built_in_line_rule(self, census, name, strategy, rank):
+        c = coordinate_torus(12) if name == "torus12" else census[name]
+        chart = build_chart(c, sf.decompose(c, root=0, strategy=strategy, seed=0),
+                            Metric.from_complex(c))
+        frame = extend_frame(chart)
+        hole = black_hole_region(chart, 0.25 * root_facet_clearance(chart))
+        built_in = [constant_tensor(np.arange(2.0, 2.0 + c.dimension ** sum(rank)), frame, rank)]
+        if c.vertex_coords:
+            built_in.append(_linear_field(chart, rank=rank)[0])
+        requests = [(line, TestBatchReads._arcs(line, hole))
+                    for line in _sampled_lines(chart, 4, seed=61)]
+        for f in built_in:
+            rebuilt = sf.fields.TensorField(f.rank, f.frame, f.point_rule)
+            pairs = [(f, rebuilt), (deform_tensor(f, chart, hole),
+                                    deform_tensor(rebuilt, chart, hole))]
+            for want, got in pairs:
+                assert got.evaluate_lines(requests).tobytes() == \
+                    want.evaluate_lines(requests).tobytes(), want.label
+                for seed in (3, 4):
+                    assert repr(continuity_report(got, chart, hole, samples=6, seed=seed)) == \
+                        repr(continuity_report(want, chart, hole, samples=6, seed=seed))
+                    assert repr(deformation_samples(got, chart, hole, 6, 16, seed)) == \
+                        repr(deformation_samples(want, chart, hole, 6, 16, seed))
 
 
 class TestLocateCalls:
