@@ -64,9 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import chart as chart_module   # sample_interior looked up per call, so
-                                      # a replaced one (tests count draws) is used
-from .chart import BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines
+from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines,
+                    sample_interior)
 from .simplicial import (DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, derived,
                          facet_rows, ordered_matmul)
 
@@ -497,8 +496,8 @@ def _sampled_lines(chart: CellChart, count: int, seed: int) -> list:
     def build():
         rng = random.Random(seed)
         tops = len(chart.complex.top_simplices)
-        sample, locate = chart_module.sample_interior, chart.locate
-        return [locate(sample(chart.complex, rng, rng.randrange(tops))) for _ in range(count)]
+        return [chart.locate(sample_interior(chart.complex, rng, rng.randrange(tops)))
+                for _ in range(count)]
     return derived(chart, "line_draw", (count, seed), build)
 
 
@@ -674,13 +673,21 @@ def _vertex_table(c, rows) -> np.ndarray:
     """The affine map of a linear spec's component rows at every vertex of
     ``c``, gathered per facet (a point's value is the barycentric
     combination of its facet's rows).  No tree changes it, so the complex
-    keeps it, read-only, keyed by the rows."""
+    keeps it, read-only, keyed by the rows.  A row whose map overflows at a
+    vertex is refused here, naming the row (counted from 1 after
+    ``linear``) and its first such vertex, whether or not a read reaches
+    that vertex."""
     key = tuple(map(tuple, rows))
     def build():
         offsets = np.array([r[0] for r in key])
         slopes = np.array([r[1:] for r in key])
-        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite read is refused
+        with np.errstate(over="ignore", invalid="ignore"):
             at_vertex = offsets + ordered_matmul(np.array(c.vertex_coords), slopes.T)
+        bad = ~np.isfinite(at_vertex)
+        if bad.any():
+            row = int(bad.any(axis=0).argmax())
+            raise FieldDomainError(f"linear component row {row + 1} is not finite "
+                                   f"at vertex {int(bad[:, row].argmax())}")
         table = at_vertex[facet_rows(c)]
         table.setflags(write=False)
         return table
@@ -711,12 +718,9 @@ def field_from_spec(spec: FieldSpec, chart: CellChart, frame: FrameField) -> Ten
 
     def combine(tops, bary_rows):
         """One formula for the point path and the line path, so the two agree
-        bit for bit: each row's combination, as a stack of row times matrix.
-        A vertex value that overflowed to inf makes NaN rows (times a zero
-        barycentric, or against -inf), which the read refuses."""
-        with np.errstate(invalid="ignore"):
-            return ordered_matmul(np.asarray(bary_rows)[:, None, :],
-                                  per_top[tops]).reshape((len(tops),) + shape)
+        bit for bit: each row's combination, as a stack of row times matrix."""
+        return ordered_matmul(np.asarray(bary_rows)[:, None, :],
+                              per_top[tops]).reshape((len(tops),) + shape)
 
     def on_points(pts):
         return combine([pt.top for pt in pts], [pt.bary for pt in pts])

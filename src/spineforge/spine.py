@@ -14,7 +14,6 @@ frontier with the same bits as ``random.Random(seed).randrange``.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -50,9 +49,6 @@ class Decomposition:
     strategy: str
     seed: int
 
-    def gate_ids(self):
-        return tuple(g.gate for g in self.gates)
-
     def to_json_obj(self, c: SimplicialComplex):
         ridge_faces = c.faces[c.dimension - 1]
         return {
@@ -62,9 +58,6 @@ class Decomposition:
             "strategy": self.strategy,
             "seed": self.seed,
         }
-
-    def to_json(self, c: SimplicialComplex) -> str:
-        return json.dumps(self.to_json_obj(c), sort_keys=True, separators=(",", ":"))
 
 
 def _gate_table(c: SimplicialComplex) -> tuple:

@@ -1,11 +1,32 @@
 """Generated closed manifolds shared by the tests: grid surfaces and the
 Freudenthal 3-torus, whose homology and vertex links are known by
-construction, at any size."""
+construction, at any size; the linear field texts the tests deform on them;
+and the benchmark's own input generators, loaded from ``bench/inputs.py``."""
 
+import importlib.util
 import itertools
 import math
+import os
+import random
 
 from spineforge.simplicial import SimplicialComplex
+
+# type-(1,0) linear field on R^3 coordinates: an offset and three slopes per row
+LINEAR_FLD = ("type 1 0\nlinear\n"
+              "0.1 0.2 -0.1 0.05\n"
+              "0.3 -0.15 0.1 0.2\n")
+
+
+def bench_inputs():
+    """``bench/inputs.py`` as a module, loaded from its file, so the tests read
+    the benchmark's generators (``torus_tri``, ``klein_tri``, ``linear_fld``)
+    without a copy and without the repository root on the path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def grid_surface(k, klein=False):
@@ -57,3 +78,17 @@ def freudenthal_torus3(k):
                 verts.append(vertex(corner))
             facets.append(tuple(sorted(verts)))
     return SimplicialComplex(3, facets)
+
+
+def torus3_in_r6(k):
+    """The Freudenthal 3-torus with vertex a*k*k + b*k + d at the (cos, sin)
+    of the angles 2 pi a / k, 2 pi b / k and 2 pi d / k in R^6, and the .fld
+    text of a type-(1,1) linear field on those coordinates: 9 rows of an
+    offset and 6 slopes, each 0.3 * (u - 0.5) from ``random.Random(555)``."""
+    c = freudenthal_torus3(k)
+    coords = [tuple(f(2 * math.pi * i / k) for i in (v // (k * k), v // k % k, v % k)
+                    for f in (math.cos, math.sin)) for v in range(c.vertex_count)]
+    rng = random.Random(555)
+    rows = [" ".join(repr(0.3 * (rng.random() - 0.5)) for _ in range(7)) for _ in range(9)]
+    return (SimplicialComplex(3, c.top_simplices, vertex_coords=coords),
+            "type 1 1\nlinear\n" + "\n".join(rows) + "\n")

@@ -1,8 +1,10 @@
 """Face-lattice helpers, dense boundary matrices, the census self-check,
-the spine homology as first written, the frame isometry, broken-line
-contiguity and arc consistency checks, and the stacked point rule of a
-one-point function, which only the tests use."""
+a decomposition's gate ridges and compact JSON, the spine homology as first
+written, the frame isometry, broken-line contiguity and arc consistency
+checks, and the stacked point rule of a one-point function, which only the
+tests use."""
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -68,6 +70,17 @@ def boundary_matrix(c, k):
         for i, v in col.items():
             mat[i][j] = v
     return BoundaryMatrix(k, tuple(tuple(r) for r in mat))
+
+
+def gate_ridges(d):
+    """The ridge ids of decomposition ``d``'s gates, in growth order."""
+    return tuple(g.gate for g in d.gates)
+
+
+def decomposition_json(c, d):
+    """``d.to_json_obj(c)`` as compact JSON with sorted keys: one string per
+    tree, so that equal trees give equal bytes."""
+    return json.dumps(d.to_json_obj(c), sort_keys=True, separators=(",", ":"))
 
 
 def reference_component_count(simplices):

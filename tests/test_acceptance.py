@@ -19,6 +19,7 @@ from spineforge.homology import homology_groups, punctured_complex
 from spineforge.simplicial import Metric
 from spineforge.spine import spine_subcomplex
 
+from helpers import decomposition_json
 from test_fields import gate_frame_agreement
 
 ALL = ("circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent")
@@ -227,7 +228,7 @@ def test_frame_and_deformation_seams(charts):
 
 def test_determinism(census):
     c = census["torus7"]
-    blobs = {sf.decompose(c, root=2, strategy="random", seed=42).to_json(c)
+    blobs = {decomposition_json(c, sf.decompose(c, root=2, strategy="random", seed=42))
              for _ in range(3)}
     _criterion("decomposition determinism",
                len(blobs) == 1,

@@ -15,12 +15,9 @@ import spineforge as sf
 from spineforge import cli
 from spineforge.simplicial import SimplicialComplex, format_tri, write_tri
 
-from grids import coordinate_torus
+from grids import LINEAR_FLD, coordinate_torus
 
 CONSTANT_FLD = "type 1 0\nconstant\n1.0 0.0\n"
-LINEAR_FLD = ("type 1 0\nlinear\n"
-              "0.1 0.2 -0.1 0.05\n"
-              "0.3 -0.15 0.1 0.2\n")
 
 
 def run(capsys, *argv):
@@ -219,19 +216,23 @@ class TestDeform:
                          "--field", str(fld))
         assert code == 2
 
-    @pytest.mark.parametrize("row", ["1e308 1e308 0 0", "0 1e308 -1e308 0"],
-                             ids=["inf", "inf-minus-inf"])
-    def test_overflowing_linear_field_prints_only_the_error(self, capsys, tmp_path, row):
-        # vertex values that overflow to inf (of one sign, or of both, whose
-        # combination is NaN) are refused by the read of K(c0), with no NumPy
-        # warning before the error line
+    @pytest.mark.parametrize("rows, at", [
+        ("1e308 1e308 0 0\n0 0 0 0", "row 1 is not finite at vertex 0"),
+        ("0 0 0 0\n0 1e308 -1e308 0", "row 2 is not finite at vertex 0"),
+        ("0 0 0 0\n0 0 1e308 0", "row 2 is not finite at vertex 6")],
+        ids=["inf", "inf-minus-inf", "inf-off-vertex-0"])
+    def test_overflowing_linear_field_prints_only_the_error(self, capsys, tmp_path, rows, at):
+        # a row whose affine map overflows at a vertex (to inf of one sign,
+        # or of both, whose combination is NaN) is refused when the vertex
+        # table is built, naming the row and its first such vertex, with no
+        # NumPy warning before the error line; on the 6x6 torus vertices
+        # 0-5 have y = 0, so 1e308 * y first overflows at vertex 6
         path = tmp_path / "torus6.tri"
         write_tri(coordinate_torus(6), path)
         fld = tmp_path / "big.fld"
-        fld.write_text(f"type 1 0\nlinear\n{row}\n0 0 0 0\n")
-        c0 = sf.chart.PointRef(0, (1 / 3,) * 3)
+        fld.write_text(f"type 1 0\nlinear\n{rows}\n")
         assert run(capsys, "deform", str(path), "--field", str(fld)) == \
-            (2, "", f"error: non-finite components at {c0}\n")
+            (2, "", f"error: linear component {at}\n")
 
     @pytest.mark.parametrize("fld", [LINEAR_FLD, "type 0 0\nconstant\n1.5\n"],
                              ids=["linear", "scalar-constant"])

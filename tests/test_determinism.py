@@ -21,11 +21,8 @@ from spineforge.fields import (black_hole_region, continuity_report, deform_tens
                                root_facet_clearance)
 from spineforge.simplicial import Metric, write_tri
 
-from grids import coordinate_torus
+from grids import LINEAR_FLD, coordinate_torus
 
-LINEAR_FLD = ("type 1 0\nlinear\n"
-              "0.1 0.2 -0.1 0.05\n"
-              "0.3 -0.15 0.1 0.2\n")
 
 # one deform run with its CSV, then the frame of the same tree, raw bytes
 KERNEL_RUN = """

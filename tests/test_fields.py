@@ -22,13 +22,10 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                field_from_spec, parse_fld, root_facet_clearance)
 from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex, write_tri
 
-from grids import coordinate_torus, grid_surface
+from grids import LINEAR_FLD, coordinate_torus, grid_surface
 from helpers import frame_isometry_deviation, pointwise
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
-LINEAR_FLD = ("type 1 0\nlinear\n"
-              "0.1 0.2 -0.1 0.05\n"
-              "0.3 -0.15 0.1 0.2\n")
 
 
 # -- frame oracles: the explicit unfolding extend_frame is checked against ------
@@ -1635,7 +1632,7 @@ class TestLocateCalls:
         attempts = []
         sampled = []     # lines located from a sampled point
         calls = []
-        draw, locate = sf.chart.sample_interior, chart.locate
+        draw, locate = sf.fields.sample_interior, chart.locate
 
         def sample(*args):
             attempts.append(draw(*args))
@@ -1648,7 +1645,7 @@ class TestLocateCalls:
                 sampled.append(result[0])
             return result
 
-        monkeypatch.setattr(sf.chart, "sample_interior", sample)
+        monkeypatch.setattr(sf.fields, "sample_interior", sample)
         monkeypatch.setattr(chart, "locate", counted)
         return attempts, sampled, calls
 

@@ -19,7 +19,7 @@ from spineforge.spine import Decomposition, spine_subcomplex
 
 from grids import freudenthal_torus3, grid_surface
 from helpers import (BoundaryMatrix, boundary_matrix, euler_characteristic, face_id,
-                     reference_spine_profile)
+                     gate_ridges, reference_spine_profile)
 
 
 def compose(a: BoundaryMatrix, b: BoundaryMatrix):
@@ -517,7 +517,7 @@ def euler_changing_faults(c, d):
         if rest and closure(c, [rid]) <= closure(c, rest):
             yield "drop", tuple(sorted(rest))
     black = closure(c, spine)
-    for rid in d.gate_ids():
+    for rid in gate_ridges(d):
         if closure(c, [rid]) <= black:
             yield "add", tuple(sorted(spine | {rid}))
 

@@ -14,7 +14,7 @@ from spineforge.spine import (STRATEGIES, Decomposition, GateStep, _gate_table, 
                               spine_connected, spine_subcomplex)
 
 from grids import freudenthal_torus3, grid_surface
-from helpers import decomposition_faults
+from helpers import decomposition_faults, decomposition_json, gate_ridges
 
 EXPECTED_SPINE = {"circle3": 1, "sphere_tet": 3, "torus7": 8,
                   "rp2_6": 6, "sphere3_pent": 6}
@@ -29,7 +29,7 @@ def partition_counts(c, d):
     """White (cell side) and black (spine closure) face counts per degree,
     after checking that the ridges split into gates and spine.  Black below
     degree n is the spine closure's f-vector, white the rest of ``c``'s."""
-    assert sorted(d.gate_ids() + d.spine) == list(range(len(c.faces[c.dimension - 1])))
+    assert sorted(gate_ridges(d) + d.spine) == list(range(len(c.faces[c.dimension - 1])))
     black = spine_subcomplex(c, d).complex.f_vector + (0,)
     return {"white": tuple(a - b for a, b in zip(c.f_vector, black)), "black": black}
 
@@ -161,7 +161,7 @@ class TestDecompose:
     def test_gates_and_spine_partition_ridges(self, census):
         c = census["rp2_6"]
         d = decompose(c, strategy="dfs")
-        assert sorted(d.gate_ids() + d.spine) == list(range(len(c.faces[1])))
+        assert sorted(gate_ridges(d) + d.spine) == list(range(len(c.faces[1])))
 
     def test_rejects_bad_root(self, census):
         with pytest.raises(InvalidComplexError):
@@ -198,12 +198,12 @@ class TestDecompose:
         a = decompose(c, root=3, strategy="random", seed=42)
         b = decompose(c, root=3, strategy="random", seed=42)
         assert a == b
-        assert a.to_json(c) == b.to_json(c)
+        assert decomposition_json(c, a) == decomposition_json(c, b)
 
     def test_json_round_trip(self, census):
         c = census["rp2_6"]
         d = decompose(c, strategy="random", seed=5)
-        back = decomposition_from_json(c, json.loads(d.to_json(c)))
+        back = decomposition_from_json(c, json.loads(decomposition_json(c, d)))
         assert back == d
 
 
@@ -217,7 +217,7 @@ def assert_same_as_reference(c, root, strategy, seed):
     d = decompose(c, root=root, strategy=strategy, seed=seed)
     ref = reference_decompose(c, root=root, strategy=strategy, seed=seed)
     assert d == ref, (root, strategy, seed)
-    assert d.to_json(c).encode() == ref.to_json(c).encode()
+    assert decomposition_json(c, d).encode() == decomposition_json(c, ref).encode()
 
 
 class TestDecompositionShape:
@@ -435,7 +435,7 @@ class TestSphereTetExhaustive:
         for strategy in ("bfs", "dfs", "random"):
             for seed in range(10):
                 d = decompose(c, strategy=strategy, seed=seed)
-                assert frozenset(d.gate_ids()) in tree_sets
+                assert frozenset(gate_ridges(d)) in tree_sets
 
 
 class TestSpineSubcomplex:
