@@ -15,10 +15,10 @@ and a metric that lacks an edge was refused with the chart's step table);
 per tree it only gathers and chains them.  A frame is two (F, n, n) arrays
 indexed by facet id, the chained frames and each facet's entry transition,
 both the identity at the root, with no per-facet object.
-``root_facet_clearance`` reads the root's heights off Gram determinants,
-once per metric and root facet, and a linear field's vertex table is built
-once per complex and component rows: no tree changes either, so each is
-kept, with the metric and with the complex, for their lifetimes.
+``root_facet_clearance`` reads the root's heights off the stacked Gram
+rule ``Metric.gram_determinants``, once per metric and root facet, and a
+linear field's vertex table once per complex and component rows: no tree
+changes either, so each is kept, with the metric and the complex.
 
 The hole region never stores per-line data: the distance-to-spine proxy is
 the remaining arc length along each broken line, so a line of length s_total
@@ -59,7 +59,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +67,7 @@ import numpy as np
 from .chart import (BrokenLine, CellChart, ChartDomainError, PointRef, rows_on_lines,
                     sample_interior)
 from .simplicial import (DEGENERACY_TOL, GEOMETRIC_TOL, InvalidComplexError, derived,
-                         facet_rows, ordered_matmul)
+                         facet_rows, gram_matrices, ordered_matmul)
 
 
 class InvalidGeometryError(ValueError):
@@ -189,7 +189,7 @@ def _frame_rows(geometry) -> tuple:
     # squared lengths from each of (gate..., w, a) to each gate vertex
     sq = geometry.metric.lengths_at(ends[:, :, None], gate[:, None, :], squared=True)
     to0 = sq[:, :n, 0]
-    gram = (to0[:, 1:, None] + to0[:, None, 1:] - sq[:, 1:n, 1:]) / 2.0
+    gram = gram_matrices(sq[:, :n])
     off = sq[:, n:]
     rhs = (off[:, :, :1] + to0[:, None, 1:] - off[:, :, 1:]) / 2.0   # (m, 2, n-1)
     flat_gate = ~(np.linalg.det(gram) > 0.0)
@@ -344,19 +344,18 @@ def root_facet_clearance(chart: CellChart) -> float:
 
     The barycenter sits at 1/(n+1) of each vertex's height over its opposite
     face, and that height is sqrt(G(root) / G(face)) for the Gram
-    determinants G of ``Metric._gram_det`` (a single vertex has G = 1).  No
-    tree changes it, so the metric keeps it per root facet, keyed by the
-    facet's vertices; a degenerate root raises on every call."""
+    determinants G of ``Metric.gram_determinants`` (a vertex's 0x0 Gram
+    matrix has G = 1).  No tree changes it, so the metric keeps it per root
+    facet, keyed by its vertices; a degenerate root raises on every call."""
     metric = chart.metric
     verts = chart.complex.top_simplices[chart.root]
     def build():
         n = len(verts) - 1
-        whole = metric._gram_det(verts)[0]
-        faces = [metric._gram_det(verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
-                 for o in range(n + 1)]
-        if not min(whole, *faces) > 0.0:
+        whole = metric.gram_determinants(np.array([verts]))[0][0]
+        faces = metric.gram_determinants(np.array(list(combinations(verts, n))))[0]
+        if not min(whole, faces.min()) > 0.0:
             raise InvalidGeometryError(f"simplex {tuple(verts)} is metrically degenerate")
-        return math.sqrt(whole / max(faces)) / (n + 1)
+        return math.sqrt(whole / faces.max()) / (n + 1)
     return derived(metric, ("clearance", verts), None, build)
 
 

@@ -360,6 +360,13 @@ def ordered_matmul(a, b) -> np.ndarray:
     return out
 
 
+def gram_matrices(sq) -> np.ndarray:
+    """Gram matrices (..., k, k) of k-simplices' edge vectors from vertex 0,
+    from squared lengths (..., k+1, k+1): (d_i0^2 + d_0j^2 - d_ij^2) / 2."""
+    to0 = sq[..., 1:, 0]
+    return (to0[..., :, None] + to0[..., None, :] - sq[..., 1:, 1:]) / 2.0
+
+
 class Metric:
     """Piecewise-flat metric: one positive length per edge of the complex.
 
@@ -429,28 +436,32 @@ class Metric:
                 raise InvalidComplexError(
                     f"triangle inequality fails on 2-face {tri[int(bad.argmax())]}")
         for k in range(3, c.dimension + 1):
-            for face in c.faces[k]:
-                det, scale = self._gram_det(face)
-                if det < -GEOMETRIC_TOL * scale:
-                    raise InvalidComplexError(
-                        f"Cayley-Menger determinant of {k}-face {face} has the wrong "
-                        "sign: no Euclidean simplex has its edge lengths")
+            dets, scales = self.gram_determinants(np.array(c.faces[k], np.intp))
+            bad = np.flatnonzero(dets < -GEOMETRIC_TOL * scales)
+            if bad.size:
+                raise InvalidComplexError(
+                    f"Cayley-Menger determinant of {k}-face {c.faces[k][bad[0]]} has the wrong "
+                    "sign: no Euclidean simplex has its edge lengths")
 
-    def _gram_det(self, verts):
-        """Gram determinant of a simplex's edge vectors from its first vertex,
-        (k!)^2 times its squared volume, and the scale (longest edge)^(2k).
-
-        It is the Cayley-Menger determinant divided by (-1)^(k+1) 2^k.  When
-        every proper face is realizable, as ``validate`` has checked by then,
-        it is negative exactly when no Euclidean k-simplex has these lengths.
-        """
-        k = len(verts) - 1
-        sq = [[self.length(u, v) * self.length(u, v) if u != v else 0.0 for v in verts]
-              for u in verts]
-        gram = [[(sq[0][i] + sq[0][j] - sq[i][j]) / 2.0 for j in range(1, k + 1)]
-                for i in range(1, k + 1)]
-        longest = max(self.length(u, v) for u, v in combinations(verts, 2))
-        return float(np.linalg.det(gram)), longest ** (2 * k)
+    def gram_determinants(self, rows) -> tuple:
+        """(dets, scales) for k-simplices, an (m, k+1) array of vertex ids: each
+        one's Gram determinant of its edges from vertex 0, (k!)^2 times its
+        squared volume and the Cayley-Menger determinant over (-1)^(k+1) 2^k,
+        and (longest edge)^(2k), squares multiplied in order.  With every
+        proper face realizable (``validate`` checks first), a determinant is
+        negative exactly when no Euclidean simplex has these lengths.  A
+        simplex whose determinant or scale is not finite is refused by name."""
+        k = rows.shape[1] - 1
+        lengths = self.lengths_at(rows[:, :, None], rows[:, None, :])
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            dets = np.linalg.det(gram_matrices(lengths * lengths))
+            scales = np.square(lengths.max(axis=(1, 2)))[None].repeat(k, axis=0).prod(axis=0)
+        bad = ~(np.isfinite(dets) & np.isfinite(scales))
+        if bad.any():
+            raise InvalidComplexError(
+                f"Gram determinant of {k}-face {tuple(rows[bad.argmax()].tolist())} is not "
+                "finite: its edges are too long")
+        return dets, scales
 
     def length(self, u, v) -> float:
         return self.edge_lengths[(min(u, v), max(u, v))]

@@ -1,8 +1,8 @@
 """Face-lattice helpers, dense boundary matrices, the census self-check,
 a decomposition's gate ridges and compact JSON, the spine homology as first
-written, the frame isometry, broken-line contiguity and arc consistency
-checks, and the stacked point rule of a one-point function, which only the
-tests use."""
+written, the scalar Gram determinant, the frame isometry, broken-line
+contiguity and arc consistency checks, and the stacked point rule of a
+one-point function, which only the tests use."""
 
 import json
 import math
@@ -24,6 +24,12 @@ def face_id(c, k, verts):
         return c.face_index[k][tuple(sorted(verts))]
     except KeyError:
         raise InvalidComplexError(f"no {k}-face with vertices {tuple(verts)}")
+
+
+def lattice_of(c):
+    """Everything the constructor derives, with each face index's key order."""
+    return (c.dimension, c.top_simplices, c.vertex_coords, c.faces,
+            [list(fi.items()) for fi in c.face_index], c.ridge_cofacets)
 
 
 def euler_characteristic(c):
@@ -168,6 +174,19 @@ def decomposition_faults(c, d):
                   min(len(d.spine), len(complement)))
         faults.append(f"spine differs from the sorted complement of the gates at position {at}")
     return faults
+
+
+def reference_gram_det(m, verts):
+    """``Metric.gram_determinants`` as first written, one simplex at a time
+    through ``length``: the Gram determinant of the edge vectors from the
+    first vertex, and the scale (longest edge)^(2k) by ``**``."""
+    k = len(verts) - 1
+    sq = [[m.length(u, v) * m.length(u, v) if u != v else 0.0 for v in verts]
+          for u in verts]
+    gram = [[(sq[0][i] + sq[0][j] - sq[i][j]) / 2.0 for j in range(1, k + 1)]
+            for i in range(1, k + 1)]
+    longest = max(m.length(u, v) for u, v in combinations(verts, 2))
+    return float(np.linalg.det(gram)), longest ** (2 * k)
 
 
 def frame_isometry_deviation(chart, frame):

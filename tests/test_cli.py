@@ -234,6 +234,29 @@ class TestDeform:
         assert run(capsys, "deform", str(path), "--field", str(fld)) == \
             (2, "", f"error: linear component {at}\n")
 
+    @pytest.mark.parametrize("dim, scale, face", [
+        (2, 1e100, "2-face (0, 6, 7)"),
+        (3, 1e60, "3-face (0, 1, 2, 3)"),
+        (3, 1e100, "3-face (0, 1, 2, 3)")],
+        ids=["torus6-1e100", "simplex-boundary-1e60", "simplex-boundary-1e100"])
+    def test_long_edges_are_refused_by_face(self, capsys, tmp_path, dim, scale, face):
+        # every squared length is finite, so the metric takes them; the Gram
+        # determinant of the root (n = 2) or of a 3-face (n = 3) is not, and
+        # is refused by name with no NumPy warning before the error line
+        if dim == 2:   # the 6x6 coordinate torus
+            c = coordinate_torus(6)
+            tops, coords = c.top_simplices, c.vertex_coords
+        else:   # the boundary of the 4-simplex
+            tops = list(combinations(range(5), 4))
+            coords = [tuple(float(j == i) for j in range(4)) for i in range(4)] + [(-1.0,) * 4]
+        path = tmp_path / "long.tri"
+        write_tri(SimplicialComplex(dim, tops, [tuple(scale * x for x in p) for p in coords]),
+                  path)
+        fld = tmp_path / "c.fld"
+        fld.write_text("type 0 0\nconstant\n1.0\n")
+        assert run(capsys, "deform", str(path), "--field", str(fld)) == \
+            (2, "", f"error: Gram determinant of {face} is not finite: its edges are too long\n")
+
     @pytest.mark.parametrize("fld", [LINEAR_FLD, "type 0 0\nconstant\n1.5\n"],
                              ids=["linear", "scalar-constant"])
     def test_point_has_empty_spine(self, capsys, tmp_path, fld):

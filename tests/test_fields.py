@@ -22,8 +22,8 @@ from spineforge.fields import (FieldDomainError, HoleDomainError,
                                field_from_spec, parse_fld, root_facet_clearance)
 from spineforge.simplicial import InvalidComplexError, Metric, SimplicialComplex, write_tri
 
-from grids import LINEAR_FLD, coordinate_torus, grid_surface
-from helpers import frame_isometry_deviation, pointwise
+from grids import LINEAR_FLD, coordinate_torus, grid_surface, torus3_in_r6
+from helpers import frame_isometry_deviation, pointwise, reference_gram_det
 
 ALL = ["circle3", "sphere_tet", "torus7", "rp2_6", "sphere3_pent"]
 
@@ -603,7 +603,33 @@ class TestConstantTensor:
             constant_tensor([1.0, 2.0, 3.0], frame, (1, 0))
 
 
+def reference_clearance(m, verts):
+    """``root_facet_clearance`` as first written: one scalar Gram
+    determinant per face, and 1 for each face of an edge."""
+    n = len(verts) - 1
+    whole = reference_gram_det(m, verts)[0]
+    faces = [reference_gram_det(m, verts[:o] + verts[o + 1:])[0] if n > 1 else 1.0
+             for o in range(n + 1)]
+    return math.sqrt(whole / max(faces)) / (n + 1)
+
+
 class TestHoleRegion:
+    @pytest.mark.parametrize("name", ALL + ["torus12", "torus48", "torus3d4r6"])
+    def test_clearance_bits_equal_the_scalar_formula(self, name):
+        # roots 0-5: the stacked determinants give the bits of one scalar
+        # determinant per face; circle3's vertices have 0x0 Gram matrices
+        if name.startswith("torus3"):
+            c = torus3_in_r6(4)[0]
+        elif name.startswith("torus"):
+            c = coordinate_torus(int(name[5:]))
+        else:
+            c = sf.build_census(name)
+        m = Metric.from_complex(c)
+        for root in range(min(6, len(c.top_simplices))):
+            chart = build_chart(c, sf.decompose(c, root=root), m)
+            assert root_facet_clearance(chart).hex() == \
+                reference_clearance(m, c.top_simplices[root]).hex(), root
+
     def test_every_line_splits_at_eps(self, charts):
         chart = charts["torus7"]
         eps_max = root_facet_clearance(chart)
@@ -710,13 +736,13 @@ class TestPerComplexMemos:
         c = coordinate_torus(12)
         m = Metric.from_complex(c)
         calls = []
-        gram_det = Metric._gram_det
+        gram_determinants = Metric.gram_determinants
 
-        def counting(self, verts):
-            calls.append(verts)
-            return gram_det(self, verts)
+        def counting(self, rows):
+            calls.append(rows.tolist())
+            return gram_determinants(self, rows)
 
-        monkeypatch.setattr(Metric, "_gram_det", counting)
+        monkeypatch.setattr(Metric, "gram_determinants", counting)
         got = set()
         for root in (0, 7):
             for seed in range(20):
@@ -724,24 +750,26 @@ class TestPerComplexMemos:
                                                     seed=seed), m)
                 eps = 0.25 * root_facet_clearance(chart)
                 got.add((root, black_hole_region(chart, eps).eps_max))
-            # the whole root and its three edges, for the first tree only
-            assert len(calls) == 4 * (1 + (root == 7)), root
+            # the whole root, then its three edges, for the first tree only
+            a, b, d = c.top_simplices[root]
+            assert calls[-2:] == [[[a, b, d]], [[a, b], [a, d], [b, d]]], root
+            assert len(calls) == 2 * (1 + (root == 7)), root
         assert len(got) == 2
         # another metric, with the same lengths, takes its own
         root_facet_clearance(build_chart(c, sf.decompose(c), Metric.from_complex(c)))
-        assert len(calls) == 12
+        assert len(calls) == 6
 
     def test_degenerate_root_raises_every_time(self, census, monkeypatch):
         c = census["sphere_tet"]
         chart = build_chart(c, sf.decompose(c, root=0), Metric(TestFrameField.FLAT_TET))
         calls = []
-        gram_det = Metric._gram_det
-        monkeypatch.setattr(Metric, "_gram_det",
-                            lambda self, verts: calls.append(verts) or gram_det(self, verts))
+        gram_determinants = Metric.gram_determinants
+        monkeypatch.setattr(Metric, "gram_determinants",
+                            lambda self, rows: calls.append(rows) or gram_determinants(self, rows))
         for attempt in range(1, 4):
             with pytest.raises(InvalidGeometryError, match="metrically degenerate"):
                 black_hole_region(chart, 0.1)
-            assert len(calls) == 4 * attempt
+            assert len(calls) == 2 * attempt
 
     def test_vertex_table_built_once_per_complex_and_rows(self, monkeypatch):
         c = coordinate_torus(12)

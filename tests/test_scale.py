@@ -30,7 +30,7 @@ from spineforge.spine import STRATEGIES
 
 from grids import (bench_inputs, coordinate_torus, freudenthal_torus3, grid_surface,
                    torus3_in_r6)
-from helpers import broken_line_faults, frame_isometry_deviation
+from helpers import broken_line_faults, frame_isometry_deviation, lattice_of
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
 # sha256 of `decompose torus64.tri --strategy S --seed 3`, recorded when the
@@ -158,11 +158,6 @@ def test_decompose_and_verify_64x64_torus(files, tmp_path):
         out[strategy] = text.encode()
     assert {s: hashlib.sha256(b).hexdigest() for s, b in out.items()} == DECOMPOSE64_DIGESTS
     assert command("verify", path, "--runs", "2")[0] == 0
-
-
-def lattice_of(c):
-    return (c.dimension, c.top_simplices, c.vertex_coords, c.faces,
-            [list(fi.items()) for fi in c.face_index], c.ridge_cofacets)
 
 
 @pytest.mark.parametrize("name", ["torus", "klein", "coordinate torus"])

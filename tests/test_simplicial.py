@@ -14,8 +14,9 @@ from spineforge.simplicial import (GEOMETRIC_TOL, InvalidComplexError, Metric,
                                    format_tri, parse_tri)
 from spineforge.spine import _gate_table
 
-from grids import coordinate_torus, freudenthal_torus3, grid_surface
-from helpers import euler_characteristic, face_id, reference_component_count
+from grids import coordinate_torus, freudenthal_torus3, grid_surface, torus3_in_r6
+from helpers import (euler_characteristic, face_id, lattice_of, reference_component_count,
+                     reference_gram_det)
 
 
 def brute_cofacets(tops, face):
@@ -556,7 +557,8 @@ def reference_star_validation(c):
 
 def reference_metric_validate(m, c):
     """``Metric.validate`` with the triangle inequality checked one 2-face at
-    a time through ``length``."""
+    a time through ``length``, and each k-face's Gram determinant (k >= 3)
+    by ``reference_gram_det``, one face at a time."""
     for u, v in (c.faces[1] if c.dimension >= 1 else ()):
         if (u, v) not in m.edge_lengths:
             raise InvalidComplexError(f"metric misses edge {(u, v)}")
@@ -569,7 +571,7 @@ def reference_metric_validate(m, c):
                     f"triangle inequality fails on 2-face {(a, b, d)}")
     for k in range(3, c.dimension + 1):
         for face in c.faces[k]:
-            det, scale = m._gram_det(face)
+            det, scale = reference_gram_det(m, face)
             if det < -GEOMETRIC_TOL * scale:
                 raise InvalidComplexError(
                     f"Cayley-Menger determinant of {k}-face {face} has the wrong "
@@ -664,12 +666,6 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:   # the class and message are compared
         return type(exc), str(exc)
-
-
-def lattice_of(c):
-    """Everything the constructor derives, with each face index's key order."""
-    return (c.dimension, c.top_simplices, c.vertex_coords, c.faces,
-            [list(fi.items()) for fi in c.face_index], c.ridge_cofacets)
 
 
 def relabelled(c, offset, keep=()):
@@ -807,6 +803,13 @@ def metric_cases():
         cases.append((f"slack{steps:+d}", c, _edge_scan(c, lambda e: long if e == edge else None)))
     c = sf.build_census("sphere3_pent")
     cases.append(("pent-unrealisable", c, _edge_scan(c, lambda e: 1.9 if e == (0, 1) else None)))
+    # 162 tetrahedra: chord lengths of the 3-torus in R^6, and unit lengths
+    # with edge (17, 18) past sqrt(3), the longest a tetrahedron of five
+    # unit edges can take; its first tetrahedron is face 112 of faces[3]
+    c = freudenthal_torus3(3)
+    cases.append(("torus3d3", c, dict(Metric.from_complex(torus3_in_r6(3)[0]).edge_lengths)))
+    cases.append(("torus3d3-unrealisable", c,
+                  _edge_scan(c, lambda e: 1.9 if e == (17, 18) else None)))
     c = sf.build_census("rp2_6")
     cases.append(("rp2-missing-edge", c, {e: 1.0 for e in c.faces[1][1:]}))
     return cases
@@ -829,6 +832,10 @@ class TestStackedTriangleCheck:
         assert verdicts["slack+1"][1].startswith("triangle inequality fails")
         assert verdicts["random12"][1].startswith("triangle inequality fails")
         assert verdicts["pent-unrealisable"][1].startswith("Cayley-Menger")
+        assert verdicts["torus3d3"] == ("ok", None)
+        assert verdicts["torus3d3-unrealisable"][1] == (
+            "Cayley-Menger determinant of 3-face (9, 11, 17, 18) has the wrong sign: "
+            "no Euclidean simplex has its edge lengths")
         assert verdicts["rp2-missing-edge"][1].startswith("metric misses edge")
 
     def test_first_of_two_failing_faces_is_named(self, census):
@@ -846,6 +853,19 @@ class TestStackedTriangleCheck:
         assert str(info.value) == f"triangle inequality fails on 2-face {failing[0]}"
         assert outcome(reference_metric_validate, Metric(lengths), c) == \
             (InvalidComplexError, str(info.value))
+
+
+@pytest.mark.parametrize("c", [freudenthal_torus3(4),
+                               SimplicialComplex(4, list(combinations(range(6), 5)))],
+                         ids=["torus3d4", "sphere4"])
+def test_metric_takes_one_determinant_per_dimension(c, monkeypatch):
+    # the k-faces of each dimension k >= 3 are checked with one stacked
+    # determinant, not one per face (384 on the 4x4x4 3-torus)
+    shapes = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or det(a))
+    Metric.from_complex(c)
+    assert shapes == [(len(c.faces[k]), k, k) for k in range(3, c.dimension + 1)]
 
 
 def parse_texts():
